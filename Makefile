@@ -5,7 +5,8 @@ export PYTHONPATH := src:$(PYTHONPATH)
 	bench-spatial bench-spatial-smoke \
 	bench-serving bench-serving-smoke bench-serving-proc-smoke \
 	bench-sharding bench-sharding-smoke \
-	bench-resilience bench-resilience-smoke examples-smoke
+	bench-resilience bench-resilience-smoke examples-smoke \
+	bench-e2e-smoke bench-check
 
 # Tier-1 gate: full unit suite, ~10-second smokes of the Fig. 7 efficiency
 # benchmark, the traced-vs-eager hot path, the spatial kernel, the serving
@@ -13,10 +14,11 @@ export PYTHONPATH := src:$(PYTHONPATH)
 # regressions that unit tests miss; each records its JSON trajectory per
 # PR), plus the runnable examples (quickstart, online forecasting, serving
 # demo, compiled execution, resilience demo) as end-to-end smokes of the
-# public API surface.
+# public API surface, and the repo benchmark (benchmarks/e2e) at 1/10 size
+# with its correctness checks.
 ci: test bench-smoke bench-hot-path-smoke bench-spatial-smoke \
 	bench-serving-smoke bench-serving-proc-smoke bench-sharding-smoke \
-	bench-resilience-smoke examples-smoke
+	bench-resilience-smoke examples-smoke bench-e2e-smoke
 
 test:
 	$(PYTHON) -m pytest tests -x -q
@@ -86,3 +88,13 @@ bench-resilience:
 
 bench-resilience-smoke:
 	$(PYTHON) benchmarks/bench_resilience.py --scale smoke
+
+# The repo benchmark (BENCHMARK.json; see benchmarks/e2e/README.md): all five
+# workloads at 1/10 size, failing on any correctness check.
+bench-e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --smoke
+
+# Compare two result files written by `benchmarks/e2e/run.py --reps N --out`:
+# `make bench-check A=parent.json B=change.json`; exits 1 on a `worse` row.
+bench-check:
+	$(PYTHON) benchmarks/e2e/compare.py $(A) $(B)

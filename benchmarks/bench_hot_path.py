@@ -18,6 +18,14 @@ round 1, traced round 1, eager round 2, ...) and the recorded rate is the
 best round per mode — both modes sample the same wall-clock windows and a
 slow period cannot penalise one mode only.
 
+A third section, ``nograd_tax``, prices the canonical fixed-geometry gemm
+that only ``no_grad`` forwards use: one model, one batch (B in {1, 16, 64}),
+interleaved ``no_grad`` vs grad-mode eager forwards; the recorded ratio is
+``no_grad`` time over grad-mode time (below 1 means inference is the cheaper
+forward, as it should be — it skips the tape).  The run raises if a window's
+``no_grad`` prediction inside the batch differs by one bit from the same
+window predicted alone.
+
 Traced and eager runs consume identical RNG streams, so the recorded final
 losses double as a bit-parity check (``loss_bitwise_equal``).  The Table 3
 smoke configuration is also trained at both dtypes and checked to agree
@@ -35,6 +43,7 @@ Run directly (no pytest needed)::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import time
 from pathlib import Path
@@ -52,6 +61,7 @@ from repro.tensor import (
     Tensor,
     clear_program_cache,
     default_dtype,
+    no_grad,
     program_cache_stats,
     run_compiled,
     traced_execution,
@@ -63,6 +73,7 @@ RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_hot_path.json"
 DTYPES = ("float64", "float32")
 MODES = ("eager", "traced")
 ROUNDS = 4
+NOGRAD_TAX_BATCHES = (1, 16, 64)
 
 # Full-step f32 steps/sec before the tracing layer landed (ROADMAP item 1).
 BASELINE_F32_STEPS_PER_SEC = 8.85
@@ -298,6 +309,50 @@ def bench_hot_loop(dtype: str, steps: int, seed: int, dataset: str,
     return result
 
 
+def bench_nograd_tax(dtype: str, steps: int, seed: int, dataset: str,
+                     scale: str) -> dict:
+    """Interleaved ``no_grad`` vs grad-mode eager forward, same model and batch."""
+    with default_dtype(dtype), traced_execution(False):
+        scenario = make_scenario(dataset, scale, seed=seed + 7)
+        backbone = make_urcl(scenario, scale, seed=seed).backbone
+        backbone.train(False)
+        windows = _collect_batches(
+            scenario.base_set.train, max(NOGRAD_TAX_BATCHES), 1, seed
+        )[0].inputs
+        scopes = {"no_grad": no_grad, "grad": contextlib.nullcontext}
+        result = {}
+        for size in NOGRAD_TAX_BATCHES:
+            inputs = Tensor(windows[:size])
+            iters = max(steps // 4, 2) * (4 if size == 1 else 1)
+            best = {mode: float("inf") for mode in scopes}
+            for round_index in range(ROUNDS + 1):
+                for mode, scope in scopes.items():
+                    with scope():
+                        start = time.perf_counter()
+                        for _ in range(iters):
+                            backbone.forward(inputs)
+                        elapsed = (time.perf_counter() - start) / iters
+                    if round_index:  # round 0 warms both modes up
+                        best[mode] = min(best[mode], elapsed)
+            with no_grad():
+                batched = backbone.forward(inputs).data
+                direct = np.concatenate([
+                    backbone.forward(Tensor(windows[i:i + 1])).data for i in range(size)
+                ])
+            if not np.array_equal(batched, direct):
+                raise AssertionError(
+                    f"no_grad forward at B={size} ({dtype}) is not bit-identical "
+                    "to the same windows predicted one at a time"
+                )
+            result[str(size)] = {
+                "nograd_ms": 1e3 * best["no_grad"],
+                "grad_ms": 1e3 * best["grad"],
+                "nograd_over_grad": best["no_grad"] / best["grad"],
+                "batched_equals_direct": True,
+            }
+    return result
+
+
 def bench_metric_parity(seed: int, dataset: str) -> dict:
     """Table 3 smoke run at both dtypes; returns metrics and max |diff|."""
     metrics_by_dtype = {}
@@ -341,6 +396,7 @@ def main(argv=None) -> dict:
         "baseline_f32_steps_per_sec": BASELINE_F32_STEPS_PER_SEC,
         "timings": {},
         "hot_loop": {},
+        "nograd_tax": {},
         "traced_speedup": {},
     }
     for dtype in DTYPES:
@@ -348,6 +404,9 @@ def main(argv=None) -> dict:
             dtype, args.steps, args.seed, args.dataset, args.scale
         )
         record["hot_loop"][dtype] = bench_hot_loop(
+            dtype, args.steps, args.seed, args.dataset, args.scale
+        )
+        record["nograd_tax"][dtype] = bench_nograd_tax(
             dtype, args.steps, args.seed, args.dataset, args.scale
         )
         full, loop = record["timings"][dtype], record["hot_loop"][dtype]
@@ -409,6 +468,13 @@ def main(argv=None) -> dict:
             f"{s['predict']:.2f}x predict "
             f"(bit-parity {'ok' if s['loss_bitwise_equal'] else 'FAILED'})"
         )
+    for dtype in DTYPES:
+        ratios = ", ".join(
+            f"B={size} {tax['nograd_ms']:.2f}/{tax['grad_ms']:.2f} ms "
+            f"= {tax['nograd_over_grad']:.2f}x"
+            for size, tax in record["nograd_tax"][dtype].items()
+        )
+        print(f"{dtype} no_grad / grad-mode forward (batched == direct bits ok): {ratios}")
     base = record["f32_vs_baseline"]
     print(
         f"f32 vs pre-compilation baseline ({BASELINE_F32_STEPS_PER_SEC} steps/s): "

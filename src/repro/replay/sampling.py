@@ -117,22 +117,30 @@ class RMIRSampler(ReplaySampler):
         self.virtual_lr = virtual_lr
         self.candidate_pool = candidate_pool
         self.interfered_pool = interfered_pool
+        self._saved: list[np.ndarray] = []
 
     # ------------------------------------------------------------------ #
+    @staticmethod
     def _per_sample_loss(
-        self,
-        model: _PredictiveModel,
-        loss_fn: Callable[[Tensor, Tensor], Tensor],
-        inputs: np.ndarray,
-        targets: np.ndarray,
+        model: _PredictiveModel, inputs: np.ndarray, targets: np.ndarray
     ) -> np.ndarray:
-        """Loss of every window under the current model parameters."""
-        losses = np.zeros(inputs.shape[0])
+        """MAE of every window under the current model parameters (no
+        ``loss_fn``: it reduces over the batch, Eq. 3 needs a value per window;
+        the caller's loss drives the virtual step only)."""
         with no_grad():
             predictions = run_compiled(model, model.forward, Tensor(inputs), kind="rmir")
-            errors = np.abs(predictions.data - targets)
-            losses = errors.reshape(errors.shape[0], -1).mean(axis=1)
-        return losses
+        errors = np.abs(predictions.data - targets)
+        return errors.reshape(errors.shape[0], -1).mean(axis=1)
+
+    def _snapshot(self, model: _PredictiveModel) -> list[np.ndarray]:
+        """Copy the parameters into buffers allocated once per model layout."""
+        parameters = model.parameters()
+        layout = [(p.data.shape, p.data.dtype) for p in parameters]
+        if [(s.shape, s.dtype) for s in self._saved] != layout:
+            self._saved = [np.empty(shape, dtype) for shape, dtype in layout]
+        for saved, parameter in zip(self._saved, parameters):
+            np.copyto(saved, parameter.data)
+        return self._saved
 
     def _virtual_step(
         self,
@@ -140,19 +148,16 @@ class RMIRSampler(ReplaySampler):
         loss_fn: Callable[[Tensor, Tensor], Tensor],
         inputs: np.ndarray,
         targets: np.ndarray,
-    ) -> list[np.ndarray]:
-        """Apply the foreseen update in place; return saved originals."""
+    ) -> None:
+        """Apply the foreseen update in place (callers snapshot first)."""
         model.zero_grad()
         predictions = run_compiled(model, model.forward, Tensor(inputs), kind="train")
         loss = loss_fn(predictions, Tensor(targets))
         loss.backward()
-        saved = []
         for parameter in model.parameters():
-            saved.append(parameter.data.copy())
             if parameter.grad is not None:
                 parameter.data -= self.virtual_lr * parameter.grad
         model.zero_grad()
-        return saved
 
     @staticmethod
     def _restore(model: _PredictiveModel, saved: list[np.ndarray]) -> None:
@@ -180,17 +185,16 @@ class RMIRSampler(ReplaySampler):
         candidate_inputs, candidate_targets = buffer.get(candidate_indices)
 
         # Interference scores: loss increase caused by the foreseen update.
-        losses_before = self._per_sample_loss(model, loss_fn, candidate_inputs, candidate_targets)
-        saved = self._virtual_step(model, loss_fn, current_inputs, current_targets)
+        losses_before = self._per_sample_loss(model, candidate_inputs, candidate_targets)
+        saved = self._snapshot(model)
         try:
-            losses_after = self._per_sample_loss(
-                model, loss_fn, candidate_inputs, candidate_targets
-            )
+            self._virtual_step(model, loss_fn, current_inputs, current_targets)
+            losses_after = self._per_sample_loss(model, candidate_inputs, candidate_targets)
         finally:
             self._restore(model, saved)
         interference = losses_after - losses_before
 
-        interfered_pool = self.interfered_pool or max(2 * sample_size, sample_size)
+        interfered_pool = self.interfered_pool or 2 * sample_size
         interfered_pool = min(interfered_pool, pool_size)
         most_interfered = np.argsort(-interference)[:interfered_pool]
 

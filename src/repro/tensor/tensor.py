@@ -13,6 +13,7 @@ The public entry point is :class:`Tensor`.  Gradients are accumulated into
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 import weakref
 from typing import Callable, Iterable, Sequence
@@ -58,24 +59,28 @@ MATMUL_BLOCK_ROWS = 256
 # BLAS picks its gemm kernel from the *call* geometry: the row count selects
 # gemv-like paths for narrow operands and different panel blockings for wide
 # ones, so the same row computed inside a 12-row call and a 6-row call can
-# disagree in the last ulp (observed for output widths 1-3, 9-11, 17-20 in
-# f64 and 1-3, 5-7, 17-24 in f32, among others).  Inference therefore issues
-# every gemm at one canonical geometry — exactly MATMUL_BLOCK_ROWS rows
-# (tail zero-padded) by at most MATMUL_BLOCK_COLS output columns — which
-# pins the kernel and makes a row's bits a function of (row, operand) only.
-# That is the property the memory-sharded forward relies on: any partition
-# of the node rows then reproduces the unsharded bits exactly.  Training
-# keeps plain BLAS calls (row-blocked above MATMUL_BLOCK_ROWS for cache
-# locality); gradients never need cross-run row-partition parity.
+# disagree in the last ulp.  Inference therefore issues every gemm at one
+# canonical geometry — exactly MATMUL_BLOCK_ROWS rows (tail zero-padded) by
+# at most MATMUL_BLOCK_COLS output columns — which pins the kernel and makes
+# a row's bits a function of (row, operand) only.  That is the property the
+# memory-sharded forward relies on: any partition of the node rows then
+# reproduces the unsharded bits exactly.  The envelope in which it holds
+# (and its one measured hole) is pinned by the property tests in
+# tests/tensor/test_partition_kernels.py.  Training keeps plain BLAS calls
+# (row-blocked above MATMUL_BLOCK_ROWS); gradients never need that parity.
 MATMUL_BLOCK_COLS = 256
 
 
 def _matmul_canonical(a: np.ndarray, b: np.ndarray, out: np.ndarray | None):
+    if b.ndim == 2:
+        return _matmul_row_panel(a, b, out)
     rows, inner = a.shape[-2], a.shape[-1]
     cols = b.shape[-1]
     if out is None:
         shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (rows, cols)
         out = np.empty(shape, dtype=np.result_type(a, b))
+    # Batched ``b`` (dense spatial mix ``(N, N) @ (B, T, N, C)``): the node axis
+    # is the gemm row dimension, so partition exactness pads every matrix.
     for col_start in range(0, cols, MATMUL_BLOCK_COLS):
         col_stop = min(col_start + MATMUL_BLOCK_COLS, cols)
         b_block = b[..., :, col_start:col_stop]
@@ -92,6 +97,37 @@ def _matmul_canonical(a: np.ndarray, b: np.ndarray, out: np.ndarray | None):
                 target[...] = np.matmul(padded, b_block)[
                     ..., : row_stop - row_start, :
                 ]
+    return out
+
+
+def _matmul_row_panel(a: np.ndarray, b: np.ndarray, out: np.ndarray | None):
+    """Canonical ``a @ b`` for a 2-D ``b``: every row of ``a`` meets the same
+    operand, so all leading axes collapse into one contiguous row panel that
+    is cut into MATMUL_BLOCK_ROWS-row gemms; only the panel's last block is
+    zero-padded (strided ``a`` / ``out`` cost one copy, not another path)."""
+    inner, cols = b.shape
+    if out is None:
+        out = np.empty(a.shape[:-1] + (cols,), dtype=np.result_type(a, b))
+    total = math.prod(a.shape[:-1])
+    panel = np.ascontiguousarray(a).reshape(total, inner)
+    direct = out.flags.c_contiguous
+    flat = out.reshape(total, cols) if direct else np.empty((total, cols), out.dtype)
+    count, tail = divmod(total, MATMUL_BLOCK_ROWS)
+    full = count * MATMUL_BLOCK_ROWS
+    blocks = panel[:full].reshape(count, MATMUL_BLOCK_ROWS, inner)
+    targets = flat[:full].reshape(count, MATMUL_BLOCK_ROWS, cols)
+    if tail:
+        padded = np.zeros((MATMUL_BLOCK_ROWS, inner), dtype=a.dtype)
+        padded[:tail] = panel[full:]
+    for col_start in range(0, cols, MATMUL_BLOCK_COLS):
+        col_stop = min(col_start + MATMUL_BLOCK_COLS, cols)
+        b_block = b[:, col_start:col_stop]
+        if full:
+            np.matmul(blocks, b_block, out=targets[..., col_start:col_stop])
+        if tail:
+            flat[full:, col_start:col_stop] = np.matmul(padded, b_block)[:tail]
+    if not direct:
+        out[...] = flat.reshape(out.shape)
     return out
 
 

@@ -11,6 +11,7 @@ from repro.models.graphwavenet import GraphWaveNetBackbone
 from repro.models.stencoder import STEncoderConfig
 from repro.nn.losses import mae_loss
 from repro.replay import RandomSampler, ReplayBuffer, RMIRSampler, STMixup, pearson_similarity
+from repro.tensor import Tensor, no_grad, run_compiled
 
 
 @pytest.fixture
@@ -188,6 +189,99 @@ class TestRMIRSampler:
         )
         similarities = pearson_similarity(sampled_inputs, current[0])
         assert (similarities > 0.5).all()
+
+    @staticmethod
+    def _reference_sample(sampler, buffer, inputs, targets, sample_size, model, loss_fn):
+        """The sampler as it stood before the snapshot-buffer rewrite (fresh
+        ``parameter.data.copy()`` per step, update outside the ``try``), kept
+        as the oracle for RNG stream, chosen windows and parameter bits."""
+        def per_sample_loss(batch_inputs, batch_targets):
+            with no_grad():
+                predictions = run_compiled(
+                    model, model.forward, Tensor(batch_inputs), kind="rmir"
+                )
+                errors = np.abs(predictions.data - batch_targets)
+                return errors.reshape(errors.shape[0], -1).mean(axis=1)
+
+        sample_size = min(sample_size, len(buffer))
+        pool_size = min(sampler.candidate_pool, len(buffer))
+        candidate_indices = sampler._rng.choice(len(buffer), size=pool_size, replace=False)
+        candidate_inputs, candidate_targets = buffer.get(candidate_indices)
+        losses_before = per_sample_loss(candidate_inputs, candidate_targets)
+        model.zero_grad()
+        predictions = run_compiled(model, model.forward, Tensor(inputs), kind="train")
+        loss_fn(predictions, Tensor(targets)).backward()
+        saved = []
+        for parameter in model.parameters():
+            saved.append(parameter.data.copy())
+            if parameter.grad is not None:
+                parameter.data -= sampler.virtual_lr * parameter.grad
+        model.zero_grad()
+        losses_after = per_sample_loss(candidate_inputs, candidate_targets)
+        for parameter, original in zip(model.parameters(), saved):
+            parameter.data[...] = original
+        interference = losses_after - losses_before
+        interfered_pool = sampler.interfered_pool or max(2 * sample_size, sample_size)
+        most_interfered = np.argsort(-interference)[: min(interfered_pool, pool_size)]
+        similarity = pearson_similarity(
+            candidate_inputs[most_interfered], inputs.mean(axis=0)
+        )
+        ranked = most_interfered[np.argsort(-similarity)][:sample_size]
+        return buffer.get(candidate_indices[ranked])
+
+    def test_bit_identical_to_reference_sampler(
+        self, batch, filled_buffer, small_network, tiny_encoder_config
+    ):
+        inputs, targets = batch
+
+        def drive(sample):
+            model = GraphWaveNetBackbone(
+                small_network, in_channels=2, input_steps=12,
+                encoder_config=tiny_encoder_config, rng=0,
+            )
+            sampler = RMIRSampler(candidate_pool=12, rng=7)
+            picks = [
+                sample(sampler, filled_buffer, inputs + shift, targets, 3, model, mae_loss)
+                for shift in (0.0, 0.5, -0.25)  # reuses the snapshot buffers
+            ]
+            return picks, model.state_dict(), sampler._rng.random()
+
+        reference = drive(self._reference_sample)
+        current = drive(
+            lambda sampler, buffer, x, y, size, model, loss_fn: sampler.sample(
+                buffer, x, y, size, model=model, loss_fn=loss_fn
+            )
+        )
+        for (ref_x, ref_y), (new_x, new_y) in zip(reference[0], current[0]):
+            assert np.array_equal(ref_x, new_x) and np.array_equal(ref_y, new_y)
+        for name, value in reference[1].items():
+            assert np.array_equal(value, current[1][name]), name
+        assert reference[2] == current[2]  # same RNG stream position
+
+    def test_parameters_restored_when_virtual_step_fails(
+        self, batch, filled_buffer, tiny_backbone
+    ):
+        """A failure after the in-place update must not leave the model stepped."""
+        inputs, targets = batch
+        before = {name: value.copy() for name, value in tiny_backbone.state_dict().items()}
+        real_zero_grad, calls = tiny_backbone.zero_grad, []
+
+        def failing_zero_grad():
+            calls.append(None)
+            if len(calls) == 2:  # the call that follows the parameter update
+                raise RuntimeError("boom")
+            real_zero_grad()
+
+        tiny_backbone.zero_grad = failing_zero_grad
+        try:
+            with pytest.raises(RuntimeError, match="boom"):
+                RMIRSampler(candidate_pool=8, rng=0).sample(
+                    filled_buffer, inputs, targets, 3, model=tiny_backbone, loss_fn=mae_loss
+                )
+        finally:
+            del tiny_backbone.zero_grad
+        for name, value in tiny_backbone.state_dict().items():
+            assert np.array_equal(before[name], value), name
 
 
 @settings(max_examples=20, deadline=None)

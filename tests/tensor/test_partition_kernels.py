@@ -9,8 +9,12 @@ Three properties the partition path builds on:
 * threaded CSR kernels are exactly bit-identical to single-threaded ones.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse as sp
 
 from repro.tensor import (
@@ -23,6 +27,7 @@ from repro.tensor import (
     spmm_multi,
     track_activations,
 )
+from repro.tensor.tensor import MATMUL_BLOCK_COLS, _matmul_canonical
 
 
 class TestCanonicalMatmul:
@@ -82,6 +87,128 @@ class TestCanonicalMatmul:
         b = rng.normal(size=(8, 4))
         product = Tensor(a, requires_grad=True) @ Tensor(b)
         assert np.array_equal(product.data, a @ b)
+
+
+# ---------------------------------------------------------------------- #
+# Exactness envelope of the canonical gemm (property tests)
+# ---------------------------------------------------------------------- #
+# Measured on OpenBLAS 0.3.31 (Haswell kernels): a 256-row f64 gemm whose
+# output-column block is 193-255 wide and not a multiple of 8 computes a
+# row's last few columns differently depending on the row's position inside
+# the block (inner >= 16), so partition parity is NOT guaranteed there; every
+# other width up to MATMUL_BLOCK_COLS, and every f32 width, is position
+# independent.  The strategies below stay inside that envelope (model widths
+# in this repo are <= 64); the hole predates the row-panel kernel.
+F64_EXACT_COLS = 192
+
+
+def _blas_build() -> str:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return (
+        f"BLAS {blas.get('name')} {blas.get('version')} "
+        f"[{blas.get('openblas configuration', 'n/a')}], numpy {np.__version__}"
+    )
+
+
+def _parent_matmul_canonical(a, b):
+    """The per-matrix padded kernel this repo shipped before the row-panel
+    rewrite, kept verbatim as the bit-exactness oracle."""
+    rows, inner = a.shape[-2], a.shape[-1]
+    cols = b.shape[-1]
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (rows, cols)
+    out = np.empty(shape, dtype=np.result_type(a, b))
+    for col_start in range(0, cols, MATMUL_BLOCK_COLS):
+        col_stop = min(col_start + MATMUL_BLOCK_COLS, cols)
+        b_block = b[..., :, col_start:col_stop]
+        for row_start in range(0, rows, MATMUL_BLOCK_ROWS):
+            row_stop = min(row_start + MATMUL_BLOCK_ROWS, rows)
+            target = out[..., row_start:row_stop, col_start:col_stop]
+            if row_stop - row_start == MATMUL_BLOCK_ROWS:
+                np.matmul(a[..., row_start:row_stop, :], b_block, out=target)
+            else:
+                padded = np.zeros(
+                    a.shape[:-2] + (MATMUL_BLOCK_ROWS, inner), dtype=a.dtype
+                )
+                padded[..., : row_stop - row_start, :] = a[..., row_start:row_stop, :]
+                target[...] = np.matmul(padded, b_block)[
+                    ..., : row_stop - row_start, :
+                ]
+    return out
+
+
+@st.composite
+def _gemm_cases(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    lead = tuple(draw(st.lists(st.integers(1, 4), max_size=3)))
+    rows = draw(st.integers(1, 70) | st.sampled_from([255, 256, 257, 300, 600]))
+    inner = draw(st.integers(1, 40) | st.sampled_from([64, 128, 300]))
+    exact_cols = MATMUL_BLOCK_COLS if dtype == np.float32 else F64_EXACT_COLS
+    cols = draw(
+        st.integers(1, 40)
+        | st.integers(1, exact_cols)
+        | st.sampled_from([MATMUL_BLOCK_COLS, MATMUL_BLOCK_COLS + 1, 300])
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["contiguous", "transposed", "sliced"]))
+    if layout == "contiguous":
+        a = rng.normal(size=lead + (rows, inner)).astype(dtype)
+    elif layout == "transposed":
+        a = np.swapaxes(rng.normal(size=lead + (inner, rows)).astype(dtype), -1, -2)
+    else:
+        a = rng.normal(size=lead + (2 * rows, inner + 3)).astype(dtype)[..., ::2, 1:-2]
+    b = rng.normal(size=(inner, cols)).astype(dtype)
+    return a, b, rng
+
+
+class TestCanonicalEnvelope:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=_gemm_cases(), out_kind=st.sampled_from(["none", "contiguous", "strided"]))
+    def test_row_panel_equals_per_matrix_oracle(self, case, out_kind):
+        a, b, _ = case
+        shape = a.shape[:-1] + (b.shape[-1],)
+        if out_kind == "none":
+            out = None
+        elif out_kind == "contiguous":
+            out = np.empty(shape, dtype=a.dtype)
+        else:
+            out = np.empty(shape[:-1] + (2 * shape[-1],), dtype=a.dtype)[..., ::2]
+        result = _matmul_canonical(a, b, out)
+        assert out is None or result is out
+        # Matrices of >= 256 strided rows are the one place the oracle is fed
+        # a copy: the old kernel handed their full blocks to BLAS as strided
+        # views (TransA / numpy's non-BLAS loop) but padded their tail through
+        # a contiguous copy, so it disagreed with itself; the panel kernel
+        # always takes the contiguous route.
+        reference = a if a.shape[-2] < MATMUL_BLOCK_ROWS else np.ascontiguousarray(a)
+        expected = _parent_matmul_canonical(reference, b)
+        assert result.dtype == expected.dtype
+        assert np.array_equal(result, expected), (
+            f"{a.dtype} a{a.shape} strides{a.strides} @ b{b.shape} out={out_kind}: "
+            f"{np.count_nonzero(result != expected)} elements differ — {_blas_build()}"
+        )
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=_gemm_cases(), data=st.data())
+    def test_any_row_or_batch_split_reproduces_unsplit_bits(self, case, data):
+        a, b, rng = case
+        full = _matmul_canonical(a, b, None)
+        rows = a.shape[-2]
+        keep = data.draw(st.integers(1, rows), label="rows kept")
+        idx = np.sort(rng.choice(rows, size=keep, replace=False))
+        part = _matmul_canonical(a[..., idx, :], b, None)
+        assert np.array_equal(part, full[..., idx, :]), (
+            f"{a.dtype} a{a.shape} @ b{b.shape}: {keep} of {rows} node rows "
+            f"computed alone differ from the unsplit product — {_blas_build()}"
+        )
+        if a.ndim > 2 and a.shape[0] > 1:
+            cut = data.draw(st.integers(1, a.shape[0] - 1), label="batch cut")
+            halves = np.concatenate(
+                [_matmul_canonical(a[:cut], b, None), _matmul_canonical(a[cut:], b, None)]
+            )
+            assert np.array_equal(halves, full), (
+                f"{a.dtype} a{a.shape} @ b{b.shape}: batch split at {cut} "
+                f"differs from the unsplit product — {_blas_build()}"
+            )
 
 
 class TestRectangularSpmmMulti:
@@ -150,3 +277,25 @@ class TestActivationTracking:
             del view, b
         assert stats.peak_bytes >= 2 * 100 * 10 * 8
         assert stats.peak_bytes < 4 * 100 * 10 * 8
+
+    def test_row_panel_matmul_allocates_no_padded_temporary(self):
+        """``(B, T, N, C) @ (C, C')`` with N < 256 under ``no_grad``: the only
+        big buffer is the output; the ``(B, T, 256, C')`` temporary of the
+        per-matrix kernel must not come back."""
+        rng = np.random.default_rng(7)
+        a = Tensor(rng.normal(size=(8, 11, 20, 16)))
+        weight = Tensor(rng.normal(size=(16, 32)))
+        itemsize = a.data.itemsize
+        tail_scratch = MATMUL_BLOCK_ROWS * (16 + 32) * itemsize  # padded in + its product
+        tracemalloc.start()
+        try:
+            with no_grad(), track_activations() as stats:
+                baseline, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                out = a @ weight
+                _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.data.base is None and stats.peak_bytes == out.data.nbytes
+        slack = 16 * 1024  # interpreter objects, views
+        assert peak - baseline <= out.data.nbytes + tail_scratch + slack
