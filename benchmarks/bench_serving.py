@@ -20,7 +20,8 @@ The process-parallel engine (``repro.serve.proc``) gets its own leg: a
 worker-count sweep over shared-memory worker processes, with per-run
 bit-parity asserted against *both* direct ``Forecaster.predict`` and the
 in-process threaded engine, per-shard scaling efficiency recorded (and
-asserted >= 0.7 only when the host actually has the cores), and — at the
+asserted >= 0.7 only when the host has a core to spare for the parent
+beside one per worker), and — at the
 full ``bench`` scale — the 4-tenant / 2-shard batched point required to
 clear 4x the threaded engine's GIL-bound 556 req/s.
 
@@ -155,7 +156,14 @@ def process_sweep(pool, windows, tenants, worker_counts, concurrency: int,
         widest["throughput_rps"] / (base["throughput_rps"] * max_workers)
         if base["throughput_rps"] > 0 else 0.0
     )
-    cores = os.cpu_count() or 1
+    # The CPUs this process may run on: the parent's flusher, dispatchers and
+    # settlers and the load generator need one beside the workers', or the
+    # widest point measures their contention, not the engine's scaling.
+    cores = (
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1
+    )
+    assert_scaling = cores > max_workers
     record = {
         "sweep": points,
         "headline": headline,
@@ -164,10 +172,10 @@ def process_sweep(pool, windows, tenants, worker_counts, concurrency: int,
             "throughput_rps": [p["throughput_rps"] for p in points],
             "efficiency_1_to_max": efficiency,
             "cpu_cores": cores,
-            "efficiency_asserted": cores >= max_workers,
+            "efficiency_asserted": assert_scaling,
         },
     }
-    if cores >= max_workers and efficiency < 0.7:
+    if assert_scaling and efficiency < 0.7:
         raise AssertionError(
             f"process engine scaled 1 -> {max_workers} workers at only "
             f"{efficiency:.2f} efficiency on {cores} cores (>= 0.7 required)"

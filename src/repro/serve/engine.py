@@ -1,31 +1,37 @@
 """The serving engine: async micro-batched, multi-tenant, fault-tolerant.
 
-:class:`ServingEngine` is the process-level serving loop on top of
-:class:`~repro.serve.forecaster.Forecaster`:
+:class:`EngineCore` is the request lifecycle on top of
+:class:`~repro.serve.forecaster.Forecaster`, written once; the two public
+engines add only a transport.  :class:`ServingEngine` (below) runs the fused
+forwards on worker threads of this process;
+:class:`~repro.serve.proc.ProcessServingEngine` runs them in worker
+processes over shared memory.  What they share:
 
 * **Requests** are single raw ``(time, nodes, channels)`` windows submitted
-  via :meth:`submit`, which returns a ``concurrent.futures.Future`` that
-  resolves to that window's raw prediction.
+  via :meth:`~EngineCore.submit`, which returns a
+  ``concurrent.futures.Future`` that resolves to that window's raw
+  prediction.
 * **Dynamic micro-batching** coalesces same-tenant, same-shape requests
   (:class:`~repro.serve.batching.DynamicBatcher`): a bucket flushes into one
   fused ``Forecaster.predict`` call when it reaches ``max_batch_size`` or
   its oldest request has waited ``max_delay_ms`` — whichever comes first.
 * **Backpressure is explicit**: beyond ``max_pending`` accepted-but-
-  unresolved requests, :meth:`submit` raises
+  unresolved requests, ``submit`` raises
   :class:`~repro.exceptions.QueueFull` (or sheds the oldest queued request
   under ``overload_policy="shed_oldest"``); per-tenant token buckets
   (``tenant_rate_limit``) reject floods with
   :class:`~repro.exceptions.RateLimited` before they consume queue space.
 * **Deadlines**: ``submit(..., deadline_ms=...)`` bounds how long a request
   may wait; the supervisor expires overdue requests still in the batcher
-  and workers drop overdue requests from flushed batches, both with a
-  structured :class:`~repro.exceptions.DeadlineExceeded`.
-* **Fault tolerance**: a supervisor thread detects dead workers (crashed
-  serving a batch) and wedged workers (in flight longer than
-  ``wedge_timeout_s``), replaces them, and requeues their batches with
-  capped exponential backoff up to ``max_retries`` per request — safe
-  because ``predict`` is side-effect-free, and every request resolves
-  exactly once regardless of how many times its batch was dispatched.
+  and overdue requests are dropped from flushed batches before they reach a
+  worker, both with a structured :class:`~repro.exceptions.DeadlineExceeded`.
+* **Fault tolerance**: a supervisor thread has the transport find dead
+  workers (crashed serving a batch) and wedged workers (in flight longer
+  than ``wedge_timeout_s``), replace them and hand their batches back, and
+  requeues those with capped exponential backoff up to ``max_retries`` per
+  request — safe because ``predict`` is side-effect-free, and every request
+  resolves exactly once regardless of how many times its batch was
+  dispatched.  Only a batch actually handed to a worker spends an attempt.
 * **Graceful degradation**: per-tenant circuit breakers trip open after
   ``breaker_failures`` consecutive batch failures (exceptions or
   non-finite outputs) and fail fast with
@@ -35,28 +41,30 @@
   NaN-damaged inbound windows are mask-and-imputed (or rejected) per
   ``nan_policy``.
 * **Fault injection** (:mod:`repro.serve.faults`) exercises all of the
-  above deterministically: pass a :class:`~repro.serve.faults.FaultPlan`
-  and the engine crashes/stalls its own workers, corrupts inbound windows
-  and fails checkpoint loads on seeded schedules.  With no plan installed
-  every hook is a ``None`` check — the production path pays nothing.
+  above deterministically on either engine: pass a
+  :class:`~repro.serve.faults.FaultPlan` and the engine crashes/stalls its
+  own workers, corrupts inbound windows and fails checkpoint loads on
+  seeded schedules.  With no plan installed every hook is a ``None`` check
+  — the production path pays nothing.
 * **Multi-tenancy** routes each request's tenant id through a
   :class:`~repro.serve.tenancy.ModelPool` (byte-bounded LRU of per-tenant
   checkpoints, one shared graph).
 * **Sharding**: with ``shards > 1`` every tenant is served through a
-  :class:`~repro.serve.sharding.ShardedForecaster` (bit-exact in the
-  default ``replicate`` mode).
+  :class:`~repro.serve.sharding.ShardedForecaster`, bit-exact in both the
+  ``replicate`` and the memory-sharded ``partition`` mode.
 * **Online updates** go through a serialized update lane
-  (:meth:`update`): one update at a time engine-wide, a per-tenant
-  readers/writer lock keeps in-flight predicts from observing
+  (:meth:`~EngineCore.update`): one update at a time engine-wide, a
+  per-tenant readers/writer lock keeps in-flight predicts from observing
   half-stepped parameters, and a failed step rolls the model and
   optimizer back to their pre-step state (``update_rollback``).
 
-Worker threads pull flushed batches off a FIFO queue, run the fused
-forward under the tenant's read lock and resolve each request's future; a
-flusher thread sweeps deadline-expired buckets.  :meth:`close` drains by
-default — everything accepted is answered — or fails the still-queued
-requests with :class:`~repro.exceptions.EngineClosed` when asked not to;
-``drain_timeout`` bounds how long a wedged worker can hold up shutdown.
+One parent-side thread per worker pulls flushed batches off a FIFO queue,
+gates them (deadline, cancellation, breaker) and carries them to its worker;
+a flusher thread sweeps deadline-expired buckets.  :meth:`~EngineCore.close`
+drains by default — everything accepted is answered — or fails the
+still-queued requests with :class:`~repro.exceptions.EngineClosed` when
+asked not to; ``drain_timeout`` bounds how long a wedged worker can hold up
+shutdown.
 """
 
 from __future__ import annotations
@@ -117,7 +125,9 @@ class EngineConfig:
     shards:
         Node shards per tenant (1 disables sharding).
     shard_mode:
-        ``"replicate"`` (exact) or ``"partition"`` (approximate).
+        ``"replicate"`` (every shard runs the full forward) or
+        ``"partition"`` (each shard runs only its own node rows); both are
+        bit-identical to the unsharded forward.
     deadline_default_ms:
         Deadline applied to requests that pass none (``None``: no default).
     overload_policy:
@@ -243,28 +253,21 @@ class EngineConfig:
             )
 
 
-class _Worker:
-    """One serving thread plus the supervisor's view of it.
-
-    ``batch``/``started_at`` form the heartbeat (what it is serving, since
-    when); ``crashed`` is set by the worker itself on the way down so the
-    supervisor can recover the batch; ``abandoned`` tells a wedged worker
-    that has been replaced to exit instead of pulling more work.
-    """
-
-    __slots__ = ("thread", "abandoned", "batch", "started_at", "crashed", "error")
-
-    def __init__(self):
-        self.thread: threading.Thread | None = None
-        self.abandoned = threading.Event()
-        self.batch: MicroBatch | None = None
-        self.started_at: float | None = None
-        self.crashed = False
-        self.error: BaseException | None = None
+# What stats() echoes of the configuration.
+_STATS_CONFIG = (
+    "max_batch_size", "max_delay_ms", "max_pending", "num_workers", "shards",
+    "shard_mode", "overload_policy", "max_retries", "wedge_timeout_s",
+    "breaker_failures", "nan_policy", "fallback",
+)
 
 
-class ServingEngine:
-    """Async serving loop over one forecaster or a multi-tenant pool.
+class EngineCore:
+    """The request lifecycle shared by both engines (see the module docstring).
+
+    A subclass is a *transport*: its constructor starts the workers and
+    one parent-side thread per worker that feeds queued batches to
+    :meth:`_serve_batch`, then calls :meth:`_start_loops`; the methods under
+    "Transport hooks" are what it implements.
 
     Parameters
     ----------
@@ -290,7 +293,8 @@ class ServingEngine:
             self.pool.put(DEFAULT_TENANT, source)
         else:
             raise ConfigurationError(
-                f"ServingEngine serves a Forecaster or a ModelPool, got {type(source).__name__}"
+                f"{type(self).__name__} serves a Forecaster or a ModelPool, "
+                f"got {type(source).__name__}"
             )
         if faults is None:
             self.injector: FaultInjector | None = None
@@ -306,20 +310,6 @@ class ServingEngine:
         if self.injector is not None and self.pool._load_hook is None:
             self.pool._load_hook = self.injector.on_checkpoint_load
             self._installed_load_hook = True
-        if self.config.shards > 1:
-            if self.pool._decorate is not None:
-                raise ConfigurationError(
-                    "the pool already decorates tenants; configure sharding in "
-                    "one place (EngineConfig.shards or the pool decorator)"
-                )
-            shards, mode = self.config.shards, self.config.shard_mode
-            self.pool._decorate = lambda f: ShardedForecaster(f, shards, mode=mode)
-            # Already-resident tenants (put() before the engine existed)
-            # get their serving view retrofitted.
-            for tenant in self.pool.resident:
-                entry = self.pool.get(tenant)
-                if entry.served is entry.forecaster:
-                    entry.served = ShardedForecaster(entry.forecaster, shards, mode=mode)
         self.metrics = EngineMetrics()
         self._batcher = DynamicBatcher(
             max_batch_size=self.config.max_batch_size,
@@ -353,18 +343,57 @@ class ServingEngine:
         self._flusher = threading.Thread(
             target=self._flush_loop, name="repro-serve-flusher", daemon=True
         )
-        self._workers_lock = threading.Lock()
-        self._worker_seq = itertools.count()
-        self._workers: list[_Worker] = []
-        with self._workers_lock:
-            for _ in range(self.config.num_workers):
-                self._spawn_worker()
         self._supervisor_stop = threading.Event()
         self._supervisor = threading.Thread(
             target=self._supervise_loop, name="repro-serve-supervisor", daemon=True
         )
+
+    def _start_loops(self) -> None:
         self._flusher.start()
         self._supervisor.start()
+
+    def _release_pool(self) -> None:
+        """Take our load hook off the pool; close a pool the engine built."""
+        if self._installed_load_hook:
+            self.pool._load_hook = None
+        if self._owns_pool:
+            self.pool.close()
+
+    # ------------------------------------------------------------------ #
+    # Transport hooks
+    # ------------------------------------------------------------------ #
+    def _validate(self, tenant: str, window: np.ndarray | None = None) -> None:
+        """Refuse a tenant (and, at submit, a window) this engine cannot serve."""
+        if tenant not in self.pool:
+            raise ConfigurationError(f"unknown tenant {tenant!r}")
+
+    def _checkout(self, worker, batch: MicroBatch):
+        """Stamp ``batch`` in flight on ``worker``; the ticket goes to
+        :meth:`_carry`.  ``None`` when the worker is gone (a worker that
+        pulls its own batches never is)."""
+        return True
+
+    def _carry(self, worker, batch: MicroBatch, ticket) -> None:
+        """Take ``batch`` to ``worker``; the predictions or the error go to
+        :meth:`_complete`, now or from another thread later."""
+        raise NotImplementedError
+
+    def _reap_workers(self, now: float) -> list[tuple[MicroBatch, BaseException]]:
+        """Replace dead and wedged workers; return their in-flight batches,
+        each with the error to fail it with once its retries are spent."""
+        raise NotImplementedError
+
+    def _shut_down(self, drain: bool, remaining) -> list[MicroBatch]:
+        """Stop the workers (``remaining()``: join budget left, ``None`` for
+        unbounded), release what the transport owns, return what is unserved."""
+        raise NotImplementedError
+
+    def _worker_health(self, now: float) -> dict:
+        """``{"alive": ..., "wedged": ...}`` plus transport extras."""
+        raise NotImplementedError
+
+    def _on_updated(self, tenant: str, entry: PoolEntry) -> None:
+        """A successful update of ``tenant`` is in the parent's model."""
 
     # ------------------------------------------------------------------ #
     # Request path
@@ -390,8 +419,7 @@ class ServingEngine:
                 f"submit expects one (time, nodes, channels) window, got shape {window.shape}"
             )
         tenant = DEFAULT_TENANT if tenant is None else str(tenant)
-        if tenant not in self.pool:
-            raise ConfigurationError(f"unknown tenant {tenant!r}")
+        self._validate(tenant, window)
         if deadline_ms is None:
             deadline_ms = self.config.deadline_default_ms
         elif deadline_ms <= 0:
@@ -497,6 +525,12 @@ class ServingEngine:
                 self._breakers[tenant] = breaker
             return breaker
 
+    def _record_failure(self, tenant: str) -> None:
+        """One failed batch against ``tenant``'s breaker."""
+        breaker = self._breaker_for(tenant)
+        if breaker is not None and breaker.record_failure():
+            self.metrics.record_breaker_open()
+
     # ------------------------------------------------------------------ #
     # Exactly-once settlement
     # ------------------------------------------------------------------ #
@@ -508,27 +542,26 @@ class ServingEngine:
             return True
 
     def _settle_result(self, request: PendingRequest, value) -> None:
-        if not self._mark_settled(request):
-            return
-        try:
-            request.future.set_result(value)
-        except InvalidStateError:
-            self.metrics.record_cancelled()
-            return
-        self.metrics.record_done(time.perf_counter() - request.submitted)
+        self._settle(request, request.future.set_result, value)
 
     def _settle_error(self, request: PendingRequest, exc: BaseException,
                       kind: str | None = None) -> None:
+        self._settle(request, request.future.set_exception, exc, True, kind)
+
+    def _settle(self, request: PendingRequest, resolve, outcome,
+                failed: bool = False, kind: str | None = None) -> None:
         if not self._mark_settled(request):
             return
         try:
-            request.future.set_exception(exc)
+            resolve(outcome)
         except InvalidStateError:
             self.metrics.record_cancelled()
             return
-        self.metrics.record_done(
-            time.perf_counter() - request.submitted, failed=True, kind=kind
-        )
+        self.metrics.record_done(time.perf_counter() - request.submitted, failed, kind)
+
+    def _fail_batch(self, batch: MicroBatch, exc: BaseException) -> None:
+        for request in batch.requests:
+            self._settle_error(request, exc)
 
     def _claim(self, request: PendingRequest) -> bool:
         """Move the request to RUNNING exactly once; False when cancelled
@@ -579,6 +612,7 @@ class ServingEngine:
         if self._closed:
             raise EngineClosed("engine is closed", tenant=tenant)
         tenant = DEFAULT_TENANT if tenant is None else str(tenant)
+        self._validate(tenant)
         with self._update_lock:
             # Writer-pinned (and latched dirty) before the mutation so a
             # concurrent eviction can't select this entry mid-step.
@@ -601,11 +635,12 @@ class ServingEngine:
                         if hasattr(entry.forecaster.model, "eval"):
                             entry.forecaster.model.eval()
                 entry.refresh_nbytes()
+                self._on_updated(tenant, entry)
             self.metrics.record_update()
         return step
 
     # ------------------------------------------------------------------ #
-    # Internal loops
+    # One batch: queue -> admission -> worker -> settlement
     # ------------------------------------------------------------------ #
     def _flush_loop(self) -> None:
         while True:
@@ -616,43 +651,9 @@ class ServingEngine:
                 self.metrics.record_flush(len(batch), due_to_deadline=True)
                 self._queue.put(batch)
 
-    def _spawn_worker(self) -> _Worker:
-        """Create, register and start one worker (callers hold _workers_lock)."""
-        worker = _Worker()
-        worker.thread = threading.Thread(
-            target=self._worker_loop, args=(worker,),
-            name=f"repro-serve-worker-{next(self._worker_seq)}", daemon=True,
-        )
-        self._workers.append(worker)
-        worker.thread.start()
-        return worker
-
-    def _worker_loop(self, worker: _Worker) -> None:
-        while True:
-            batch = self._queue.get()
-            if batch is _STOP:
-                return
-            with self._workers_lock:
-                worker.batch = batch
-                worker.started_at = time.monotonic()
-            for request in batch.requests:
-                request.attempts += 1
-            try:
-                if self.injector is not None:
-                    self.injector.on_worker_batch(tenant=batch.tenant)
-                self._run_batch(batch)
-            except BaseException as exc:  # noqa: BLE001 - die visibly for the supervisor
-                with self._workers_lock:
-                    worker.error = exc
-                    worker.crashed = True
-                return
-            with self._workers_lock:
-                worker.batch = None
-                worker.started_at = None
-            if worker.abandoned.is_set():
-                return
-
-    def _run_batch(self, batch: MicroBatch) -> None:
+    def _admit(self, batch: MicroBatch) -> MicroBatch | None:
+        """The part of ``batch`` still worth a forward: overdue requests
+        expire, cancelled/settled ones drop out, an open breaker answers."""
         now = time.monotonic()
         live = []
         for request in batch.requests:
@@ -661,7 +662,7 @@ class ServingEngine:
             elif self._claim(request):
                 live.append(request)
         if not live:
-            return
+            return None
         tenant = batch.tenant
         breaker = self._breaker_for(tenant)
         if breaker is not None and not breaker.allow():
@@ -674,50 +675,56 @@ class ServingEngine:
                     retry_after_s=breaker.retry_after_s(),
                 ),
             )
+            return None
+        return MicroBatch(
+            tenant=tenant, requests=live, due_to_deadline=batch.due_to_deadline
+        )
+
+    def _serve_batch(self, worker, batch: MicroBatch) -> None:
+        """One queued batch's trip to ``worker``, on its parent-side thread.
+        An injected crash leaves as ``InjectedFault`` with the batch stamped
+        in flight: the caller kills its worker, the supervisor requeues."""
+        batch = self._admit(batch)
+        if batch is None:
             return
-        try:
-            entry: PoolEntry = self.pool.get(tenant)
-        except BaseException as exc:  # noqa: BLE001 - checkpoint load can fail
-            # A failed (re)load is plausibly transient — IO hiccup, injected
-            # fault, a checkpoint mid-rewrite — so it goes through the
-            # retry path before the requests fail.
-            if breaker is not None and breaker.record_failure():
-                self.metrics.record_breaker_open()
-            self._retry_or_fail(MicroBatch(tenant=tenant, requests=live), exc)
-            return
-        stacked = np.stack([request.window for request in live])
-        try:
-            with entry.lock.read():
-                predictions = entry.served.predict(
-                    stacked, batch_size=self.config.predict_batch_size
-                )
-        except BaseException as exc:  # noqa: BLE001 - resolve, never hang
-            # Deterministic model errors would fail identically on retry;
-            # degrade (fallback or structured error) instead.
-            if breaker is not None and breaker.record_failure():
-                self.metrics.record_breaker_open()
-            self._serve_degraded(tenant, live, exc)
-            return
-        if (self.config.nonfinite_output == "fail"
-                and not np.isfinite(predictions).all()):
-            self.metrics.record_nonfinite_batch()
-            if breaker is not None and breaker.record_failure():
-                self.metrics.record_breaker_open()
-            self._serve_degraded(
-                tenant, live,
-                ServingError(
-                    f"model for tenant {tenant!r} produced non-finite predictions",
-                    tenant=tenant,
-                ),
+        ticket = self._checkout(worker, batch)
+        if ticket is None:
+            # Never reached a worker: requeue without spending an attempt.
+            self._retry_or_fail(
+                batch, ServingError("worker died before the batch reached it")
             )
             return
+        # The one place an attempt is counted, for either transport.
+        for request in batch.requests:
+            request.attempts += 1
+        if self.injector is not None:
+            self.injector.on_worker_batch(tenant=batch.tenant)
+        self._carry(worker, batch, ticket)
+
+    def _complete(self, batch: MicroBatch, predictions=None,
+                  error: BaseException | None = None,
+                  target_channel: int = 0) -> None:
+        """Settle ``batch`` with a worker's answer.  A *reported* error is a
+        deterministic model failure that would fail identically on retry, so
+        — like non-finite output — it is a breaker event followed by a
+        fallback answer or the structured error, never a requeue."""
+        tenant = batch.tenant
+        if (error is None and self.config.nonfinite_output == "fail"
+                and not np.isfinite(predictions).all()):
+            self.metrics.record_nonfinite_batch()
+            error = ServingError(
+                f"model for tenant {tenant!r} produced non-finite predictions",
+                tenant=tenant,
+            )
+        if error is not None:
+            self._record_failure(tenant)
+            self._serve_degraded(tenant, batch.requests, error)
+            return
+        breaker = self._breaker_for(tenant)
         if breaker is not None:
             breaker.record_success()
-        self._fallback_ctx[tenant] = (
-            tuple(predictions.shape[1:]),
-            getattr(entry.forecaster, "target_channel", 0),
-        )
-        for index, request in enumerate(live):
+        self._fallback_ctx[tenant] = (tuple(predictions.shape[1:]), target_channel)
+        for index, request in enumerate(batch.requests):
             self._settle_result(request, predictions[index])
 
     # ------------------------------------------------------------------ #
@@ -815,50 +822,8 @@ class ServingEngine:
             for request in self._batcher.pop_expired(now):
                 self._expire(request)
         # 3. Replace dead and wedged workers; recover their batches.
-        with self._workers_lock:
-            dead = [
-                worker for worker in self._workers
-                if worker.crashed or not worker.thread.is_alive()
-            ]
-            wedged = [
-                worker for worker in self._workers
-                if worker not in dead
-                and worker.batch is not None and worker.started_at is not None
-                and now - worker.started_at > self.config.wedge_timeout_s
-            ]
-            orphaned: list[tuple[MicroBatch, BaseException | None]] = []
-            for worker in dead:
-                self._workers.remove(worker)
-                if worker.batch is not None:
-                    orphaned.append((worker.batch, worker.error))
-                    worker.batch = None
-            duplicated: list[MicroBatch] = []
-            for worker in wedged:
-                # Python threads can't be killed: abandon it (it exits after
-                # its batch, if ever) and serve a duplicate — the settle
-                # latch makes double completion harmless.
-                self._workers.remove(worker)
-                worker.abandoned.set()
-                if worker.batch is not None:
-                    duplicated.append(worker.batch)
-            for _ in range(len(dead) + len(wedged)):
-                self._spawn_worker()
-        for _ in range(len(dead) + len(wedged)):
-            self.metrics.record_worker_restart()
-        for batch, error in orphaned:
-            self._retry_or_fail(
-                batch,
-                error if error is not None
-                else ServingError("worker died while serving the batch"),
-            )
-        for batch in duplicated:
-            self._retry_or_fail(
-                batch,
-                ServingError(
-                    f"worker exceeded wedge_timeout_s="
-                    f"{self.config.wedge_timeout_s:g} serving the batch"
-                ),
-            )
+        for batch, error in self._reap_workers(now):
+            self._retry_or_fail(batch, error)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -875,12 +840,12 @@ class ServingEngine:
         then exit.  ``drain=False`` fails still-buffered requests with
         :class:`~repro.exceptions.EngineClosed` (batches already dispatched
         to workers still complete).  ``drain_timeout`` (seconds) bounds the
-        wait on worker exit: past it, wedged workers are abandoned and
-        everything still unanswered fails with ``EngineClosed`` — a stuck
-        forward can no longer hang shutdown.  A pool the engine built
-        itself (from a bare ``Forecaster``) is closed; a caller-supplied
-        pool survives, minus any shard views this engine attached.
-        Idempotent.
+        wait on worker exit: past it, wedged workers are abandoned (worker
+        processes terminated) and everything still unanswered fails with
+        ``EngineClosed`` — a stuck forward can no longer hang shutdown.  A
+        pool the engine built itself (from a bare ``Forecaster``) is
+        closed; a caller-supplied pool survives, minus any shard views this
+        engine attached.  Idempotent.
         """
         with self._close_lock:
             if self._closed:
@@ -912,62 +877,32 @@ class ServingEngine:
             else:
                 for batch in remainder + delayed:
                     self._fail_batch(batch, closing_error)
-            with self._workers_lock:
-                workers = list(self._workers)
-            for _ in workers:
-                self._queue.put(_STOP)
             join_deadline = (
                 None if drain_timeout is None
                 else time.monotonic() + drain_timeout
             )
-            for worker in workers:
+
+            def remaining(default: float | None = None) -> float | None:
                 if join_deadline is None:
-                    worker.thread.join()
-                else:
-                    worker.thread.join(max(join_deadline - time.monotonic(), 0.0))
-            stuck = [worker for worker in workers if worker.thread.is_alive()]
-            for worker in stuck:
-                worker.abandoned.set()
-            timed_out = bool(stuck)
-            # Whatever is still queued: crashed workers may have left
-            # batches behind (plus their own unconsumed sentinels), and a
-            # timed-out close stops serving entirely.
-            while True:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is _STOP:
-                    continue
-                if drain and not timed_out:
-                    self._run_batch(item)
-                else:
-                    self._fail_batch(item, closing_error)
-            # In-flight batches of workers that died (or are being
-            # abandoned right now) never made it back to the queue.
-            for worker in workers:
-                batch = worker.batch
-                worker.batch = None
-                if batch is None:
-                    continue
-                if drain and not timed_out and not worker.thread.is_alive():
-                    self._run_batch(batch)
-                else:
-                    self._fail_batch(batch, closing_error)
-            if self._installed_load_hook:
-                self.pool._load_hook = None
-            if self._owns_pool:
-                self.pool.close()
-            elif self.config.shards > 1:
-                # The sharding decorator was ours; hand the caller's pool
-                # back undecorated (and shut the shard executors down).
-                self.pool.reset_views()
+                    return default
+                return max(join_deadline - time.monotonic(), 0.0)
 
-    def _fail_batch(self, batch: MicroBatch, exc: BaseException) -> None:
-        for request in batch.requests:
-            self._settle_error(request, exc)
+            for batch in self._shut_down(drain, remaining):
+                self._fail_batch(batch, closing_error)
+            self._release_pool()
 
-    def __enter__(self) -> "ServingEngine":
+    def _drain_queue(self) -> list[MicroBatch]:
+        """Empty the batch queue once nothing pulls from it anymore."""
+        batches = []
+        while True:
+            try:
+                item = self._queue.get_nowait()
+            except queue.Empty:
+                return batches
+            if item is not _STOP:
+                batches.append(item)
+
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
@@ -981,18 +916,7 @@ class ServingEngine:
         ``"degraded"`` (a worker is down/wedged or a breaker is open or
         half-open) or ``"closed"``.
         """
-        now = time.monotonic()
-        with self._workers_lock:
-            workers = list(self._workers)
-            alive = sum(
-                1 for worker in workers
-                if worker.thread.is_alive() and not worker.crashed
-            )
-            wedged = sum(
-                1 for worker in workers
-                if worker.batch is not None and worker.started_at is not None
-                and now - worker.started_at > self.config.wedge_timeout_s
-            )
+        workers = self._worker_health(time.monotonic())
         with self._breaker_lock:
             breakers = {
                 tenant: breaker.snapshot()
@@ -1004,16 +928,16 @@ class ServingEngine:
         with self._delayed_lock:
             delayed = len(self._delayed)
         degraded = (
-            alive < self.config.num_workers or wedged > 0 or unhealthy_breakers > 0
+            workers["alive"] < self.config.num_workers or workers["wedged"] > 0
+            or unhealthy_breakers > 0
         )
         return {
             "status": "closed" if self._closed
             else ("degraded" if degraded else "ok"),
             "workers": {
                 "configured": self.config.num_workers,
-                "alive": alive,
-                "wedged": wedged,
                 "restarts": self.metrics.worker_restarts,
+                **workers,
             },
             "breakers": breakers,
             "pending": self.metrics.pending,
@@ -1031,21 +955,193 @@ class ServingEngine:
             "waiting_in_batcher": len(self._batcher),
             "closed": self._closed,
             "health": self.health(),
-            "config": {
-                "max_batch_size": self.config.max_batch_size,
-                "max_delay_ms": self.config.max_delay_ms,
-                "max_pending": self.config.max_pending,
-                "num_workers": self.config.num_workers,
-                "shards": self.config.shards,
-                "shard_mode": self.config.shard_mode,
-                "overload_policy": self.config.overload_policy,
-                "max_retries": self.config.max_retries,
-                "wedge_timeout_s": self.config.wedge_timeout_s,
-                "breaker_failures": self.config.breaker_failures,
-                "nan_policy": self.config.nan_policy,
-                "fallback": self.config.fallback,
-            },
+            "config": {name: getattr(self.config, name) for name in _STATS_CONFIG},
         }
         if self.injector is not None:
             stats["faults"] = self.injector.stats()
         return stats
+
+
+class _Worker:
+    """One serving thread plus the supervisor's view of it.
+
+    ``batch``/``started_at`` form the heartbeat (what it is serving, since
+    when); ``crashed`` is set by the worker itself on the way down so the
+    supervisor can recover the batch; ``abandoned`` tells a wedged worker
+    that has been replaced to exit instead of pulling more work.
+    """
+
+    __slots__ = ("thread", "abandoned", "batch", "started_at", "crashed", "error")
+
+    def __init__(self):
+        self.thread: threading.Thread | None = None
+        self.abandoned = threading.Event()
+        self.batch: MicroBatch | None = None
+        self.started_at: float | None = None
+        self.crashed = False
+        self.error: BaseException | None = None
+
+    def wedged(self, now: float, timeout: float) -> bool:
+        return self.started_at is not None and now - self.started_at > timeout
+
+
+class ServingEngine(EngineCore):
+    """Async serving loop over one forecaster or a multi-tenant pool, the
+    fused forwards running on worker threads of this process.
+
+    Takes :class:`EngineCore`'s parameters.  Each worker thread pulls a
+    flushed batch, runs ``Forecaster.predict`` under the tenant's read lock
+    and resolves the requests' futures; with ``shards > 1`` tenants are
+    served through :class:`~repro.serve.sharding.ShardedForecaster` views
+    attached to the pool.
+    """
+
+    def __init__(self, source, config: EngineConfig | None = None, faults=None):
+        super().__init__(source, config, faults)
+        if self.config.shards > 1:
+            if self.pool._decorate is not None:
+                raise ConfigurationError(
+                    "the pool already decorates tenants; configure sharding in "
+                    "one place (EngineConfig.shards or the pool decorator)"
+                )
+            shards, mode = self.config.shards, self.config.shard_mode
+            self.pool._decorate = lambda f: ShardedForecaster(f, shards, mode=mode)
+            # Already-resident tenants (put() before the engine existed)
+            # get their serving view retrofitted.
+            for tenant in self.pool.resident:
+                entry = self.pool.get(tenant)
+                if entry.served is entry.forecaster:
+                    entry.served = ShardedForecaster(entry.forecaster, shards, mode=mode)
+        self._workers_lock = threading.Lock()
+        self._worker_seq = itertools.count()
+        self._workers: list[_Worker] = []
+        with self._workers_lock:
+            for _ in range(self.config.num_workers):
+                self._spawn_worker()
+        self._start_loops()
+
+    def _spawn_worker(self) -> _Worker:
+        """Create, register and start one worker (callers hold _workers_lock)."""
+        worker = _Worker()
+        worker.thread = threading.Thread(
+            target=self._worker_loop, args=(worker,),
+            name=f"repro-serve-worker-{next(self._worker_seq)}", daemon=True,
+        )
+        self._workers.append(worker)
+        worker.thread.start()
+        return worker
+
+    def _worker_loop(self, worker: _Worker) -> None:
+        while True:
+            batch = self._queue.get()
+            if batch is _STOP:
+                return
+            with self._workers_lock:
+                worker.batch = batch
+                worker.started_at = time.monotonic()
+            try:
+                self._serve_batch(worker, batch)
+            except BaseException as exc:  # noqa: BLE001 - die visibly for the supervisor
+                with self._workers_lock:
+                    worker.error = exc
+                    worker.crashed = True
+                return
+            with self._workers_lock:
+                worker.batch = None
+                worker.started_at = None
+            if worker.abandoned.is_set():
+                return
+
+    def _carry(self, worker, batch: MicroBatch, ticket=None) -> None:
+        tenant = batch.tenant
+        try:
+            entry: PoolEntry = self.pool.get(tenant)
+        except BaseException as exc:  # noqa: BLE001 - checkpoint load can fail
+            # A failed (re)load is plausibly transient — IO hiccup, injected
+            # fault, a checkpoint mid-rewrite — so it goes through the
+            # retry path before the requests fail.
+            self._record_failure(tenant)
+            self._retry_or_fail(batch, exc)
+            return
+        try:
+            with entry.lock.read():
+                predictions = entry.served.predict(
+                    batch.stack(), batch_size=self.config.predict_batch_size
+                )
+        except BaseException as exc:  # noqa: BLE001 - resolve, never hang
+            self._complete(batch, error=exc)
+            return
+        self._complete(
+            batch, predictions,
+            target_channel=getattr(entry.forecaster, "target_channel", 0),
+        )
+
+    def _reap_workers(self, now: float) -> list[tuple[MicroBatch, BaseException]]:
+        recovered = []
+        with self._workers_lock:
+            for worker in list(self._workers):
+                if worker.crashed or not worker.thread.is_alive():
+                    error = worker.error or ServingError(
+                        "worker died while serving the batch"
+                    )
+                elif worker.wedged(now, self.config.wedge_timeout_s):
+                    # Python threads can't be killed: abandon it (it exits
+                    # after its batch, if ever) and serve a duplicate — the
+                    # settle latch makes double completion harmless.
+                    worker.abandoned.set()
+                    error = ServingError(
+                        f"worker exceeded wedge_timeout_s="
+                        f"{self.config.wedge_timeout_s:g} serving the batch"
+                    )
+                else:
+                    continue
+                self._workers.remove(worker)
+                if worker.batch is not None:
+                    recovered.append((worker.batch, error))
+                self._spawn_worker()
+                self.metrics.record_worker_restart()
+        return recovered
+
+    def _shut_down(self, drain: bool, remaining) -> list[MicroBatch]:
+        with self._workers_lock:
+            workers = list(self._workers)
+        for _ in workers:
+            self._queue.put(_STOP)
+        for worker in workers:
+            worker.thread.join(remaining())
+        stuck = [worker for worker in workers if worker.thread.is_alive()]
+        for worker in stuck:
+            worker.abandoned.set()
+        # Whatever is still queued (crashed workers leave batches and their
+        # own unconsumed sentinels behind) plus the in-flight batches of
+        # workers that died or are being abandoned right now.
+        unserved = self._drain_queue()
+        for worker in workers:
+            if worker.batch is not None:
+                unserved.append(worker.batch)
+                worker.batch = None
+        if drain and not stuck:
+            # Every worker is gone: serve the rest on the closing thread.
+            for batch in unserved:
+                batch = self._admit(batch)
+                if batch is not None:
+                    self._carry(None, batch)
+            unserved = []
+        if self.config.shards > 1 and not self._owns_pool:
+            # The sharding decorator was ours; hand the caller's pool
+            # back undecorated (and shut the shard executors down).
+            self.pool.reset_views()
+        return unserved
+
+    def _worker_health(self, now: float) -> dict:
+        with self._workers_lock:
+            return {
+                "alive": sum(
+                    1 for worker in self._workers
+                    if worker.thread.is_alive() and not worker.crashed
+                ),
+                "wedged": sum(
+                    1 for worker in self._workers
+                    if worker.wedged(now, self.config.wedge_timeout_s)
+                ),
+            }

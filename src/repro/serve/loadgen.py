@@ -326,10 +326,7 @@ def serving_sweep_point(
             total_requests=total_requests,
             tenants=tenants,
         )
-        metrics = (
-            engine.metrics() if engine_kind == "process"
-            else engine.metrics.snapshot()
-        )
+        metrics = engine.metrics.snapshot()
     result.update(
         {
             "engine": engine_kind,

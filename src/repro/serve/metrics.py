@@ -1,7 +1,7 @@
 """Serving metrics: request counters, latency percentiles, batching efficiency.
 
-One :class:`EngineMetrics` instance rides along with a
-:class:`~repro.serve.engine.ServingEngine`.  Every counter mutation happens
+One :class:`EngineMetrics` instance rides along with each serving engine
+(``engine.metrics``, either transport).  Every counter mutation happens
 under one lock, so worker threads, the flusher and the submitting callers
 can all record concurrently; :meth:`snapshot` returns a plain dict suitable
 for JSON dumps (the serving benchmark records exactly this).
@@ -24,6 +24,26 @@ __all__ = ["EngineMetrics", "LATENCY_WINDOW", "percentiles"]
 
 LATENCY_WINDOW = 65536
 
+# Every counter, in snapshot order.
+COUNTERS = (
+    "submitted", "completed", "failed", "cancelled", "rejected",
+    "batches", "batched_requests", "deadline_flushes", "size_flushes", "updates",
+    # Resilience counters: terminal error kinds (each also counts in
+    # ``failed``), recovery actions, and graceful-degradation events.
+    "expired",               # deadline passed before service
+    "shed",                  # dropped oldest under overload
+    "throttled",             # token-bucket admission refusals
+    "retried",               # requests re-dispatched after a failure
+    "worker_restarts",       # dead/wedged workers replaced
+    "breaker_opens",         # circuit-breaker trips
+    "breaker_fast_fails",    # requests refused/redirected while open
+    "fallbacks",             # requests served by a fallback predictor
+    "imputed_windows",       # NaN windows repaired on admission
+    "rejected_nan_windows",  # NaN windows refused on admission
+    "nonfinite_batches",     # model outputs caught non-finite
+    "rollbacks",             # online updates rolled back mid-step
+)
+
 
 def percentiles(samples, points=(50.0, 95.0, 99.0)) -> dict[str, float]:
     """``{"p50": ..., "p95": ..., "p99": ...}`` over ``samples`` (NaN when empty)."""
@@ -43,32 +63,11 @@ class EngineMetrics:
 
     def __init__(self, latency_window: int = LATENCY_WINDOW):
         self._lock = threading.Lock()
+        # Extra snapshot sections by name, each a ``() -> dict`` (the process
+        # engine contributes ``"workers"``, merged from its worker shards).
+        self.sections: dict = {}
         self._latencies: deque[float] = deque(maxlen=int(latency_window))
-        self._started = time.perf_counter()
-        self.submitted = 0
-        self.completed = 0
-        self.failed = 0
-        self.cancelled = 0
-        self.rejected = 0
-        self.batches = 0
-        self.batched_requests = 0
-        self.deadline_flushes = 0
-        self.size_flushes = 0
-        self.updates = 0
-        # Resilience counters: terminal error kinds (each also counts in
-        # ``failed``), recovery actions, and graceful-degradation events.
-        self.expired = 0            # deadline passed before service
-        self.shed = 0               # dropped oldest under overload
-        self.throttled = 0          # token-bucket admission refusals
-        self.retried = 0            # requests re-dispatched after a failure
-        self.worker_restarts = 0    # dead/wedged workers replaced
-        self.breaker_opens = 0      # circuit-breaker trips
-        self.breaker_fast_fails = 0 # requests refused/redirected while open
-        self.fallbacks = 0          # requests served by a fallback predictor
-        self.imputed_windows = 0    # NaN windows repaired on admission
-        self.rejected_nan_windows = 0  # NaN windows refused on admission
-        self.nonfinite_batches = 0  # model outputs caught non-finite
-        self.rollbacks = 0          # online updates rolled back mid-step
+        self.reset()
 
     # ------------------------------------------------------------------ #
     def record_submit(self) -> None:
@@ -185,49 +184,27 @@ class EngineMetrics:
             elapsed = time.perf_counter() - self._started
             resolved = self.completed + self.failed + self.cancelled
             latency = percentiles(self._latencies)
-            return {
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "failed": self.failed,
-                "cancelled": self.cancelled,
-                "rejected": self.rejected,
+            snapshot = {name: getattr(self, name) for name in COUNTERS}
+            snapshot.update({
                 "pending": self.submitted - resolved,
-                "batches": self.batches,
-                "batched_requests": self.batched_requests,
                 "mean_batch_size": self.batched_requests / self.batches
                 if self.batches
                 else float("nan"),
-                "deadline_flushes": self.deadline_flushes,
-                "size_flushes": self.size_flushes,
-                "updates": self.updates,
-                "expired": self.expired,
-                "shed": self.shed,
-                "throttled": self.throttled,
-                "retried": self.retried,
-                "worker_restarts": self.worker_restarts,
-                "breaker_opens": self.breaker_opens,
-                "breaker_fast_fails": self.breaker_fast_fails,
-                "fallbacks": self.fallbacks,
-                "imputed_windows": self.imputed_windows,
-                "rejected_nan_windows": self.rejected_nan_windows,
-                "nonfinite_batches": self.nonfinite_batches,
-                "rollbacks": self.rollbacks,
                 "latency_ms": {k: v * 1e3 for k, v in latency.items()},
                 "throughput_rps": self.completed / elapsed if elapsed > 0 else 0.0,
                 "elapsed_seconds": elapsed,
-            }
+            })
+        for name, section in self.sections.items():
+            snapshot[name] = section()
+        return snapshot
+
+    # ``engine.metrics()`` and ``engine.metrics.snapshot()`` are one call.
+    __call__ = snapshot
 
     def reset(self) -> None:
         """Zero every counter and restart the throughput clock."""
         with self._lock:
             self._latencies.clear()
             self._started = time.perf_counter()
-            self.submitted = self.completed = self.failed = 0
-            self.cancelled = self.rejected = 0
-            self.batches = self.batched_requests = 0
-            self.deadline_flushes = self.size_flushes = 0
-            self.updates = 0
-            self.expired = self.shed = self.throttled = self.retried = 0
-            self.worker_restarts = self.breaker_opens = self.breaker_fast_fails = 0
-            self.fallbacks = self.imputed_windows = self.rejected_nan_windows = 0
-            self.nonfinite_batches = self.rollbacks = 0
+            for name in COUNTERS:
+                setattr(self, name, 0)

@@ -1,10 +1,10 @@
-"""Process-parallel serving: the GIL-free sibling of :class:`ServingEngine`.
+"""Process-parallel serving: the GIL-free transport of the serving engine.
 
-:class:`ProcessServingEngine` keeps the threaded engine's public contract —
-``submit()`` returning futures, deadlines, backpressure, per-tenant rate
-limits and circuit breakers, retries with backoff, graceful degradation,
-``update()``, ``health()``/``stats()`` — but runs the fused forwards in
-**worker processes** so K workers use K cores instead of time-slicing one.
+:class:`ProcessServingEngine` is :class:`~repro.serve.engine.EngineCore` —
+the request lifecycle the threaded :class:`~repro.serve.engine.ServingEngine`
+runs, from the same code — with the fused forwards run in **worker
+processes**, so K workers use K cores instead of time-slicing one.  This
+module holds only that transport.
 
 The data path never pickles an array:
 
@@ -16,10 +16,10 @@ The data path never pickles an array:
   (:class:`~repro.serve.proc.ring.SpscRing`): the parent-side dispatcher
   memcpy's a stacked micro-batch straight into a preallocated slot, the
   worker memcpy's predictions back.
-* ``update()`` runs the threaded engine's serialized, rollback-protected
-  update lane on the parent's model, then flips the tenant's shared weight
-  block behind its seqlock — workers pick the new generation up on their
-  next batch without ever blocking a predict.
+* ``update()`` runs the shared serialized, rollback-protected update lane
+  on the parent's model, then flips the tenant's shared weight block behind
+  its seqlock — workers pick the new generation up on their next batch
+  without ever blocking a predict.
 
 Parent-side threads are thin coordinators (batcher flusher, one dispatcher
 + one settler per worker, a supervisor that replaces dead or wedged worker
@@ -36,38 +36,26 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-import queue
 import threading
 import time
-from concurrent.futures import InvalidStateError
 
 import numpy as np
 
 from ...exceptions import (
-    CircuitOpen,
     ConfigurationError,
-    DataError,
-    DeadlineExceeded,
     EngineClosed,
-    QueueFull,
-    RateLimited,
+    InjectedFault,
     ServingError,
     ShapeError,
 )
-from ...tensor import program_cache_stats
-from ..batching import DynamicBatcher, MicroBatch, PendingRequest
-from ..engine import DEFAULT_TENANT, EngineConfig
-from ..forecaster import Forecaster, impute_missing
-from ..metrics import EngineMetrics
-from ..tenancy import CircuitBreaker, ModelPool, TokenBucket, historical_average
+from ..batching import MicroBatch
+from ..engine import _STOP, DEFAULT_TENANT, EngineConfig, EngineCore
 from . import ring as ringlib
 from .metrics import WorkerMetricsPlane
 from .plane import ModelPlane
 from .worker import worker_main
 
 __all__ = ["ProcessServingEngine", "resolve_start_method"]
-
-_STOP = object()
 
 RING_CAPACITY = 32
 READY_TIMEOUT_S = 120.0
@@ -98,7 +86,7 @@ class _ProcWorker:
     __slots__ = (
         "index", "lock", "process", "pinned_cpu", "requests", "responses",
         "request_event", "response_event", "ready_event",
-        "inflight", "restarts", "dispatcher", "settler",
+        "inflight", "dispatcher", "settler",
     )
 
     def __init__(self, index: int):
@@ -111,14 +99,19 @@ class _ProcWorker:
         self.request_event = None
         self.response_event = None
         self.ready_event = None
-        # batch_id -> (MicroBatch, dispatched_at_monotonic)
+        # batch_id -> (MicroBatch, checked_out_at_monotonic)
         self.inflight: dict[int, tuple[MicroBatch, float]] = {}
-        self.restarts = 0
         self.dispatcher: threading.Thread | None = None
         self.settler: threading.Thread | None = None
 
+    def alive(self) -> bool:
+        return self.process is not None and self.process.is_alive()
 
-class ProcessServingEngine:
+    def wedged(self, now: float, timeout: float) -> bool:
+        return any(now - started > timeout for _, started in self.inflight.values())
+
+
+class ProcessServingEngine(EngineCore):
     """Async serving over worker processes and shared-memory tensors.
 
     Parameters
@@ -131,8 +124,13 @@ class ProcessServingEngine:
     config:
         The same :class:`~repro.serve.engine.EngineConfig` the threaded
         engine takes.  ``num_workers`` counts *processes*; ``shards > 1``
-        shards node-wise inside each worker.  Fault injection is not
-        supported (processes are crashed for real by the lifecycle tests).
+        shards node-wise inside each worker.
+    faults:
+        The same :class:`~repro.serve.faults.FaultPlan` /
+        :class:`~repro.serve.faults.FaultInjector` the threaded engine
+        takes.  Worker faults are drawn on the parent-side dispatcher: an
+        injected crash kills the real worker process, an injected stall
+        holds the batch back with its in-flight stamp already set.
     sample_windows:
         Optional raw windows used to warm the compiled predict path before
         publishing; zeros of the model's window shape are used otherwise.
@@ -145,10 +143,10 @@ class ProcessServingEngine:
     preallocated for it.
     """
 
-    def __init__(self, source, config: EngineConfig | None = None, *,
+    def __init__(self, source, config: EngineConfig | None = None, faults=None, *,
                  sample_windows=None, start_method: str | None = None,
                  pin_workers: bool | None = None):
-        self.config = config or EngineConfig()
+        super().__init__(source, config, faults)
         if pin_workers is None:
             pin_workers = os.environ.get("REPRO_PROC_PIN", "").strip().lower() in (
                 "1", "true", "yes", "on"
@@ -158,49 +156,47 @@ class ProcessServingEngine:
         # was streamed through).  Round-robin over the parent's allowed CPU
         # set; silently disabled where the platform has no affinity API.
         self.pin_workers = bool(pin_workers) and hasattr(os, "sched_setaffinity")
-        self._owns_pool = isinstance(source, Forecaster)
-        if isinstance(source, ModelPool):
-            self.pool = source
-        elif isinstance(source, Forecaster):
-            self.pool = ModelPool()
-            self.pool.put(DEFAULT_TENANT, source)
-        else:
-            raise ConfigurationError(
-                "ProcessServingEngine serves a Forecaster or a ModelPool, "
-                f"got {type(source).__name__}"
-            )
         self.start_method = resolve_start_method(start_method)
         self._ctx = multiprocessing.get_context(self.start_method)
-
-        self._metrics = EngineMetrics()
-        self._batcher = DynamicBatcher(
-            max_batch_size=self.config.max_batch_size,
-            max_delay_ms=self.config.max_delay_ms,
-        )
-        self._queue: "queue.Queue" = queue.Queue()
-        self._closed = False
-        self._close_lock = threading.Lock()
-        self._update_lock = threading.Lock()
-        self._pending_lock = threading.Lock()
-        self._dispatch_lock = threading.Lock()
-        self._settle_lock = threading.Lock()
-        self._deadlines_used = False
-        self._breaker_lock = threading.Lock()
-        self._breakers: dict[str, CircuitBreaker] = {}
-        self._bucket_lock = threading.Lock()
-        self._tenant_buckets: dict[str, TokenBucket] = {}
-        self._fallback_ctx: dict[str, tuple[tuple, int]] = {}
-        self._delayed_lock = threading.Lock()
-        self._delayed: list[tuple[float, MicroBatch]] = []
-        self.supervisor_errors = 0
         self._batch_seq = itertools.count()
         self._dispatch_abandon = threading.Event()
         self._settlers_stop = threading.Event()
         self._final_worker_metrics: dict | None = None
+        self.metrics.sections["workers"] = self._workers_section
+        self._workers = [_ProcWorker(i) for i in range(self.config.num_workers)]
+        self.plane = self.worker_metrics = None
+        try:
+            self._start_workers(sample_windows)
+        except BaseException:
+            # Workers are daemons: left alone they would idle until the
+            # parent exits, each holding its mappings open.
+            for slot in self._workers:
+                if slot.process is not None:
+                    slot.process.kill()
+                    slot.process.join()
+            self._teardown_shared_memory()
+            self._release_pool()
+            raise
+        for slot in self._workers:
+            slot.dispatcher = threading.Thread(
+                target=self._dispatch_loop, args=(slot,),
+                name=f"repro-serve-dispatch-{slot.index}", daemon=True,
+            )
+            slot.settler = threading.Thread(
+                target=self._settle_loop, args=(slot,),
+                name=f"repro-serve-settle-{slot.index}", daemon=True,
+            )
+            slot.dispatcher.start()
+            slot.settler.start()
+        self._start_loops()
 
-        # Publish the plane (captures the compiled predict programs in the
-        # parent) and spawn every worker BEFORE any parent serving thread
-        # starts — fork is then safe and spawn sees a quiescent parent.
+    # ------------------------------------------------------------------ #
+    # Worker process lifecycle
+    # ------------------------------------------------------------------ #
+    def _start_workers(self, sample_windows) -> None:
+        """Publish the plane (captures the compiled predict programs in the
+        parent) and spawn every worker BEFORE any parent serving thread
+        starts — fork is then safe and spawn sees a quiescent parent."""
         self.plane = ModelPlane.publish(
             self.pool,
             sample_windows=sample_windows,
@@ -235,42 +231,11 @@ class ProcessServingEngine:
             "predict_batch_size": self.config.predict_batch_size,
         }
         self.worker_metrics = WorkerMetricsPlane.create(self.config.num_workers)
-        self._workers = [_ProcWorker(i) for i in range(self.config.num_workers)]
-        try:
-            for slot in self._workers:
-                self._make_channels(slot)
-                self._spawn_process(slot)
-            self._wait_ready()
-        except BaseException:
-            self._teardown_shared_memory()
-            raise
-
-        self._flusher = threading.Thread(
-            target=self._flush_loop, name="repro-procserve-flusher", daemon=True
-        )
         for slot in self._workers:
-            slot.dispatcher = threading.Thread(
-                target=self._dispatch_loop, args=(slot,),
-                name=f"repro-procserve-dispatch-{slot.index}", daemon=True,
-            )
-            slot.settler = threading.Thread(
-                target=self._settle_loop, args=(slot,),
-                name=f"repro-procserve-settle-{slot.index}", daemon=True,
-            )
-        self._supervisor_stop = threading.Event()
-        self._supervisor = threading.Thread(
-            target=self._supervise_loop, name="repro-procserve-supervisor",
-            daemon=True,
-        )
-        self._flusher.start()
-        for slot in self._workers:
-            slot.dispatcher.start()
-            slot.settler.start()
-        self._supervisor.start()
+            self._make_channels(slot)
+            self._spawn_process(slot)
+        self._wait_ready()
 
-    # ------------------------------------------------------------------ #
-    # Worker process lifecycle
-    # ------------------------------------------------------------------ #
     def _make_channels(self, slot: _ProcWorker) -> None:
         slot.requests = ringlib.SpscRing.create(
             RING_CAPACITY, self._request_slot_nbytes, tag=f"req{slot.index}"
@@ -283,7 +248,7 @@ class ProcessServingEngine:
         slot.ready_event = self._ctx.Event()
 
     def _spawn_process(self, slot: _ProcWorker) -> None:
-        slot.process = self._ctx.Process(
+        process = self._ctx.Process(
             target=worker_main,
             args=(
                 self.plane.spec,
@@ -299,7 +264,8 @@ class ProcessServingEngine:
             name=f"repro-serve-worker-{slot.index}",
             daemon=True,
         )
-        slot.process.start()
+        process.start()
+        slot.process = process
         slot.pinned_cpu = self._pin_worker(slot)
 
     def _pin_worker(self, slot: _ProcWorker) -> int | None:
@@ -330,256 +296,56 @@ class ProcessServingEngine:
                         f"{READY_TIMEOUT_S:g}s"
                     )
 
-    def _restart_worker(self, slot: _ProcWorker) -> None:
-        """Replace one dead worker process; requeue its in-flight batches."""
+    def _reap_workers(self, now: float) -> list[tuple[MicroBatch, BaseException]]:
+        recovered = []
+        for slot in self._workers:
+            with slot.lock:
+                alive = slot.alive()
+                wedged = slot.wedged(now, self.config.wedge_timeout_s)
+            if alive and wedged:
+                # Processes, unlike threads, CAN be killed: terminate the
+                # wedged worker and let the next pass find it dead.
+                slot.process.terminate()
+            elif not alive and not self._closed:
+                recovered += self._restart_worker(slot)
+        return recovered
+
+    def _restart_worker(self, slot: _ProcWorker) -> list:
+        """Replace one dead worker process; hand back its in-flight batches."""
+        error = ServingError("worker process died while serving the batch")
         with slot.lock:
             old_requests, old_responses = slot.requests, slot.responses
-            recovered = [batch for batch, _ in slot.inflight.values()]
+            recovered = [(batch, error) for batch, _ in slot.inflight.values()]
             slot.inflight.clear()
             self._make_channels(slot)
             self._spawn_process(slot)
-            slot.restarts += 1
         old_requests.unlink()
         old_responses.unlink()
-        self._metrics.record_worker_restart()
-        error = ServingError("worker process died while serving the batch")
-        for batch in recovered:
-            self._retry_or_fail(batch, error)
+        self.metrics.record_worker_restart()
+        return recovered
 
     # ------------------------------------------------------------------ #
-    # Request path (mirrors ServingEngine.submit)
+    # Admission and update extras
     # ------------------------------------------------------------------ #
-    def submit(self, window: np.ndarray, tenant: str | None = None,
-               deadline_ms: float | None = None):
-        """Accept one raw window; resolve its future with the prediction.
-
-        Same contract as :meth:`ServingEngine.submit`, with one extra
-        constraint: the window shape must match the plane's fixed
-        ``(time, nodes, channels)`` shape (ring slots are preallocated).
-        """
-        if self._closed:
-            raise EngineClosed("engine is closed", tenant=tenant)
-        window = np.asarray(window, dtype=float)
-        if window.ndim != 3:
-            raise ShapeError(
-                f"submit expects one (time, nodes, channels) window, got shape {window.shape}"
-            )
-        if tuple(window.shape) != self._window_shape:
+    def _validate(self, tenant: str, window: np.ndarray | None = None) -> None:
+        if window is not None and tuple(window.shape) != self._window_shape:
             raise ShapeError(
                 "process-parallel serving preallocates fixed-shape ring slots; "
                 f"expected window shape {self._window_shape}, got {tuple(window.shape)}"
             )
-        tenant = DEFAULT_TENANT if tenant is None else str(tenant)
         if tenant not in self._tenant_index:
             raise ConfigurationError(
                 f"unknown tenant {tenant!r} (the plane was published for "
                 f"{sorted(self._tenant_index)}; tenants cannot be added to a "
                 "running process engine)"
             )
-        if deadline_ms is None:
-            deadline_ms = self.config.deadline_default_ms
-        elif deadline_ms <= 0:
-            raise ConfigurationError(f"deadline_ms must be positive, got {deadline_ms}")
-        if self.config.nan_policy != "propagate" and not np.isfinite(window).all():
-            if self.config.nan_policy == "reject":
-                self._metrics.record_nan_rejected()
-                raise DataError(
-                    "window contains non-finite values and nan_policy='reject'"
-                )
-            window, imputed = impute_missing(window)
-            if imputed:
-                self._metrics.record_imputed()
-        if self.config.tenant_rate_limit is not None:
-            if not self._bucket_for(tenant).try_acquire():
-                self._metrics.record_throttled()
-                raise RateLimited(
-                    f"tenant {tenant!r} exceeded its admission rate "
-                    f"({self.config.tenant_rate_limit:g} req/s)",
-                    tenant=tenant, rate=self.config.tenant_rate_limit,
-                )
-        shed_attempts = 0
-        while True:
-            with self._pending_lock:
-                pending = self._metrics.pending
-                if pending < self.config.max_pending:
-                    self._metrics.record_submit()
-                    break
-                victim = None
-                if (self.config.overload_policy == "shed_oldest"
-                        and shed_attempts <= 2 * self.config.max_pending):
-                    victim = self._batcher.shed_oldest()
-                if victim is None:
-                    self._metrics.record_rejected()
-                    raise QueueFull(
-                        f"{pending} requests pending "
-                        f"(max_pending={self.config.max_pending})",
-                        tenant=tenant, pending=pending,
-                        limit=self.config.max_pending,
-                    )
-            shed_attempts += 1
-            self._settle_error(
-                victim,
-                QueueFull(
-                    "shed under overload to admit newer work",
-                    tenant=victim.tenant, pending=pending,
-                    limit=self.config.max_pending,
-                ),
-                kind="shed",
-            )
-        request = PendingRequest(window=window, tenant=tenant)
-        if deadline_ms is not None:
-            request.deadline = time.monotonic() + deadline_ms / 1e3
-            request.deadline_ms = float(deadline_ms)
-            self._deadlines_used = True
-        try:
-            with self._dispatch_lock:
-                batch = self._batcher.add(request)
-                if batch is not None:
-                    self._metrics.record_flush(len(batch), due_to_deadline=False)
-                    self._queue.put(batch)
-        except EngineClosed:
-            self._metrics.record_revoked()
-            raise
-        return request.future
 
-    def predict(self, window: np.ndarray, tenant: str | None = None,
-                timeout: float | None = None,
-                deadline_ms: float | None = None) -> np.ndarray:
-        """Synchronous convenience: ``submit`` + ``Future.result``."""
-        return self.submit(window, tenant=tenant, deadline_ms=deadline_ms).result(
-            timeout=timeout
-        )
-
-    def _bucket_for(self, tenant: str) -> TokenBucket:
-        with self._bucket_lock:
-            bucket = self._tenant_buckets.get(tenant)
-            if bucket is None:
-                bucket = TokenBucket(
-                    self.config.tenant_rate_limit, burst=self.config.tenant_burst
-                )
-                self._tenant_buckets[tenant] = bucket
-            return bucket
-
-    def _breaker_for(self, tenant: str) -> CircuitBreaker | None:
-        if self.config.breaker_failures is None:
-            return None
-        with self._breaker_lock:
-            breaker = self._breakers.get(tenant)
-            if breaker is None:
-                breaker = CircuitBreaker(
-                    failure_threshold=self.config.breaker_failures,
-                    reset_timeout_s=self.config.breaker_reset_s,
-                    half_open_probes=self.config.breaker_probes,
-                )
-                self._breakers[tenant] = breaker
-            return breaker
-
-    # ------------------------------------------------------------------ #
-    # Exactly-once settlement (identical latches to the threaded engine)
-    # ------------------------------------------------------------------ #
-    def _mark_settled(self, request: PendingRequest) -> bool:
-        with self._settle_lock:
-            if request.settled:
-                return False
-            request.settled = True
-            return True
-
-    def _settle_result(self, request: PendingRequest, value) -> None:
-        if not self._mark_settled(request):
-            return
-        try:
-            request.future.set_result(value)
-        except InvalidStateError:
-            self._metrics.record_cancelled()
-            return
-        self._metrics.record_done(time.perf_counter() - request.submitted)
-
-    def _settle_error(self, request: PendingRequest, exc: BaseException,
-                      kind: str | None = None) -> None:
-        if not self._mark_settled(request):
-            return
-        try:
-            request.future.set_exception(exc)
-        except InvalidStateError:
-            self._metrics.record_cancelled()
-            return
-        self._metrics.record_done(
-            time.perf_counter() - request.submitted, failed=True, kind=kind
-        )
-
-    def _claim(self, request: PendingRequest) -> bool:
-        cancelled = False
-        with self._settle_lock:
-            if request.settled:
-                return False
-            if not request.started:
-                request.started = True
-                if not request.future.set_running_or_notify_cancel():
-                    request.settled = True
-                    cancelled = True
-        if cancelled:
-            self._metrics.record_cancelled()
-            return False
-        return True
-
-    def _expire(self, request: PendingRequest) -> None:
-        waited_ms = (time.perf_counter() - request.submitted) * 1e3
-        deadline_ms = request.deadline_ms
-        self._settle_error(
-            request,
-            DeadlineExceeded(
-                f"request expired after {waited_ms:.1f} ms in queue "
-                f"(deadline {deadline_ms:g} ms)" if deadline_ms is not None
-                else f"request expired after {waited_ms:.1f} ms in queue",
-                tenant=request.tenant, deadline_ms=deadline_ms, waited_ms=waited_ms,
-            ),
-            kind="expired",
-        )
-
-    def _fail_batch(self, batch: MicroBatch, exc: BaseException) -> None:
-        for request in batch.requests:
-            self._settle_error(request, exc)
-
-    # ------------------------------------------------------------------ #
-    # Online update lane: threaded semantics + seqlock weight flip
-    # ------------------------------------------------------------------ #
-    def update(self, inputs: np.ndarray, targets: np.ndarray,
-               tenant: str | None = None, set_name: str = "online"):
-        """One replay-augmented online step, published to every worker.
-
-        The step runs on the *parent's* model exactly like
-        :meth:`ServingEngine.update` (serialized engine-wide, rolled back
-        on failure).  On success the new weights are flipped into the
-        tenant's shared segment behind its seqlock: workers notice the
-        generation bump on their next batch and refresh without blocking —
-        predicts in flight keep serving the previous generation.
-        """
-        if self._closed:
-            raise EngineClosed("engine is closed", tenant=tenant)
-        tenant = DEFAULT_TENANT if tenant is None else str(tenant)
-        if tenant not in self._tenant_index:
-            raise ConfigurationError(f"unknown tenant {tenant!r}")
-        with self._update_lock:
-            with self.pool.updating(tenant) as entry:
-                with entry.lock.write():
-                    snapshot = (
-                        entry.forecaster.snapshot_state()
-                        if self.config.update_rollback else None
-                    )
-                    try:
-                        step = entry.forecaster.update(inputs, targets, set_name=set_name)
-                    except BaseException:
-                        if snapshot is not None:
-                            entry.forecaster.restore_state(snapshot)
-                            self._metrics.record_rollback()
-                        raise
-                    finally:
-                        if hasattr(entry.forecaster.model, "eval"):
-                            entry.forecaster.model.eval()
-                entry.refresh_nbytes()
-                self.plane.publish_weights(tenant, entry.forecaster.model)
-            self._metrics.record_update()
-        return step
+    def _on_updated(self, tenant: str, entry) -> None:
+        # Flip the new weights into the tenant's shared segment behind its
+        # seqlock: workers notice the generation bump on their next batch
+        # and refresh without blocking — predicts in flight keep serving
+        # the previous generation.
+        self.plane.publish_weights(tenant, entry.forecaster.model)
 
     def weight_generation(self, tenant: str | None = None) -> int:
         """The tenant's current published weight generation (0 = initial)."""
@@ -587,81 +353,57 @@ class ProcessServingEngine:
         return self.plane.generation(tenant)
 
     # ------------------------------------------------------------------ #
-    # Parent-side loops
+    # One batch: dispatcher -> request ring -> worker -> response ring -> settler
     # ------------------------------------------------------------------ #
-    def _flush_loop(self) -> None:
-        while True:
-            batches = self._batcher.wait_due()
-            if not batches and self._batcher.closed:
-                return
-            for batch in batches:
-                self._metrics.record_flush(len(batch), due_to_deadline=True)
-                self._queue.put(batch)
-
     def _dispatch_loop(self, slot: _ProcWorker) -> None:
         while True:
             item = self._queue.get()
             if item is _STOP:
                 return
-            self._dispatch_batch(slot, item)
+            try:
+                self._serve_batch(slot, item)
+            except InjectedFault:
+                # The batch is stamped in flight: the supervisor finds the
+                # worker dead and requeues it on the replacement.  Joined,
+                # so the next batch pulled here cannot reach the corpse.
+                process = slot.process
+                process.kill()
+                process.join()
 
-    def _dispatch_batch(self, slot: _ProcWorker, batch: MicroBatch) -> None:
-        now = time.monotonic()
-        live = []
-        for request in batch.requests:
-            if request.deadline is not None and request.deadline <= now:
-                self._expire(request)
-            elif self._claim(request):
-                live.append(request)
-        if not live:
-            return
-        tenant = batch.tenant
-        breaker = self._breaker_for(tenant)
-        if breaker is not None and not breaker.allow():
-            self._metrics.record_breaker_fast_fail(len(live))
-            self._serve_degraded(
-                tenant, live,
-                CircuitOpen(
-                    f"circuit breaker for tenant {tenant!r} is open",
-                    tenant=tenant, failures=breaker.failures,
-                    retry_after_s=breaker.retry_after_s(),
-                ),
-            )
-            return
-        for request in live:
-            request.attempts += 1
-        stacked = np.ascontiguousarray(
-            np.stack([request.window for request in live]),
-            dtype=self._window_dtype,
-        )
-        pending = MicroBatch(
-            tenant=tenant, requests=live, due_to_deadline=batch.due_to_deadline
-        )
-        batch_id = next(self._batch_seq)
+    def _checkout(self, slot: _ProcWorker, batch: MicroBatch) -> int | None:
+        # A replacement still booting cannot take the batch yet: wait for
+        # it, so the wedge clock starts when the worker can start working.
+        while not slot.ready_event.wait(0.05):
+            if not slot.alive() or self._dispatch_abandon.is_set():
+                return None
+        with slot.lock:
+            if not slot.alive():
+                return None
+            batch_id = next(self._batch_seq)
+            slot.inflight[batch_id] = (batch, time.monotonic())
+            return batch_id
+
+    def _carry(self, slot: _ProcWorker, batch: MicroBatch, batch_id: int) -> None:
+        stacked = np.ascontiguousarray(batch.stack(), dtype=self._window_dtype)
         while True:
             with slot.lock:
-                alive = slot.process is not None and slot.process.is_alive()
-                ring_slot = slot.requests.try_reserve() if alive else None
+                if batch_id not in slot.inflight or not slot.alive():
+                    # Recovered while an injected stall held it back, or
+                    # about to be: the dead-worker pass owns it now.
+                    return
+                ring_slot = slot.requests.try_reserve()
                 if ring_slot is not None:
                     ringlib.pack_request(
-                        ring_slot, batch_id, self._tenant_index[tenant], stacked
+                        ring_slot, batch_id, self._tenant_index[batch.tenant], stacked
                     )
                     slot.requests.commit_push()
-                    slot.inflight[batch_id] = (pending, time.monotonic())
                     slot.request_event.set()
                     return
-            if not alive:
-                self._retry_or_fail(
-                    pending,
-                    ServingError("worker process died before serving the batch"),
-                )
-                return
-            if self._dispatch_abandon.is_set():
-                self._fail_batch(
-                    pending, EngineClosed("engine closed before the batch was served")
-                )
-                return
+                if self._dispatch_abandon.is_set():
+                    del slot.inflight[batch_id]
+                    break
             time.sleep(0.0005)
+        self._fail_batch(batch, EngineClosed("engine closed before the batch was served"))
 
     def _settle_loop(self, slot: _ProcWorker) -> None:
         while True:
@@ -685,360 +427,110 @@ class ProcessServingEngine:
                 entry = slot.inflight.pop(batch_id, None)
             if entry is None:
                 continue  # already recovered by the supervisor
-            self._handle_response(entry[0], predictions, error)
-
-    def _handle_response(self, batch: MicroBatch, predictions, error) -> None:
-        tenant = batch.tenant
-        breaker = self._breaker_for(tenant)
-        if error is not None:
-            # The worker survived and reported a model error: deterministic,
-            # so retrying is pointless — degrade like the threaded engine.
-            if breaker is not None and breaker.record_failure():
-                self._metrics.record_breaker_open()
-            self._serve_degraded(
-                tenant, batch.requests,
-                ServingError(
-                    f"worker error serving tenant {tenant!r}: {error}", tenant=tenant
-                ),
-            )
-            return
-        if (self.config.nonfinite_output == "fail"
-                and not np.isfinite(predictions).all()):
-            self._metrics.record_nonfinite_batch()
-            if breaker is not None and breaker.record_failure():
-                self._metrics.record_breaker_open()
-            self._serve_degraded(
-                tenant, batch.requests,
-                ServingError(
-                    f"model for tenant {tenant!r} produced non-finite predictions",
-                    tenant=tenant,
-                ),
-            )
-            return
-        if breaker is not None:
-            breaker.record_success()
-        self._fallback_ctx[tenant] = (
-            tuple(predictions.shape[1:]), self._fallback_ctx[tenant][1]
-        )
-        for index, request in enumerate(batch.requests):
-            self._settle_result(request, predictions[index])
-
-    # ------------------------------------------------------------------ #
-    # Degradation and retry (threaded-identical)
-    # ------------------------------------------------------------------ #
-    def _serve_degraded(self, tenant: str, requests: list, exc: BaseException) -> None:
-        if self._serve_fallback(tenant, requests):
-            return
-        for request in requests:
-            self._settle_error(request, exc)
-
-    def _serve_fallback(self, tenant: str, requests: list) -> bool:
-        fallback = self.pool.fallback_for(tenant)
-        if fallback is None and self.config.fallback == "none":
-            return False
-        stacked = np.stack([request.window for request in requests])
-        try:
-            if fallback is not None:
-                predictions = fallback.predict(
-                    stacked, batch_size=self.config.predict_batch_size
+            batch = entry[0]
+            if error is not None:
+                error = ServingError(
+                    f"worker error serving tenant {batch.tenant!r}: {error}",
+                    tenant=batch.tenant,
                 )
-            else:
-                ctx = self._fallback_ctx.get(tenant)
-                if ctx is None:
-                    return False
-                out_shape, target_channel = ctx
-                predictions = historical_average(stacked, out_shape, target_channel)
-            if not np.isfinite(predictions).all():
-                return False
-        except BaseException:  # noqa: BLE001 - a broken fallback must not mask exc
-            return False
-        self._metrics.record_fallback(len(requests))
-        for index, request in enumerate(requests):
-            self._settle_result(request, predictions[index])
-        return True
-
-    def _retry_or_fail(self, batch: MicroBatch, exc: BaseException) -> None:
-        retry = []
-        for request in batch.requests:
-            if request.settled or request.future.done():
-                continue
-            if request.attempts > self.config.max_retries:
-                self._settle_error(request, exc)
-            else:
-                retry.append(request)
-        if not retry:
-            return
-        if self._closed:
-            for request in retry:
-                self._settle_error(request, exc)
-            return
-        self._metrics.record_retry(len(retry))
-        attempts = max(request.attempts for request in retry)
-        backoff = min(
-            self.config.retry_backoff_ms * (2 ** max(attempts - 1, 0)),
-            self.config.retry_backoff_max_ms,
-        ) / 1e3
-        requeued = MicroBatch(
-            tenant=batch.tenant, requests=retry, due_to_deadline=batch.due_to_deadline
-        )
-        with self._delayed_lock:
-            self._delayed.append((time.monotonic() + backoff, requeued))
+            self._complete(
+                batch, predictions, error, self._fallback_ctx[batch.tenant][1]
+            )
 
     # ------------------------------------------------------------------ #
-    # Supervisor: dead/wedged worker *processes*
+    # Shutdown and shared-memory teardown
     # ------------------------------------------------------------------ #
-    def _supervise_loop(self) -> None:
-        while not self._supervisor_stop.wait(self.config.supervise_interval_s):
-            try:
-                self._supervise_once()
-            except Exception:  # noqa: BLE001 - the supervisor must survive anything
-                self.supervisor_errors += 1
-
-    def _supervise_once(self) -> None:
-        now = time.monotonic()
-        due = []
-        with self._delayed_lock:
-            keep = []
-            for due_at, batch in self._delayed:
-                (due if due_at <= now else keep).append((due_at, batch))
-            self._delayed[:] = keep
-        for _, batch in due:
-            self._queue.put(batch)
-        if self._deadlines_used:
-            for request in self._batcher.pop_expired(now):
-                self._expire(request)
+    def _shut_down(self, drain: bool, remaining) -> list[MicroBatch]:
+        """After return no ``/dev/shm`` segment owned by this engine remains."""
+        for _ in self._workers:
+            self._queue.put(_STOP)
+        for slot in self._workers:
+            slot.dispatcher.join(remaining())
+        if any(slot.dispatcher.is_alive() for slot in self._workers):
+            self._dispatch_abandon.set()
+        # Dispatchers packed everything they could; workers may now
+        # drain their rings and exit.
         for slot in self._workers:
             with slot.lock:
-                process = slot.process
-                alive = process is not None and process.is_alive()
-                oldest = min(
-                    (started for _, started in slot.inflight.values()), default=None
-                )
-            if (alive and oldest is not None
-                    and now - oldest > self.config.wedge_timeout_s):
-                # Processes, unlike threads, CAN be killed: terminate the
-                # wedged worker and let the dead-worker pass requeue its
-                # batches on the replacement.
-                process.terminate()
-                continue
-            if not alive and not self._closed:
-                self._restart_worker(slot)
+                slot.requests.signal_stop()
+                slot.request_event.set()
+        for slot in self._workers:
+            slot.process.join(remaining())
+            if slot.process.is_alive():
+                slot.process.terminate()
+                slot.process.join(1.0)
+        # Settlers stop only after the workers exited, so every pushed
+        # response is consumed before the final sweep below.
+        self._settlers_stop.set()
+        for slot in self._workers:
+            slot.response_event.set()
+        for slot in self._workers:
+            slot.settler.join(remaining(default=5.0))
+        unserved = []
+        for slot in self._workers:
+            self._drain_responses(slot)
+            with slot.lock:
+                unserved += [batch for batch, _ in slot.inflight.values()]
+                slot.inflight.clear()
+        # Nothing in the queue can be served anymore.
+        unserved += self._drain_queue()
+        self._final_worker_metrics = self.worker_metrics.merged()
+        self._teardown_shared_memory()
+        return unserved
 
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self, drain: bool = True, drain_timeout: float | None = None) -> None:
-        """Stop the engine and unlink every shared-memory segment.
-
-        Mirrors :meth:`ServingEngine.close`: ``drain=True`` answers
-        everything accepted before failing the rest, ``drain_timeout``
-        bounds the wait on worker processes (stragglers are terminated).
-        After return no ``/dev/shm`` segment owned by this engine remains.
-        """
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-            with self._dispatch_lock:
-                self._batcher.close()
-            self._flusher.join()
-            self._supervisor_stop.set()
-            self._supervisor.join()
-            closing_error = EngineClosed("engine closed before the batch was served")
-            remainder = self._batcher.drain()
-            with self._delayed_lock:
-                delayed = [batch for _, batch in self._delayed]
-                self._delayed.clear()
-            if drain:
-                for batch in remainder:
-                    self._metrics.record_flush(len(batch), due_to_deadline=True)
-                    self._queue.put(batch)
-                for batch in delayed:
-                    self._queue.put(batch)
-            else:
-                for batch in remainder + delayed:
-                    self._fail_batch(batch, closing_error)
-            for _ in self._workers:
-                self._queue.put(_STOP)
-            join_deadline = (
-                None if drain_timeout is None
-                else time.monotonic() + drain_timeout
-            )
-
-            def remaining(default: float | None = None) -> float | None:
-                if join_deadline is None:
-                    return default
-                return max(join_deadline - time.monotonic(), 0.0)
-
-            for slot in self._workers:
-                slot.dispatcher.join(remaining())
-            if any(slot.dispatcher.is_alive() for slot in self._workers):
-                self._dispatch_abandon.set()
-            # Dispatchers packed everything they could; workers may now
-            # drain their rings and exit.
-            for slot in self._workers:
-                with slot.lock:
-                    slot.requests.signal_stop()
-                    slot.request_event.set()
-            for slot in self._workers:
-                slot.process.join(remaining())
-                if slot.process.is_alive():
-                    slot.process.terminate()
-                    slot.process.join(1.0)
-            # Settlers stop only after the workers exited, so every pushed
-            # response is consumed before the final sweep below.
-            self._settlers_stop.set()
-            for slot in self._workers:
-                slot.response_event.set()
-            for slot in self._workers:
-                slot.settler.join(remaining(default=5.0))
-            for slot in self._workers:
-                self._drain_responses(slot)
-                with slot.lock:
-                    leftovers = [batch for batch, _ in slot.inflight.values()]
-                    slot.inflight.clear()
-                for batch in leftovers:
-                    self._fail_batch(batch, closing_error)
-            # Nothing in the queue can be served anymore.
-            while True:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is not _STOP:
-                    self._fail_batch(item, closing_error)
-            self._final_worker_metrics = self.worker_metrics.merged()
-            self._teardown_shared_memory()
-            if self._owns_pool:
-                self.pool.close()
+    def _rings(self) -> list:
+        return [
+            ring for slot in self._workers
+            for ring in (slot.requests, slot.responses) if ring is not None
+        ]
 
     def _teardown_shared_memory(self) -> None:
-        for slot in self._workers:
-            if slot.requests is not None:
-                slot.requests.unlink()
-            if slot.responses is not None:
-                slot.responses.unlink()
-        self.worker_metrics.unlink()
-        self.plane.close()
+        for ring in self._rings():
+            ring.unlink()
+        if self.worker_metrics is not None:
+            self.worker_metrics.unlink()
+        if self.plane is not None:
+            self.plane.close()
 
     def segment_names(self) -> list[str]:
         """Every shared-memory segment this engine owns (for leak tests)."""
-        names = list(self.plane.segment_names)
-        names.append(self.worker_metrics.name)
-        for slot in self._workers:
-            if slot.requests is not None:
-                names.append(slot.requests.name)
-            if slot.responses is not None:
-                names.append(slot.responses.name)
-        return names
-
-    def __enter__(self) -> "ProcessServingEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        return (list(self.plane.segment_names) + [self.worker_metrics.name]
+                + [ring.name for ring in self._rings()])
 
     # ------------------------------------------------------------------ #
     # Observability
     # ------------------------------------------------------------------ #
-    def metrics(self) -> dict:
-        """Parent-side engine counters merged with per-worker shards.
+    def _workers_section(self) -> dict:
+        """The ``workers`` section of ``engine.metrics()``: the cross-process
+        merge (batches actually served, padding overhead, weight refreshes,
+        worker-side predict latency percentiles, the raw per-worker rows) —
+        the frozen final copy once the segment is gone — plus CPU pinning."""
+        merged = self._final_worker_metrics or self.worker_metrics.merged()
+        merged["pinned_cpus"] = [slot.pinned_cpu for slot in self._workers]
+        return merged
 
-        The ``workers`` key carries the cross-process merge (batches
-        actually served, padding overhead, weight refreshes, worker-side
-        predict latency percentiles, plus the raw per-worker rows).
-        """
-        snapshot = self._metrics.snapshot()
-        if self._final_worker_metrics is not None:
-            snapshot["workers"] = self._final_worker_metrics
-        else:
-            snapshot["workers"] = self.worker_metrics.merged()
-        snapshot["workers"]["pinned_cpus"] = [
-            slot.pinned_cpu for slot in self._workers
-        ]
-        return snapshot
-
-    def health(self) -> dict:
-        """Liveness summary including worker-process state and heartbeats."""
-        now = time.monotonic()
-        alive = 0
-        wedged = 0
+    def _worker_health(self, now: float) -> dict:
+        alive = wedged = 0
         heartbeats = []
         for slot in self._workers:
             with slot.lock:
-                process = slot.process
-                if process is not None and process.is_alive():
-                    alive += 1
-                if any(
-                    now - started > self.config.wedge_timeout_s
-                    for _, started in slot.inflight.values()
-                ):
-                    wedged += 1
+                alive += slot.alive()
+                wedged += slot.wedged(now, self.config.wedge_timeout_s)
             if self._final_worker_metrics is None:
                 heartbeats.append(self.worker_metrics.read(slot.index)["heartbeat"])
-        with self._breaker_lock:
-            breakers = {
-                tenant: breaker.snapshot()
-                for tenant, breaker in self._breakers.items()
-            }
-        unhealthy_breakers = sum(
-            1 for snapshot in breakers.values() if snapshot["state"] != "closed"
-        )
-        with self._delayed_lock:
-            delayed = len(self._delayed)
-        degraded = (
-            alive < self.config.num_workers or wedged > 0 or unhealthy_breakers > 0
-        )
-        return {
-            "status": "closed" if self._closed
-            else ("degraded" if degraded else "ok"),
-            "workers": {
-                "configured": self.config.num_workers,
-                "alive": alive,
-                "wedged": wedged,
-                "restarts": self._metrics.worker_restarts,
-                "heartbeats": heartbeats,
-            },
-            "breakers": breakers,
-            "pending": self._metrics.pending,
-            "queued_batches": self._queue.qsize(),
-            "delayed_batches": delayed,
-            "supervisor_errors": self.supervisor_errors,
-        }
+        return {"alive": alive, "wedged": wedged, "heartbeats": heartbeats}
 
     def stats(self) -> dict:
-        """Metrics, pool, plane and batcher state in one dict."""
-        return {
-            "metrics": self.metrics(),
-            "pool": self.pool.stats(),
-            "program_cache": program_cache_stats(),
-            "waiting_in_batcher": len(self._batcher),
-            "closed": self._closed,
-            "health": self.health(),
-            "config": {
-                "max_batch_size": self.config.max_batch_size,
-                "max_delay_ms": self.config.max_delay_ms,
-                "max_pending": self.config.max_pending,
-                "num_workers": self.config.num_workers,
-                "shards": self.config.shards,
-                "shard_mode": self.config.shard_mode,
-                "overload_policy": self.config.overload_policy,
-                "max_retries": self.config.max_retries,
-                "wedge_timeout_s": self.config.wedge_timeout_s,
-                "breaker_failures": self.config.breaker_failures,
-                "nan_policy": self.config.nan_policy,
-                "fallback": self.config.fallback,
-                "start_method": self.start_method,
-                "ring_capacity": RING_CAPACITY,
-            },
-            "plane": {
-                "nbytes": self.plane.nbytes(),
-                "tenants": len(self._tenant_index),
-                "buckets": list(self.plane.spec["meta"]["buckets"]),
-                "segments": len(self.segment_names()),
-            },
+        """The shared :meth:`~repro.serve.engine.EngineCore.stats` plus the
+        transport's configuration and the plane."""
+        stats = super().stats()
+        stats["config"].update(
+            start_method=self.start_method, ring_capacity=RING_CAPACITY
+        )
+        stats["plane"] = {
+            "nbytes": self.plane.nbytes(),
+            "tenants": len(self._tenant_index),
+            "buckets": list(self.plane.spec["meta"]["buckets"]),
+            "segments": len(self.segment_names()),
         }
+        return stats

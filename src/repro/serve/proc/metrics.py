@@ -2,8 +2,8 @@
 
 Each worker owns one row (single-writer, no locks): a block of int64
 counters it increments and a small float64 ring of per-batch predict
-latencies.  The parent merges all rows into
-``ProcessServingEngine.metrics()`` / ``health()`` so process-mode serving
+latencies.  The parent merges all rows into the ``workers`` section of
+``ProcessServingEngine.metrics()`` and into ``health()`` so process-mode serving
 reports worker-side truth (batches actually served, padding overhead,
 weight-generation refreshes, predict-time percentiles) instead of only the
 parent's settle-side view.

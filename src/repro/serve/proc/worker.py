@@ -53,9 +53,12 @@ def _bind_private(plane: PlaneView, state: dict, tenant: str) -> None:
         for name, param in model.named_parameters():
             param.data = private[name]
         # Cached program instances captured the old (shared) arrays by
-        # reference; drop them so replay rebinds.  The structures stay in
-        # the global cache — the rebuild replays, it does not re-capture.
-        forget_model(model)
+        # reference; drop them so replay rebinds.  They are cached per
+        # module that ran compiled (the backbone, not the wrapper around
+        # it).  The structures stay in the global cache — the rebuild
+        # replays, it does not re-capture.
+        for module in model.modules():
+            forget_model(module)
         state["mode"] = "private"
     state["private"] = private
 
