@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: ci test bench-smoke bench-hot-path bench-hot-path-smoke \
+.PHONY: ci test test-parity bench-smoke bench-hot-path bench-hot-path-smoke \
 	bench-spatial bench-spatial-smoke \
 	bench-serving bench-serving-smoke bench-serving-proc-smoke \
 	bench-sharding bench-sharding-smoke \
@@ -22,6 +22,19 @@ ci: test bench-smoke bench-hot-path-smoke bench-spatial-smoke \
 
 test:
 	$(PYTHON) -m pytest tests -x -q
+
+# Bit-parity suites under one and two BLAS threads: threading changes how
+# OpenBLAS splits a gemm's rows, so the exactness envelope is checked at both
+# (CI runs one value per matrix job: `make test-parity BLAS_THREADS=2`).
+BLAS_THREADS ?= 1 2
+
+test-parity:
+	for threads in $(BLAS_THREADS); do \
+		OPENBLAS_NUM_THREADS=$$threads $(PYTHON) -m pytest \
+			tests/tensor/test_partition_kernels.py \
+			tests/serve/test_partition_parity.py tests/serve/test_engine.py \
+			-k "parity or identical or bit" -x -q || exit 1; \
+	done
 
 # End-to-end smokes of the documented workflows: continual training via the
 # quickstart, the predict->update->save/load serving loop, the async

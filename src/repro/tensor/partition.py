@@ -372,10 +372,13 @@ class PartitionContext:
     def _dense_mix(self, support: Tensor, x: Tensor) -> Tensor:
         """Exact fallback for dense/global supports (adaptive adjacency).
 
-        Gathers the full activation in original node order, computes the
-        *complete* mix — identical gemm blocks to the unsharded path — and
-        slices out the shard's rows.  Costs a full-width operand, which is
-        why ``strict`` mode refuses it.
+        Whole-operand contract: the full ``support`` meets the full-width,
+        C-contiguous gather of the activation in original node order, and the
+        shard's rows are sliced out *afterwards*.  Every shard therefore
+        issues the very ``support @ x`` the unsharded forward issues, so the
+        batched-``b`` product needs no canonical geometry and is plain BLAS;
+        row-slicing ``support`` first would not be exact.  Costs a full-width
+        operand, which is why ``strict`` mode refuses it.
         """
         if self.strict:
             raise PartitionError(

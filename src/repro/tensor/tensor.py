@@ -59,48 +59,24 @@ MATMUL_BLOCK_ROWS = 256
 # BLAS picks its gemm kernel from the *call* geometry: the row count selects
 # gemv-like paths for narrow operands and different panel blockings for wide
 # ones, so the same row computed inside a 12-row call and a 6-row call can
-# disagree in the last ulp.  Inference therefore issues every gemm at one
-# canonical geometry — exactly MATMUL_BLOCK_ROWS rows (tail zero-padded) by
-# at most MATMUL_BLOCK_COLS output columns — which pins the kernel and makes
-# a row's bits a function of (row, operand) only.  That is the property the
-# memory-sharded forward relies on: any partition of the node rows then
-# reproduces the unsharded bits exactly.  The envelope in which it holds
-# (and its one measured hole) is pinned by the property tests in
-# tests/tensor/test_partition_kernels.py.  Training keeps plain BLAS calls
-# (row-blocked above MATMUL_BLOCK_ROWS); gradients never need that parity.
+# disagree in the last ulp.  Inference therefore issues every 2-D-``b`` gemm
+# (channel mixes, projections: the ops a shard runs on its own node rows) at
+# one canonical geometry — exactly MATMUL_BLOCK_ROWS rows (tail zero-padded)
+# by at most MATMUL_BLOCK_COLS output columns — which pins the kernel and
+# makes a row's bits a function of (row, operand) only, so any partition of
+# the node rows reproduces the unsharded bits.  The envelope in which that
+# holds (and its one measured hole) is pinned by the property tests in
+# tests/tensor/test_partition_kernels.py.  Row-slice invariance is a property
+# of this 2-D-``b`` panel alone: a batched ``b`` (the dense spatial mix
+# ``(N, N) @ (B, T, N, C)``) and every training product are plain BLAS calls
+# (row-blocked above MATMUL_BLOCK_ROWS), whose exactness rests on all callers
+# issuing the *same* call — ``PartitionContext._dense_mix`` multiplies the
+# whole gathered operand and slices afterwards — and on numpy running one
+# gemm per leading matrix of ``b`` whatever the batch size.
 MATMUL_BLOCK_COLS = 256
 
 
 def _matmul_canonical(a: np.ndarray, b: np.ndarray, out: np.ndarray | None):
-    if b.ndim == 2:
-        return _matmul_row_panel(a, b, out)
-    rows, inner = a.shape[-2], a.shape[-1]
-    cols = b.shape[-1]
-    if out is None:
-        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (rows, cols)
-        out = np.empty(shape, dtype=np.result_type(a, b))
-    # Batched ``b`` (dense spatial mix ``(N, N) @ (B, T, N, C)``): the node axis
-    # is the gemm row dimension, so partition exactness pads every matrix.
-    for col_start in range(0, cols, MATMUL_BLOCK_COLS):
-        col_stop = min(col_start + MATMUL_BLOCK_COLS, cols)
-        b_block = b[..., :, col_start:col_stop]
-        for row_start in range(0, rows, MATMUL_BLOCK_ROWS):
-            row_stop = min(row_start + MATMUL_BLOCK_ROWS, rows)
-            target = out[..., row_start:row_stop, col_start:col_stop]
-            if row_stop - row_start == MATMUL_BLOCK_ROWS:
-                np.matmul(a[..., row_start:row_stop, :], b_block, out=target)
-            else:
-                padded = np.zeros(
-                    a.shape[:-2] + (MATMUL_BLOCK_ROWS, inner), dtype=a.dtype
-                )
-                padded[..., : row_stop - row_start, :] = a[..., row_start:row_stop, :]
-                target[...] = np.matmul(padded, b_block)[
-                    ..., : row_stop - row_start, :
-                ]
-    return out
-
-
-def _matmul_row_panel(a: np.ndarray, b: np.ndarray, out: np.ndarray | None):
     """Canonical ``a @ b`` for a 2-D ``b``: every row of ``a`` meets the same
     operand, so all leading axes collapse into one contiguous row panel that
     is cut into MATMUL_BLOCK_ROWS-row gemms; only the panel's last block is
@@ -132,20 +108,12 @@ def _matmul_row_panel(a: np.ndarray, b: np.ndarray, out: np.ndarray | None):
 
 
 def _matmul_execute(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
-    """``a @ b`` — canonical fixed-geometry calls under ``no_grad``, plain
-    (row-blocked past MATMUL_BLOCK_ROWS) when gradients are recording."""
-    if a.ndim < 2 or b.ndim < 2:
-        if out is None:
-            return np.matmul(a, b)
-        np.matmul(a, b, out=out)
-        return out
-    if not _GRAD_MODE.enabled:
+    """``a @ b`` — the canonical row panel for a 2-D ``b`` under ``no_grad``,
+    otherwise plain BLAS (row-blocked past MATMUL_BLOCK_ROWS)."""
+    if a.ndim >= 2 and b.ndim == 2 and not _GRAD_MODE.enabled:
         return _matmul_canonical(a, b, out)
-    if a.shape[-2] <= MATMUL_BLOCK_ROWS:
-        if out is None:
-            return np.matmul(a, b)
-        np.matmul(a, b, out=out)
-        return out
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-2] <= MATMUL_BLOCK_ROWS:
+        return np.matmul(a, b, out=out)
     rows = a.shape[-2]
     if out is None:
         shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (rows, b.shape[-1])

@@ -5,6 +5,8 @@ owned node rows plus per-layer halo gathers — returns bit-identical output
 to the unsharded forecaster, for any shard count and planner strategy.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ from repro.models.baselines.stgode import STGODE
 from repro.models.stencoder import STEncoderConfig
 from repro.serve import Forecaster
 from repro.serve.sharding import ShardedForecaster, ShardPlanner
+from repro.tensor import HaloExchange, PartitionContext, Tensor, no_grad
+from repro.tensor import tensor as tensor_kernels
 
 
 def _clustered_network(num_clusters=4, size=6, seed=0, name="clustered"):
@@ -232,3 +236,67 @@ class TestHaloProfile:
         assert profile["max_halo_fraction"] == max(
             entry["halo_fraction"] for entry in profile["shards"]
         )
+
+
+class TestDenseRouteParity:
+    """The whole-operand dense mix (``PartitionContext._dense_mix``): every
+    support under ``spatial_mode("dense")``, the adaptive adjacency under
+    either mode.  Every shard issues the call the unsharded forward issues,
+    so parity needs no canonical geometry — at N > 256 the left operand is
+    row-blocked identically in both."""
+
+    @pytest.mark.parametrize("strategy", ["contiguous", "mincut"])
+    @pytest.mark.parametrize("num_shards", [2, 3, 4])
+    @pytest.mark.parametrize("mode", ["dense", "sparse"])
+    @pytest.mark.parametrize("cluster_size", [6, 66])  # N = 24 and N = 264
+    def test_adaptive_graphwavenet_is_bit_identical(
+        self, cluster_size, mode, num_shards, strategy
+    ):
+        network = _clustered_network(size=cluster_size, seed=13)
+        rng = np.random.default_rng(17)
+        with spatial_mode(mode):
+            facade = Forecaster(ZOO["graphwavenet"](network))
+            with ShardedForecaster(
+                facade, num_shards, mode="partition", strategy=strategy
+            ) as sharded:
+                for batch in (1, 5):
+                    windows = rng.normal(size=(batch, 8, network.num_nodes, 2))
+                    direct = facade.predict(windows)
+                    stitched = sharded.predict(windows)
+                    repeat = sharded.predict(windows)
+                    assert np.array_equal(stitched, direct), f"batch={batch}"
+                    assert np.array_equal(repeat, direct), f"batch={batch} repeat"
+
+    @pytest.mark.parametrize("strategy", ["contiguous", "mincut"])
+    def test_every_shard_multiplies_the_full_contiguous_operand(
+        self, strategy, monkeypatch
+    ):
+        network = _clustered_network(seed=19)
+        nodes, num_shards = network.num_nodes, 3
+        plan = ShardPlanner(num_shards, strategy=strategy).plan(network.graph)
+        exchange = HaloExchange(num_shards)
+        rng = np.random.default_rng(23)
+        support = rng.normal(size=(nodes, nodes))
+        x = rng.normal(size=(2, 5, nodes, 8))[..., ::2]  # strided local rows
+
+        seen = []
+        execute = tensor_kernels._matmul_execute
+
+        def spy(a, b, out=None):
+            seen.append((a.shape, b.shape, b.flags.c_contiguous))
+            return execute(a, b, out)
+
+        monkeypatch.setattr(tensor_kernels, "_matmul_execute", spy)
+
+        def shard_mix(k):
+            context = PartitionContext(plan, k, exchange)
+            with no_grad():  # grad mode is per thread
+                return context.mix(support, Tensor(x[..., plan.owned(k), :])).data
+
+        with ThreadPoolExecutor(num_shards) as pool:
+            parts = list(pool.map(shard_mix, range(num_shards)))
+        assert seen == [((nodes, nodes), (2, 5, nodes, 4), True)] * num_shards
+        with no_grad():
+            full = (Tensor(support) @ Tensor(x)).data
+        for k, part in enumerate(parts):
+            assert np.array_equal(part, full[..., plan.owned(k), :])

@@ -28,6 +28,7 @@ from repro.tensor import (
     track_activations,
 )
 from repro.tensor.tensor import MATMUL_BLOCK_COLS, _matmul_canonical
+from repro.tensor.tensor import _matmul_execute
 
 
 class TestCanonicalMatmul:
@@ -211,6 +212,77 @@ class TestCanonicalEnvelope:
             )
 
 
+# ---------------------------------------------------------------------- #
+# Batched right operand (the dense spatial mix): whole-operand contract
+# ---------------------------------------------------------------------- #
+# ``(N, N) @ (B, T, N, C)`` is plain BLAS in both grad modes.  Its callers
+# never row-slice ``a`` (``PartitionContext._dense_mix`` multiplies the whole
+# gathered operand), so the bits a served forecast depends on are those of one
+# leading matrix of ``b``: they must not move with how many other matrices
+# share the call.
+# layout -> (base matrix shape for an (inner, cols) operand, view of the base)
+_B_LAYOUTS = {
+    "contiguous": (lambda inner, cols: (inner, cols), lambda base: base),
+    "sliced": (lambda inner, cols: (2 * inner, cols + 3), lambda base: base[..., ::2, 1:-2]),
+    "transposed": (lambda inner, cols: (cols, inner), lambda base: np.swapaxes(base, -1, -2)),
+}
+
+
+@st.composite
+def _batched_rhs_cases(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    lead = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    rows = draw(st.integers(1, 70) | st.sampled_from([255, 256, 257, 600]))
+    inner = draw(st.integers(1, 40) | st.sampled_from([64, 70]))
+    cols = draw(st.integers(1, 40) | st.sampled_from([64, 65]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(sorted(_B_LAYOUTS)))
+    base_shape, view = _B_LAYOUTS[layout]
+    base = rng.normal(size=lead + base_shape(inner, cols)).astype(dtype)
+    a_lead = lead if draw(st.booleans()) else ()
+    a = rng.normal(size=a_lead + (rows, inner)).astype(dtype)
+    return a, base, view, layout, rng
+
+
+class TestBatchedRhsWholeOperand:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=_batched_rhs_cases(), data=st.data())
+    def test_leading_axis_split_or_subset_reproduces_unsplit_bits(self, case, data):
+        a, base, view, layout, rng = case
+        b = view(base)
+        with no_grad():
+            full = _matmul_execute(a, b)
+        assert full.shape == b.shape[:-2] + (a.shape[-2], b.shape[-1])
+        # One code path: recording gradients must not change the product.
+        assert np.array_equal(_matmul_execute(a, b), full), (
+            f"{a.dtype} a{a.shape} @ b{b.shape} ({layout}): no_grad and grad-mode "
+            f"products differ — {_blas_build()}"
+        )
+        batch = b.shape[0]
+        keep = data.draw(st.integers(1, batch), label="matrices kept")
+        idx = np.sort(rng.choice(batch, size=keep, replace=False))
+        batched_a = a.ndim > 2
+        with no_grad():
+            # The subset goes through the same layout as the full operand: a
+            # served window sees the ops (hence strides) the batch sees.
+            part = _matmul_execute(a[idx] if batched_a else a, view(base[idx]))
+        assert np.array_equal(part, full[idx]), (
+            f"{a.dtype} a{a.shape} @ b{b.shape} ({layout}): {keep} of {batch} leading "
+            f"matrices computed alone differ from the unsplit product — {_blas_build()}"
+        )
+        if batch > 1:
+            cut = data.draw(st.integers(1, batch - 1), label="batch cut")
+            with no_grad():
+                halves = np.concatenate([
+                    _matmul_execute(a[:cut] if batched_a else a, b[:cut]),
+                    _matmul_execute(a[cut:] if batched_a else a, b[cut:]),
+                ])
+            assert np.array_equal(halves, full), (
+                f"{a.dtype} a{a.shape} @ b{b.shape} ({layout}): batch split at {cut} "
+                f"differs from the unsplit product — {_blas_build()}"
+            )
+
+
 class TestRectangularSpmmMulti:
     def _stacked(self, rng, count, n):
         supports = [sp.random_array((n, n), density=0.3, rng=rng).tocsr()
@@ -299,3 +371,24 @@ class TestActivationTracking:
         assert out.data.base is None and stats.peak_bytes == out.data.nbytes
         slack = 16 * 1024  # interpreter objects, views
         assert peak - baseline <= out.data.nbytes + tail_scratch + slack
+
+    def test_dense_mix_matmul_allocates_no_padded_temporary(self):
+        """``(N, N) @ (B, T, N, C)`` with N < 256 under ``no_grad`` into a given
+        ``out``: no ``(B, T, 256, C)`` product and no zero-filled 256-row copy
+        of the left operand — nothing as large as the output is allocated."""
+        rng = np.random.default_rng(8)
+        support = rng.normal(size=(24, 24))
+        x = rng.normal(size=(16, 12, 24, 32))
+        out = np.empty_like(x)
+        tracemalloc.start()
+        try:
+            with no_grad():
+                baseline, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                result = _matmul_execute(support, x, out=out)
+                _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result is out
+        assert np.allclose(out, np.einsum("nm,btmc->btnc", support, x))
+        assert peak - baseline < out.nbytes
