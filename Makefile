@@ -1,7 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: ci test test-parity bench-smoke bench-hot-path bench-hot-path-smoke \
+.PHONY: ci test test-parity test-serve-repeat \
+	bench-smoke bench-hot-path bench-hot-path-smoke \
 	bench-spatial bench-spatial-smoke \
 	bench-serving bench-serving-smoke bench-serving-proc-smoke \
 	bench-sharding bench-sharding-smoke \
@@ -34,6 +35,19 @@ test-parity:
 			tests/tensor/test_partition_kernels.py \
 			tests/serve/test_partition_parity.py tests/serve/test_engine.py \
 			-k "parity or identical or bit" -x -q || exit 1; \
+	done
+
+# Flake hunt for the engine lifecycle suites (both transports; add
+# REPRO_PROC_START_METHOD=spawn for the stricter start method): N passes,
+# stopping at the first failure.  Not part of `ci`.
+N ?= 10
+
+test-serve-repeat:
+	for pass in $$(seq 1 $(N)); do \
+		echo "== pass $$pass of $(N)"; \
+		$(PYTHON) -m pytest tests/serve/test_engine.py \
+			tests/serve/test_engine_conformance.py \
+			tests/serve/test_resilience.py -x -q || exit 1; \
 	done
 
 # End-to-end smokes of the documented workflows: continual training via the

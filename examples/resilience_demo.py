@@ -64,9 +64,14 @@ def main() -> None:
 
     # 2. Deadlines: a request that cannot be served inside its budget fails
     #    fast with a structured error instead of arriving uselessly late.
+    #    The engine's only worker is stalled on an earlier batch, so the
+    #    request waits in the batcher (an idle worker would take it at once).
     slow = EngineConfig(max_batch_size=64, max_delay_ms=200.0, num_workers=1,
                         supervise_interval_s=0.01)
-    with ServingEngine(pool, slow, faults=None) as engine:
+    stall = FaultPlan(seed=0, worker_stall_rate=1.0, stall_ms=150.0,
+                      worker_fault_limit=1)
+    with ServingEngine(pool, slow, faults=stall) as engine:
+        engine.submit(windows[1], tenant=tenant)
         future = engine.submit(windows[0], tenant=tenant, deadline_ms=15.0)
         try:
             future.result(timeout=60)

@@ -137,7 +137,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     serve.add_argument("--requests", type=int, default=128, help="total requests to serve")
     serve.add_argument("--concurrency", type=int, default=8, help="closed-loop clients")
     serve.add_argument("--max-batch-size", type=int, default=16, help="micro-batch flush size")
-    serve.add_argument("--max-delay-ms", type=float, default=5.0, help="micro-batch flush deadline")
+    serve.add_argument("--max-delay-ms", type=float, default=5.0,
+                       help="longest a request waits for company behind busy workers "
+                            "(an idle worker takes it at once)")
     serve.add_argument("--workers", type=int, default=2, help="engine workers (threads or processes)")
     serve.add_argument("--shards", type=int, default=1, help="node shards (replicate mode)")
     serve.add_argument(
@@ -404,7 +406,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     metrics = stats["metrics"]
     print(f"batches: {metrics['batches']} (mean size {metrics['mean_batch_size']:.2f}, "
-          f"{metrics['size_flushes']} by size / {metrics['deadline_flushes']} by deadline)")
+          f"{metrics['size_flushes']} by size / {metrics['idle_flushes']} to an idle "
+          f"worker / {metrics['deadline_flushes']} by deadline)")
     if args.output:
         path = save_json(args.output, {"loadgen": result, "engine": stats})
         print(f"serving stats written to {path}")

@@ -27,9 +27,11 @@ On top of the facade sits the process-level serving stack::
         y = future.result()
         engine.update(new_inputs, targets, tenant="tenant-a")  # serialized lane
 
-Requests coalesce in a deadline-based dynamic micro-batcher, tenants share
-one CSR graph (supports built once), and node-sharded serving stitches
-per-shard predictions bit-exactly in the default ``replicate`` mode.
+Requests coalesce in a work-conserving dynamic micro-batcher (a request
+waits for company only while every worker is busy, and then at most
+``max_delay_ms``), tenants share one CSR graph (supports built once), and
+node-sharded serving stitches per-shard predictions bit-exactly in the
+default ``replicate`` mode.
 """
 
 from .batching import DynamicBatcher, MicroBatch, PendingRequest

@@ -1,16 +1,19 @@
-"""Deadline-based dynamic micro-batching for single-window requests.
+"""Dynamic micro-batching for single-window requests.
 
 The serving engine accepts one ``(time, nodes, channels)`` window per
 request but the model amortises fixed per-call overhead (scaling, Python
 dispatch, support lookup) over a whole ``(batch, ...)`` stack — the same
 reason ``Forecaster.predict`` micro-batches internally.
 :class:`DynamicBatcher` bridges the two: requests accumulate in per-
-``(tenant, window shape)`` buckets and a bucket is flushed into one
-:class:`MicroBatch` when it reaches ``max_batch_size`` *or* its oldest
-request has waited ``max_delay_ms`` — whichever comes first.  Size flushes
-happen synchronously inside :meth:`add` (zero extra latency on a full
-batch); deadline flushes are collected by the engine's flusher thread
-blocking in :meth:`wait_due`.
+``(tenant, window shape)`` buckets and a bucket leaves as one
+:class:`MicroBatch` for one of three reasons.  **Size**: it reached
+``max_batch_size`` — flushed synchronously inside :meth:`add` (zero extra
+latency on a full batch).  **Idle**: the engine saw a worker with nothing to
+do and took the oldest open bucket with :meth:`pop_oldest`, so a request
+waits for company only while every worker already has work.  **Deadline**:
+its oldest request has waited ``max_delay_ms`` behind busy workers — the
+upper bound on that wait, collected by the engine's flusher thread blocking
+in :meth:`wait_due`.
 
 The batcher is a pure coalescing data structure: it never touches a model
 and never resolves a future, so it is exactly unit-testable with fake
@@ -79,16 +82,18 @@ class _Bucket:
 
 
 class DynamicBatcher:
-    """Coalesce requests into micro-batches by size or deadline.
+    """Coalesce requests into micro-batches; see the module docstring for
+    the three ways a bucket leaves.
 
     Parameters
     ----------
     max_batch_size:
         Flush a bucket as soon as it holds this many requests.
     max_delay_ms:
-        Flush a bucket once its *first* request has waited this long, even
-        if the batch is not full — bounds worst-case added latency under
-        light traffic.
+        Upper bound on coalescing wait: :meth:`wait_due` hands a bucket over
+        once its *first* request has waited this long, full or not.  A
+        caller that pops buckets earlier (:meth:`pop_oldest`) only ever
+        shortens the wait.
     """
 
     def __init__(self, max_batch_size: int = 32, max_delay_ms: float = 5.0):
@@ -116,10 +121,10 @@ class DynamicBatcher:
         """Enqueue ``request``; return a batch if it filled one up.
 
         A returned batch was flushed *by size* and should be dispatched by
-        the caller immediately — the flusher thread only handles deadline
-        flushes.  Raises :class:`~repro.exceptions.EngineClosed` once the
-        batcher is closed: a request added after the closing drain would
-        otherwise sit in a bucket nobody sweeps and its future would hang.
+        the caller immediately.  Raises
+        :class:`~repro.exceptions.EngineClosed` once the batcher is closed: a
+        request added after the closing drain would otherwise sit in a bucket
+        nobody sweeps and its future would hang.
         """
         key = (request.tenant, tuple(request.window.shape))
         with self._cond:
@@ -170,6 +175,19 @@ class DynamicBatcher:
                         return []
                     wait = remaining if wait is None else min(wait, remaining)
                 self._cond.wait(wait)
+
+    def pop_oldest(self) -> MicroBatch | None:
+        """Pop the open bucket whose first request arrived earliest.
+
+        ``None`` when nothing is queued, and once the batcher is closed —
+        what is left then belongs to the closing :meth:`drain`.
+        """
+        with self._cond:
+            if self._closed or not self._buckets:
+                return None
+            # Every bucket's deadline is its first arrival plus one constant.
+            key = min(self._buckets, key=lambda k: self._buckets[k].deadline)
+            return MicroBatch(tenant=key[0], requests=self._buckets.pop(key).requests)
 
     def pop_expired(self, now: float | None = None) -> list[PendingRequest]:
         """Remove and return queued requests whose deadline has passed.

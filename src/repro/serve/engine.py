@@ -12,9 +12,15 @@ processes over shared memory.  What they share:
   ``concurrent.futures.Future`` that resolves to that window's raw
   prediction.
 * **Dynamic micro-batching** coalesces same-tenant, same-shape requests
-  (:class:`~repro.serve.batching.DynamicBatcher`): a bucket flushes into one
-  fused ``Forecaster.predict`` call when it reaches ``max_batch_size`` or
-  its oldest request has waited ``max_delay_ms`` — whichever comes first.
+  (:class:`~repro.serve.batching.DynamicBatcher`) into fused
+  ``Forecaster.predict`` calls, and is work-conserving: a request waits for
+  company only while every worker already has work.  A bucket leaves the
+  batcher when it reaches ``max_batch_size`` (*size* flush), the moment a
+  worker has nothing to do — seen by ``submit`` on arrival or by the worker
+  finishing a batch (*idle* flush) — or, behind busy workers, once its
+  oldest request has waited ``max_delay_ms`` (*deadline* flush, the upper
+  bound on that wait).  Batches therefore size themselves to load: one
+  request on an idle engine, the whole backlog behind a busy one.
 * **Backpressure is explicit**: beyond ``max_pending`` accepted-but-
   unresolved requests, ``submit`` raises
   :class:`~repro.exceptions.QueueFull` (or sheds the oldest queued request
@@ -60,11 +66,11 @@ processes over shared memory.  What they share:
 
 One parent-side thread per worker pulls flushed batches off a FIFO queue,
 gates them (deadline, cancellation, breaker) and carries them to its worker;
-a flusher thread sweeps deadline-expired buckets.  :meth:`~EngineCore.close`
-drains by default — everything accepted is answered — or fails the
-still-queued requests with :class:`~repro.exceptions.EngineClosed` when
-asked not to; ``drain_timeout`` bounds how long a wedged worker can hold up
-shutdown.
+a flusher thread sweeps buckets that waited out ``max_delay_ms``.
+:meth:`~EngineCore.close` drains by default — everything accepted is
+answered — or fails the still-queued requests with
+:class:`~repro.exceptions.EngineClosed` when asked not to; ``drain_timeout``
+bounds how long a wedged worker can hold up shutdown.
 """
 
 from __future__ import annotations
@@ -113,7 +119,8 @@ class EngineConfig:
     max_batch_size:
         Flush a micro-batch at this size.
     max_delay_ms:
-        Flush a micro-batch once its oldest request waited this long.
+        Upper bound on how long a request waits for company behind busy
+        workers; with a worker idle it does not wait at all.
     max_pending:
         Accepted-but-unresolved request bound; beyond it ``submit`` raises
         :class:`~repro.exceptions.QueueFull`.
@@ -378,6 +385,10 @@ class EngineCore:
         :meth:`_complete`, now or from another thread later."""
         raise NotImplementedError
 
+    def _spare_capacity(self) -> bool:
+        """Whether some worker could start on one more batch right away."""
+        raise NotImplementedError
+
     def _reap_workers(self, now: float) -> list[tuple[MicroBatch, BaseException]]:
         """Replace dead and wedged workers; return their in-flight batches,
         each with the error to fail it with once its retries are spent."""
@@ -485,8 +496,10 @@ class EngineCore:
             with self._dispatch_lock:
                 batch = self._batcher.add(request)
                 if batch is not None:
-                    self.metrics.record_flush(len(batch), due_to_deadline=False)
+                    self.metrics.record_flush(len(batch), "size")
                     self._queue.put(batch)
+                else:
+                    self._flush_if_idle()
         except EngineClosed:
             # close() won the race between our closed-check and the add.
             self.metrics.record_revoked()
@@ -648,8 +661,26 @@ class EngineCore:
             if not batches and self._batcher.closed:
                 return
             for batch in batches:
-                self.metrics.record_flush(len(batch), due_to_deadline=True)
+                self.metrics.record_flush(len(batch), "deadline")
                 self._queue.put(batch)
+
+    def _flush_if_idle(self) -> None:
+        """Hand the oldest open bucket to a worker that has nothing else to
+        do.  Batches already queued go first: a queued batch means no worker
+        is waiting for this one.  Callers hold ``_dispatch_lock``, so the
+        batch cannot land behind the stop sentinels — the batcher pops
+        nothing once ``close`` has closed it."""
+        if self._queue.empty() and self._spare_capacity():
+            batch = self._batcher.pop_oldest()
+            if batch is not None:
+                self.metrics.record_flush(len(batch), "idle")
+                self._queue.put(batch)
+
+    def _batch_done(self) -> None:
+        """Transport call-in: a worker just finished a batch, so whatever
+        waited for company behind it has waited long enough."""
+        with self._dispatch_lock:
+            self._flush_if_idle()
 
     def _admit(self, batch: MicroBatch) -> MicroBatch | None:
         """The part of ``batch`` still worth a forward: overdue requests
@@ -870,7 +901,7 @@ class EngineCore:
                 self._delayed.clear()
             if drain:
                 for batch in remainder:
-                    self.metrics.record_flush(len(batch), due_to_deadline=True)
+                    self.metrics.record_flush(len(batch), "deadline")
                     self._queue.put(batch)
                 for batch in delayed:
                     self._queue.put(batch)
@@ -1051,6 +1082,7 @@ class ServingEngine(EngineCore):
                 worker.started_at = None
             if worker.abandoned.is_set():
                 return
+            self._batch_done()
 
     def _carry(self, worker, batch: MicroBatch, ticket=None) -> None:
         tenant = batch.tenant
@@ -1075,6 +1107,11 @@ class ServingEngine(EngineCore):
             batch, predictions,
             target_channel=getattr(entry.forecaster, "target_channel", 0),
         )
+
+    def _spare_capacity(self) -> bool:
+        # A crashed worker keeps its batch stamped until it is reaped.
+        with self._workers_lock:
+            return any(worker.batch is None for worker in self._workers)
 
     def _reap_workers(self, now: float) -> list[tuple[MicroBatch, BaseException]]:
         recovered = []

@@ -295,7 +295,8 @@ def serving_sweep_point(
     the engine's batching-efficiency counters.  With ``batching`` on, the
     flush size is each tenant's share of the concurrency halved — buckets
     are per tenant, and a full bucket flushes synchronously while an
-    oversized one always waits out the deadline.
+    oversized one waits for a worker to finish its batch (``max_delay_ms``
+    at the longest).
 
     ``engine_kind`` selects the threaded :class:`ServingEngine`
     (``"thread"``, default) or the shared-memory
@@ -337,6 +338,7 @@ def serving_sweep_point(
             "mean_batch_size": metrics["mean_batch_size"],
             "size_flushes": metrics["size_flushes"],
             "deadline_flushes": metrics["deadline_flushes"],
+            "idle_flushes": metrics["idle_flushes"],
         }
     )
     return result

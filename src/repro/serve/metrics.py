@@ -27,7 +27,10 @@ LATENCY_WINDOW = 65536
 # Every counter, in snapshot order.
 COUNTERS = (
     "submitted", "completed", "failed", "cancelled", "rejected",
-    "batches", "batched_requests", "deadline_flushes", "size_flushes", "updates",
+    "batches", "batched_requests",
+    # Why each batch left the batcher (the three sum to ``batches``): it was
+    # full, a worker had nothing to do, or it waited out ``max_delay_ms``.
+    "deadline_flushes", "size_flushes", "idle_flushes", "updates",
     # Resilience counters: terminal error kinds (each also counts in
     # ``failed``), recovery actions, and graceful-degradation events.
     "expired",               # deadline passed before service
@@ -98,14 +101,20 @@ class EngineMetrics:
         with self._lock:
             self.updates += 1
 
-    def record_flush(self, size: int, due_to_deadline: bool) -> None:
+    def record_flush(self, size: int, reason: str) -> None:
+        """One batch of ``size`` left the batcher; ``reason`` is ``"size"``,
+        ``"deadline"`` or ``"idle"``."""
         with self._lock:
+            if reason == "size":
+                self.size_flushes += 1
+            elif reason == "deadline":
+                self.deadline_flushes += 1
+            elif reason == "idle":
+                self.idle_flushes += 1
+            else:
+                raise ValueError(f"unknown flush reason {reason!r}")
             self.batches += 1
             self.batched_requests += int(size)
-            if due_to_deadline:
-                self.deadline_flushes += 1
-            else:
-                self.size_flushes += 1
 
     def record_done(self, latency_seconds: float, failed: bool = False,
                     kind: str | None = None) -> None:
@@ -182,18 +191,20 @@ class EngineMetrics:
         """One consistent view of every counter plus derived statistics."""
         with self._lock:
             elapsed = time.perf_counter() - self._started
-            resolved = self.completed + self.failed + self.cancelled
-            latency = percentiles(self._latencies)
             snapshot = {name: getattr(self, name) for name in COUNTERS}
-            snapshot.update({
-                "pending": self.submitted - resolved,
-                "mean_batch_size": self.batched_requests / self.batches
-                if self.batches
-                else float("nan"),
-                "latency_ms": {k: v * 1e3 for k, v in latency.items()},
-                "throughput_rps": self.completed / elapsed if elapsed > 0 else 0.0,
-                "elapsed_seconds": elapsed,
-            })
+            # Copied under the lock, ranked outside it: percentiles over a
+            # full window would otherwise stall every submit for the scrape.
+            window = list(self._latencies)
+        resolved = snapshot["completed"] + snapshot["failed"] + snapshot["cancelled"]
+        snapshot.update({
+            "pending": snapshot["submitted"] - resolved,
+            "mean_batch_size": snapshot["batched_requests"] / snapshot["batches"]
+            if snapshot["batches"]
+            else float("nan"),
+            "latency_ms": {k: v * 1e3 for k, v in percentiles(window).items()},
+            "throughput_rps": snapshot["completed"] / elapsed if elapsed > 0 else 0.0,
+            "elapsed_seconds": elapsed,
+        })
         for name, section in self.sections.items():
             snapshot[name] = section()
         return snapshot

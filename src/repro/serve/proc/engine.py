@@ -59,6 +59,10 @@ __all__ = ["ProcessServingEngine", "resolve_start_method"]
 
 RING_CAPACITY = 32
 READY_TIMEOUT_S = 120.0
+# Batches a worker takes before a request is better off waiting for company:
+# the one it is running plus one staged in its ring, so finishing a batch
+# never leaves the process idle for a parent-side round trip.
+WORKER_DEPTH = 2
 
 
 def resolve_start_method(start_method: str | None = None) -> str:
@@ -370,6 +374,14 @@ class ProcessServingEngine(EngineCore):
                 process.kill()
                 process.join()
 
+    def _spare_capacity(self) -> bool:
+        for slot in self._workers:
+            with slot.lock:
+                # A replacement still booting has nothing in flight either.
+                if len(slot.inflight) < WORKER_DEPTH and slot.ready_event.is_set():
+                    return True
+        return False
+
     def _checkout(self, slot: _ProcWorker, batch: MicroBatch) -> int | None:
         # A replacement still booting cannot take the batch yet: wait for
         # it, so the wedge clock starts when the worker can start working.
@@ -436,6 +448,7 @@ class ProcessServingEngine(EngineCore):
             self._complete(
                 batch, predictions, error, self._fallback_ctx[batch.tenant][1]
             )
+            self._batch_done()
 
     # ------------------------------------------------------------------ #
     # Shutdown and shared-memory teardown

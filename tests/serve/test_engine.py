@@ -60,19 +60,26 @@ class TestBatchedParity:
                 served = np.stack([future.result(timeout=60) for future in futures])
             assert np.array_equal(served, direct)
 
-    def test_deadline_flush_serves_partial_batches(self, forecaster, raw_windows):
+    def test_deadline_flush_serves_partial_batches(self, forecaster, raw_windows, gate):
         config = EngineConfig(max_batch_size=1000, max_delay_ms=5.0)
-        with ServingEngine(forecaster, config) as engine:
-            future = engine.submit(raw_windows[0])
+        with ServingEngine(forecaster, config, faults=gate) as engine:
+            with gate.park(engine, raw_windows[0]):
+                future = engine.submit(raw_windows[0])
+                # Every worker is busy: only the deadline moves the bucket.
+                patience = time.monotonic() + 30
+                while not engine.metrics.deadline_flushes and time.monotonic() < patience:
+                    time.sleep(0.005)
             result = future.result(timeout=60)
             assert result.shape == forecaster.predict(raw_windows[0]).shape
             snapshot = engine.metrics.snapshot()
             assert snapshot["deadline_flushes"] >= 1
 
-    def test_size_flush_has_full_batches(self, forecaster, raw_windows):
+    def test_size_flush_has_full_batches(self, forecaster, raw_windows, gate):
         config = EngineConfig(max_batch_size=4, max_delay_ms=10_000)
-        with ServingEngine(forecaster, config) as engine:
-            futures = [engine.submit(window) for window in raw_windows]
+        with ServingEngine(forecaster, config, faults=gate) as engine:
+            with gate.park(engine, raw_windows[0]):
+                engine.metrics.reset()  # the parking batches are not under test
+                futures = [engine.submit(window) for window in raw_windows]
             for future in futures:
                 future.result(timeout=60)
             snapshot = engine.metrics.snapshot()
@@ -129,10 +136,13 @@ class TestValidation:
 
 
 class TestBackpressure:
-    def test_queue_full_beyond_max_pending(self, forecaster, raw_windows):
+    def test_queue_full_beyond_max_pending(self, forecaster, raw_windows, gate):
         config = EngineConfig(max_batch_size=1000, max_delay_ms=10_000, max_pending=3)
-        engine = ServingEngine(forecaster, config)
+        engine = ServingEngine(forecaster, config, faults=gate)
         try:
+            # Held, so none of the three can complete and free a slot early.
+            gate.park(engine, raw_windows[0])
+            engine.metrics.reset()
             futures = [engine.submit(raw_windows[i]) for i in range(3)]
             with pytest.raises(QueueFull):
                 engine.submit(raw_windows[3])
@@ -142,17 +152,21 @@ class TestBackpressure:
             assert engine.metrics.snapshot()["rejected"] == 2
             assert engine.metrics.snapshot()["submitted"] == 3
         finally:
+            gate.release()
             engine.close()
         # Draining close still answered the accepted three.
         assert all(f.result(timeout=60) is not None for f in futures)
 
-    def test_cancelled_futures_do_not_leak_pending_capacity(self, forecaster, raw_windows):
-        config = EngineConfig(max_batch_size=1000, max_delay_ms=30.0, max_pending=2)
-        with ServingEngine(forecaster, config) as engine:
+    def test_cancelled_futures_do_not_leak_pending_capacity(self, forecaster, raw_windows,
+                                                            gate):
+        # Two workers to park, two requests to cancel: four slots a round.
+        config = EngineConfig(max_batch_size=1000, max_delay_ms=30.0, max_pending=4)
+        with ServingEngine(forecaster, config, faults=gate) as engine:
             for _ in range(3):  # more cancellations than max_pending in total
-                first = engine.submit(raw_windows[0])
-                second = engine.submit(raw_windows[1])
-                assert first.cancel() and second.cancel()
+                with gate.park(engine, raw_windows[0]):
+                    first = engine.submit(raw_windows[0])
+                    second = engine.submit(raw_windows[1])
+                    assert first.cancel() and second.cancel()
                 # Capacity must come back once the batch is swept; without
                 # record_cancelled the 3rd round would wedge on QueueFull.
                 deadline = time.monotonic() + 30
@@ -174,20 +188,24 @@ class TestBackpressure:
 class TestShutdown:
     """Satellite: engine shutdown semantics."""
 
-    def test_close_drains_queued_requests(self, forecaster, raw_windows):
+    def test_close_drains_queued_requests(self, forecaster, raw_windows, gate):
         expected = forecaster.predict(raw_windows)
         config = EngineConfig(max_batch_size=1000, max_delay_ms=60_000)
-        engine = ServingEngine(forecaster, config)
+        engine = ServingEngine(forecaster, config, faults=gate)
+        gate.park(engine, raw_windows[0], until_closing=True)
         futures = [engine.submit(window) for window in raw_windows]
-        # Nothing has been served yet: the bucket deadline is a minute out.
+        # Nothing has been served yet: every worker is busy and the bucket
+        # deadline is a minute out.
         assert engine.metrics.snapshot()["completed"] == 0
         engine.close(drain=True)
         served = np.stack([future.result(timeout=60) for future in futures])
         assert np.array_equal(served, expected)
 
-    def test_close_without_drain_fails_pending_futures(self, forecaster, raw_windows):
+    def test_close_without_drain_fails_pending_futures(self, forecaster, raw_windows,
+                                                       gate):
         config = EngineConfig(max_batch_size=1000, max_delay_ms=60_000)
-        engine = ServingEngine(forecaster, config)
+        engine = ServingEngine(forecaster, config, faults=gate)
+        gate.park(engine, raw_windows[0], until_closing=True)
         futures = [engine.submit(window) for window in raw_windows[:3]]
         engine.close(drain=False)
         for future in futures:

@@ -11,6 +11,8 @@ too.  Every scenario ends with zero unresolved futures.  Honours
 
 import os
 import signal
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -48,8 +50,9 @@ class Harness:
     """Builds engines of one kind over a fresh single-tenant pool and, at
     teardown, checks that nothing any of them accepted was left unresolved."""
 
-    def __init__(self, engine_class):
+    def __init__(self, engine_class, gate):
         self.engine_class = engine_class
+        self.gate = gate
         self.pool, self.windows, self.scenario = build_synthetic_tenants(
             num_tenants=1, num_nodes=8, num_days=4, seed=0, request_windows=8,
         )
@@ -71,6 +74,11 @@ class Harness:
         engine = self.engine_class(self.pool, EngineConfig(**settings), faults, **extra)
         self.engines.append(engine)
         return engine
+
+    def park(self, engine, **kwargs):
+        """Occupy every worker of an engine built with ``faults=self.gate``;
+        see ``conftest.Gate.park``."""
+        return self.gate.park(engine, self.windows[0], TENANT, **kwargs)
 
     def submit(self, engine, index: int, **kwargs):
         future = engine.submit(self.windows[index], tenant=TENANT, **kwargs)
@@ -97,6 +105,7 @@ class Harness:
         return saved
 
     def finish(self):
+        self.gate.release()
         for engine in self.engines:
             engine.close()
         assert all(future.done() for future in self.futures)
@@ -106,8 +115,8 @@ class Harness:
 
 
 @pytest.fixture(params=[ServingEngine, ProcessServingEngine], ids=["thread", "process"])
-def harness(request):
-    harness = Harness(request.param)
+def harness(request, gate):
+    harness = Harness(request.param, gate)
     try:
         yield harness
     finally:
@@ -116,8 +125,9 @@ def harness(request):
 
 class TestAdmission:
     def test_in_queue_expiry_has_structured_fields(self, harness):
-        engine = harness.engine(max_batch_size=8, max_delay_ms=500.0,
+        engine = harness.engine(harness.gate, max_batch_size=8, max_delay_ms=500.0,
                                 supervise_interval_s=0.01)
+        harness.park(engine)
         future = harness.submit(engine, 0, deadline_ms=15.0)
         with pytest.raises(DeadlineExceeded) as excinfo:
             future.result(timeout=60)
@@ -128,13 +138,18 @@ class TestAdmission:
         assert snapshot["expired"] == 1 and snapshot["failed"] == 1
 
     def test_shed_oldest_fails_the_oldest_not_the_newest(self, harness):
-        engine = harness.engine(max_batch_size=8, max_delay_ms=10_000.0,
-                                max_pending=2, overload_policy="shed_oldest")
-        futures = [harness.submit(engine, index) for index in range(3)]
+        engine = harness.engine(harness.gate, max_batch_size=8, max_delay_ms=10_000.0,
+                                max_pending=6, overload_policy="shed_oldest")
+        harness.park(engine)
+        # The parking batches hold slots too (how many is the transport's
+        # business): fill what is left, then one more.
+        room = engine.config.max_pending - engine.metrics.pending
+        futures = [harness.submit(engine, index) for index in range(room + 1)]
+        harness.gate.release()
         engine.close(drain=True)
         with pytest.raises(QueueFull):
             futures[0].result(timeout=60)
-        for index in (1, 2):
+        for index in range(1, room + 1):
             assert np.array_equal(futures[index].result(timeout=60),
                                   harness.direct[index])
         assert engine.metrics.shed == 1
@@ -228,14 +243,19 @@ class TestWorkerFaults:
 
 class TestSettlement:
     def test_cancelled_futures_are_counted_exactly_once(self, harness):
-        engine = harness.engine(max_batch_size=8, max_delay_ms=30.0, max_pending=2)
+        engine = harness.engine(harness.gate, max_batch_size=8, max_delay_ms=30.0,
+                                max_pending=5)
         for _ in range(3):  # more cancellations than max_pending in total
-            first, second = harness.submit(engine, 0), harness.submit(engine, 1)
-            assert first.cancel() and second.cancel()
+            with harness.park(engine):
+                first, second = harness.submit(engine, 0), harness.submit(engine, 1)
+                assert first.cancel() and second.cancel()
             assert wait_until(lambda: engine.metrics.pending == 0)
         snapshot = engine.metrics.snapshot()
         assert snapshot["cancelled"] == 6
-        assert snapshot["completed"] == snapshot["failed"] == 0
+        # A cancelled request is neither completed nor failed: all that
+        # completed were the parking batches.
+        assert snapshot["completed"] == snapshot["submitted"] - 6
+        assert snapshot["failed"] == 0
         assert np.array_equal(harness.submit(engine, 0).result(timeout=60),
                               harness.direct[0])
 
@@ -250,13 +270,86 @@ class TestSettlement:
         assert engine.health()["status"] == "closed"
 
     def test_non_draining_close_fails_the_buffered_requests(self, harness):
-        engine = harness.engine(max_batch_size=16, max_delay_ms=10_000.0)
+        engine = harness.engine(harness.gate, max_batch_size=16, max_delay_ms=10_000.0)
+        harness.park(engine, until_closing=True)
         futures = [harness.submit(engine, index) for index in range(3)]
         engine.close(drain=False)
         for future in futures:
             with pytest.raises(EngineClosed):
                 future.result(timeout=1)
         assert engine.metrics.snapshot()["failed"] == 3
+
+
+class TestWorkConservingBatching:
+    """A request waits for company only while every worker has work; no
+    scenario here depends on how long anything takes."""
+
+    def test_lone_request_on_an_idle_engine_does_not_wait_out_the_deadline(self, harness):
+        engine = harness.engine(max_batch_size=8, max_delay_ms=10_000.0)
+        served = harness.submit(engine, 0).result(timeout=5)
+        assert np.array_equal(served, harness.direct[0])
+        snapshot = engine.metrics()
+        assert snapshot["idle_flushes"] == 1
+        assert snapshot["deadline_flushes"] == snapshot["size_flushes"] == 0
+        assert engine.metrics.snapshot()["idle_flushes"] == 1
+
+    def test_backlog_behind_busy_workers_leaves_as_one_batch(self, harness):
+        engine = harness.engine(harness.gate, max_batch_size=8, max_delay_ms=10_000.0)
+        with harness.park(engine):
+            before = engine.metrics()
+            futures = [harness.submit(engine, index) for index in range(5)]
+            assert engine.stats()["waiting_in_batcher"] == 5
+        served = np.stack([future.result(timeout=60) for future in futures])
+        assert np.array_equal(served, harness.direct[:5])
+        after = engine.metrics()
+        assert after["batches"] == before["batches"] + 1
+        assert after["batched_requests"] == before["batched_requests"] + 5
+        assert after["idle_flushes"] == before["idle_flushes"] + 1
+        assert after["deadline_flushes"] == after["size_flushes"] == 0
+
+    def test_deadline_still_bounds_the_wait_behind_busy_workers(self, harness):
+        engine = harness.engine(harness.gate, max_batch_size=8, max_delay_ms=5.0)
+        with harness.park(engine):
+            future = harness.submit(engine, 0)
+            assert wait_until(lambda: engine.metrics.deadline_flushes == 1)
+            assert engine.stats()["waiting_in_batcher"] == 0
+            assert not future.done()
+        assert np.array_equal(future.result(timeout=60), harness.direct[0])
+
+    def test_completion_flush_racing_close_settles_everything(self, harness):
+        # One engine per race; worker processes make those slow to build,
+        # and the code under test is the transport-independent core.
+        rounds = 200 if harness.engine_class is ServingEngine else 12
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more interleavings per round
+        try:
+            for round_index in range(rounds):
+                self.race_close(harness, drain=bool(round_index % 2),
+                                head_start_s=(round_index // 2 % 4) * 5e-4)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def race_close(harness, drain: bool, head_start_s: float):
+        engine = harness.engine(harness.gate, max_batch_size=8, max_delay_ms=10_000.0)
+        harness.park(engine)
+        futures = [harness.submit(engine, index) for index in range(3)]
+        # The workers finish their batches (and go for the bucket) while
+        # close() shuts the batcher and drains or fails what is in it; the
+        # head start varies who gets there first, the outcome must not care.
+        releaser = threading.Thread(target=harness.gate.release)
+        releaser.start()
+        time.sleep(head_start_s)
+        engine.close(drain=drain)
+        releaser.join(timeout=60)
+        assert not releaser.is_alive()
+        assert all(future.done() for future in futures)
+        assert engine.metrics.pending == 0
+        for index, future in enumerate(futures):
+            if drain or future.exception() is None:
+                assert np.array_equal(future.result(), harness.direct[index])
+            else:
+                assert isinstance(future.exception(), EngineClosed)
 
 
 class TestUpdateLane:

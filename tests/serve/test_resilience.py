@@ -67,25 +67,27 @@ def poison(forecaster):
 
 
 class TestDeadlines:
-    def test_in_queue_expiry_has_structured_fields(self, forecaster, raw_windows):
+    def test_in_queue_expiry_has_structured_fields(self, forecaster, raw_windows, gate):
         slow = EngineConfig(max_batch_size=64, max_delay_ms=500.0,
                             supervise_interval_s=0.01)
-        with ServingEngine(forecaster, slow) as engine:
-            future = engine.submit(raw_windows[0], deadline_ms=15.0)
-            with pytest.raises(DeadlineExceeded) as excinfo:
-                future.result(timeout=60)
-            assert excinfo.value.deadline_ms == 15.0
-            assert excinfo.value.waited_ms >= 15.0
-            snapshot = engine.metrics.snapshot()
+        with ServingEngine(forecaster, slow, faults=gate) as engine:
+            with gate.park(engine, raw_windows[0]):
+                future = engine.submit(raw_windows[0], deadline_ms=15.0)
+                with pytest.raises(DeadlineExceeded) as excinfo:
+                    future.result(timeout=60)
+                assert excinfo.value.deadline_ms == 15.0
+                assert excinfo.value.waited_ms >= 15.0
+                snapshot = engine.metrics.snapshot()
         assert snapshot["expired"] == 1
         assert snapshot["failed"] == 1
 
-    def test_config_default_deadline_applies(self, forecaster, raw_windows):
+    def test_config_default_deadline_applies(self, forecaster, raw_windows, gate):
         slow = EngineConfig(max_batch_size=64, max_delay_ms=500.0,
                             supervise_interval_s=0.01, deadline_default_ms=15.0)
-        with ServingEngine(forecaster, slow) as engine:
-            with pytest.raises(DeadlineExceeded):
-                engine.submit(raw_windows[0]).result(timeout=60)
+        with ServingEngine(forecaster, slow, faults=gate) as engine:
+            with gate.park(engine, raw_windows[0]):
+                with pytest.raises(DeadlineExceeded):
+                    engine.submit(raw_windows[0]).result(timeout=60)
 
     def test_generous_deadline_serves_normally(self, forecaster, raw_windows):
         with ServingEngine(forecaster, fast_config()) as engine:
@@ -100,13 +102,17 @@ class TestDeadlines:
 
 
 class TestOverloadPolicies:
-    def test_shed_oldest_fails_the_oldest_not_the_newest(self, forecaster, raw_windows):
+    def test_shed_oldest_fails_the_oldest_not_the_newest(self, forecaster, raw_windows,
+                                                         gate):
+        # Two slots for the workers' parking batches, two for the queue.
         config = EngineConfig(max_batch_size=1000, max_delay_ms=10_000.0,
-                              max_pending=2, overload_policy="shed_oldest")
-        engine = ServingEngine(forecaster, config)
+                              max_pending=4, overload_policy="shed_oldest")
+        engine = ServingEngine(forecaster, config, faults=gate)
         try:
+            gate.park(engine, raw_windows[0])
             futures = [engine.submit(window) for window in raw_windows[:3]]
         finally:
+            gate.release()
             engine.close(drain=True)
         with pytest.raises(QueueFull):
             futures[0].result(timeout=60)
