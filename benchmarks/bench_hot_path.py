@@ -6,11 +6,13 @@ granularities:
 
 * **full step**: the complete URCL training step (RMIR retrieval, mixup,
   contrastive branch, backward, clipping, Adam) plus batched evaluation.
-  RMIR's candidate scoring makes this largely numpy-compute-bound, so the
-  traced gain here is modest by construction.
-* **hot loop**: the part the tracing layer compiles — the backbone train
-  step (forward, backward, clip, Adam) and the serving-shaped single-window
-  predict — where replay removes all per-op Python dispatch.
+* **hot loop**: the backbone train step (forward, backward, clip, Adam) and
+  the serving-shaped single-window predict.
+
+Only eval-mode ``no_grad`` forwards compile, so training runs on the
+autograd tape in both modes: ``traced_speedup`` compares the two forwards
+that do compile, batched evaluation (``eval``) and single-window
+``predict``.  Training rates stay in the tables as context.
 
 Timing methodology: shared-host CPU speed drifts minute to minute, so each
 dtype's eager and traced runs are split into *interleaved rounds* (eager
@@ -75,10 +77,6 @@ MODES = ("eager", "traced")
 ROUNDS = 4
 NOGRAD_TAX_BATCHES = (1, 16, 64)
 
-# Full-step f32 steps/sec before the tracing layer landed (ROADMAP item 1).
-BASELINE_F32_STEPS_PER_SEC = 8.85
-
-
 def _collect_batches(dataset, batch_size: int, steps: int, seed: int):
     """Materialise ``steps`` training batches (cycling the loader if short)."""
     loader = DataLoader(dataset, batch_size=batch_size, shuffle=True, rng=seed)
@@ -103,7 +101,7 @@ def _cache_summary() -> dict:
     return {
         key: stats[key]
         for key in (
-            "captures", "replays", "backward_replays",
+            "captures", "replays",
             "eager_calls", "untraceable", "shape_misses",
         )
     }
@@ -170,11 +168,11 @@ class _FullStepRunner:
 
 
 class _HotLoopRunner:
-    """One mode's compiled hot loop: backbone train step + serving predict.
+    """One mode's hot loop: backbone train step + serving predict.
 
-    This isolates what the tracing layer accelerates — the per-op Python
-    dispatch of the train/predict loop — from the URCL extras (RMIR
-    scoring, contrastive branch) that surround it in the full step.
+    This isolates the backbone's own train/predict loop from the URCL
+    extras (RMIR scoring, contrastive branch) that surround it in the full
+    step; of the two, only predict compiles.
     """
 
     def __init__(self, dtype: str, seed: int, dataset: str, scale: str,
@@ -273,7 +271,7 @@ def bench_full_step(dtype: str, steps: int, seed: int, dataset: str,
 
 def bench_hot_loop(dtype: str, steps: int, seed: int, dataset: str,
                    scale: str) -> dict:
-    """Interleaved eager/traced sweep of the compiled train/predict hot loop."""
+    """Interleaved eager/traced sweep of the backbone train/predict hot loop."""
     clear_program_cache()
     train_iters = max(steps // 2, 5)
     predict_iters = max(5 * steps, 25)
@@ -393,7 +391,6 @@ def main(argv=None) -> dict:
         "scale": args.scale,
         "steps": args.steps,
         "seed": args.seed,
-        "baseline_f32_steps_per_sec": BASELINE_F32_STEPS_PER_SEC,
         "timings": {},
         "hot_loop": {},
         "nograd_tax": {},
@@ -411,31 +408,20 @@ def main(argv=None) -> dict:
         )
         full, loop = record["timings"][dtype], record["hot_loop"][dtype]
         record["traced_speedup"][dtype] = {
-            "full_step": full["traced"]["steps_per_sec"] / full["eager"]["steps_per_sec"],
             "eval": (
                 full["traced"]["eval_windows_per_sec"]
                 / full["eager"]["eval_windows_per_sec"]
-            ),
-            "hot_loop_train": (
-                loop["traced"]["train_steps_per_sec"]
-                / loop["eager"]["train_steps_per_sec"]
             ),
             "predict": (
                 loop["traced"]["predict_windows_per_sec"]
                 / loop["eager"]["predict_windows_per_sec"]
             ),
-            # Same seeds, same RNG streams: replay must match eager bit-for-bit.
+            # Same seeds, same RNG streams: both modes must agree bit-for-bit.
             "loss_bitwise_equal": (
                 full["traced"]["final_loss"] == full["eager"]["final_loss"]
                 and loop["traced"]["final_loss"] == loop["eager"]["final_loss"]
             ),
         }
-    f32_loop = record["hot_loop"]["float32"]["traced"]["train_steps_per_sec"]
-    f32_full = record["timings"]["float32"]["traced"]["steps_per_sec"]
-    record["f32_vs_baseline"] = {
-        "full_step": f32_full / BASELINE_F32_STEPS_PER_SEC,
-        "hot_loop_train": f32_loop / BASELINE_F32_STEPS_PER_SEC,
-    }
     if not args.skip_parity:
         record["metric_parity"] = bench_metric_parity(args.seed, args.dataset)
 
@@ -463,9 +449,7 @@ def main(argv=None) -> dict:
     for dtype in DTYPES:
         s = record["traced_speedup"][dtype]
         print(
-            f"{dtype} traced speedup: {s['full_step']:.2f}x full step, "
-            f"{s['eval']:.2f}x eval, {s['hot_loop_train']:.2f}x hot-loop train, "
-            f"{s['predict']:.2f}x predict "
+            f"{dtype} traced speedup: {s['eval']:.2f}x eval, {s['predict']:.2f}x predict "
             f"(bit-parity {'ok' if s['loss_bitwise_equal'] else 'FAILED'})"
         )
     for dtype in DTYPES:
@@ -475,11 +459,6 @@ def main(argv=None) -> dict:
             for size, tax in record["nograd_tax"][dtype].items()
         )
         print(f"{dtype} no_grad / grad-mode forward (batched == direct bits ok): {ratios}")
-    base = record["f32_vs_baseline"]
-    print(
-        f"f32 vs pre-compilation baseline ({BASELINE_F32_STEPS_PER_SEC} steps/s): "
-        f"{base['full_step']:.2f}x full step, {base['hot_loop_train']:.2f}x hot-loop train"
-    )
     if "metric_parity" in record:
         diff = record["metric_parity"]["max_abs_diff"]
         print(f"metric parity (Table 3 smoke): max |f32 - f64| = {diff:.2e}")

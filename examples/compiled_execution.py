@@ -1,11 +1,13 @@
-"""Compiled execution: tape capture + replay on the train/predict hot loop.
+"""Compiled execution: tape capture + replay of the served predict.
 
-Tracing is on by default — the first training step or predict call per
-(model, kind, shape, dtype, knobs) key records the op graph, every later
-call replays prebuilt NumPy kernels with no per-op Python dispatch.  This
-example makes the machinery visible: it times an online-update/predict
-loop eagerly and traced, verifies the two paths agree bit-for-bit, and
-dumps the program-cache counters that the serving engine exposes.
+Tracing is on by default and applies to eval-mode ``no_grad`` forwards —
+what ``predict`` runs.  The first predict per (model, kind, shape, dtype,
+knobs) key records the op graph, every later call replays prebuilt NumPy
+kernels with no per-op Python dispatch.  Training (``update``) always runs
+on the autograd tape.  This example makes the machinery visible: it runs an
+online predict/update loop eagerly and traced, times the predict calls,
+verifies the two paths agree bit-for-bit, and dumps the program-cache
+counters that the serving engine exposes.
 
 Run with::
 
@@ -28,8 +30,8 @@ from repro.tensor import (
     traced_execution,
 )
 
-WARMUP = 10  # until the replay buffer fills: shapes shift, programs capture
-STEPS = 20   # steady state: every step replays
+WARMUP = 10  # first predicts capture; excluded from the timing
+STEPS = 20   # steady state: every predict replays
 
 
 def build_forecaster(seed: int = 0) -> tuple[Forecaster, np.ndarray, np.ndarray]:
@@ -74,15 +76,17 @@ def build_forecaster(seed: int = 0) -> tuple[Forecaster, np.ndarray, np.ndarray]
 
 
 def run_loop(forecaster: Forecaster, windows: np.ndarray, targets: np.ndarray):
-    """Serving loop (predict each window, fold it back in), timed after warmup."""
+    """Serving loop (predict each window, fold it back in); returns the
+    predictions and the seconds spent in predict after warmup."""
     predictions = []
-    start = 0.0
+    predict_secs = 0.0
     for i in range(WARMUP + STEPS):
-        if i == WARMUP:
-            start = time.perf_counter()
+        start = time.perf_counter()
         predictions.append(forecaster.predict(windows[i : i + 1]))
+        if i >= WARMUP:
+            predict_secs += time.perf_counter() - start
         forecaster.update(windows[i : i + 1], targets[i : i + 1])
-    return np.stack(predictions), time.perf_counter() - start
+    return np.stack(predictions), predict_secs
 
 
 def main() -> None:
@@ -90,22 +94,22 @@ def main() -> None:
     forecaster, windows, targets = build_forecaster()
     with traced_execution(False):
         eager_out, eager_secs = run_loop(forecaster, windows, targets)
-    print(f"eager : {STEPS / eager_secs:6.1f} update+predict steps/s")
+    print(f"eager : {STEPS / eager_secs:6.1f} predicts/s")
 
     # Traced run from identical initial state (same seed, same RNG streams):
-    # step 1 captures, the rest replay.
+    # the first predict captures, the rest replay.
     set_traced_execution(True)
     clear_program_cache()
     forecaster, windows, targets = build_forecaster()
     traced_out, traced_secs = run_loop(forecaster, windows, targets)
-    print(f"traced: {STEPS / traced_secs:6.1f} update+predict steps/s")
+    print(f"traced: {STEPS / traced_secs:6.1f} predicts/s")
 
     assert np.array_equal(eager_out, traced_out), "replay must be bit-identical"
     print("bit-parity: traced predictions identical to eager")
 
     stats = program_cache_stats()
     interesting = (
-        "captures", "replays", "backward_replays", "structure_hits",
+        "captures", "replays", "structure_hits",
         "shape_misses", "eager_calls", "untraceable", "entries", "bytes",
     )
     print("program cache:", {key: stats[key] for key in interesting})

@@ -187,12 +187,7 @@ class ModelPlane:
         out_shape = tuple(probe.shape[1:])
         out_dtype = probe.dtype.str
 
-        portable = [
-            (fingerprint, structure)
-            for fingerprint, structure in export_structures()
-            if not structure.differentiable and not structure.backward_order
-        ]
-        blob, table = dump_structures(portable)
+        blob, table = dump_structures(export_structures())
 
         arrays = {"network/adjacency": network.adjacency}
         if network.coordinates is not None:

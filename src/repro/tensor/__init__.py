@@ -9,7 +9,7 @@ implementation.  It exposes:
 * :mod:`repro.tensor.grad_check` — numerical gradient checking used by the
   test suite,
 * :mod:`repro.tensor.trace` / :mod:`repro.tensor.program` — tape capture and
-  compiled replay of the train/predict hot loop (see
+  compiled replay of eval-mode ``no_grad`` forwards (see
   :func:`set_traced_execution` and :func:`run_compiled`).
 """
 

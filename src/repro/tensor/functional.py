@@ -168,19 +168,11 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
         return as_tensor(x)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    supplied_rng = rng is not None
-    rng = rng if supplied_rng else np.random.default_rng()
+    rng = rng if rng is not None else np.random.default_rng()
     x = as_tensor(x)
     keep = 1.0 - rate
     mask = (rng.random(x.shape) < keep).astype(x.data.dtype) / keep
-    mask_tensor = Tensor(mask)
-    tape = _TAPE.tape
-    if tape is not None and supplied_rng:
-        # A module-owned generator can be rebound by path so replays draw
-        # from the same stream as eager; a throwaway default_rng cannot, so
-        # the mask stays unregistered and poisons the capture (eager path).
-        tape.register_dropout(mask_tensor, rng, keep, x.data.dtype)
-    return x * mask_tensor
+    return x * Tensor(mask)
 
 
 def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:

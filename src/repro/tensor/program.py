@@ -1,30 +1,26 @@
 """Compiled op-list programs: the replay half of the tracing layer.
 
-A :class:`ProgramStructure` is the declarative capture of one forward (and
-optionally backward) pass through the tensor engine: a flat list of
-:class:`Slot` buffers and :class:`Node` operations recorded by
-:mod:`repro.tensor.trace`.  A :class:`ProgramInstance` binds the structure to
-concrete NumPy buffers (the arena) and pre-builds one closure per node, so a
-replay is a plain ``for kernel in kernels: kernel()`` with zero Tensor
-dispatch, zero graph construction and no per-step allocations for
-intermediates.
+A :class:`ProgramStructure` is the declarative capture of one forward pass
+through the tensor engine (an eval-mode ``no_grad`` forward: programs have
+no backward): a flat list of :class:`Slot` buffers and :class:`Node`
+operations recorded by :mod:`repro.tensor.trace`.  A
+:class:`ProgramInstance` binds the structure to concrete NumPy buffers (the
+arena) and pre-builds one closure per node, so a replay is a plain
+``for kernel in kernels: kernel()`` with zero Tensor dispatch, zero graph
+construction and no per-step allocations for intermediates.
 
 Bit-parity contract
 -------------------
-Every forward kernel runs the *same ufunc sequence* as the eager op it was
-captured from (``out=`` targets do not change NumPy's arithmetic), and every
-backward kernel transcribes the corresponding eager closure in
-:mod:`repro.tensor.tensor` term by term — including the exact expression
-order, the ``_unbroadcast`` reduction steps and the copy-on-first-accumulate
-protocol — so replayed values and gradients are bit-identical to the
-untraced path.
+Every kernel runs the *same ufunc sequence* as the eager op it was captured
+from (``out=`` targets do not change NumPy's arithmetic), so replayed values
+are bit-identical to the untraced forward.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _matmul_execute, _spmm_leading, _spmm_product
+from .tensor import _matmul_execute, _spmm_leading, _spmm_product
 
 __all__ = [
     "Slot",
@@ -72,35 +68,27 @@ class Slot:
 class Node:
     """One recorded operation: ``op(env[ins...]) -> env[out]``."""
 
-    __slots__ = ("op", "ins", "out", "params", "differentiable", "in_requires")
+    __slots__ = ("op", "ins", "out", "params")
 
-    def __init__(self, op, ins, out, params=None, differentiable=False, in_requires=()):
+    def __init__(self, op, ins, out, params=None):
         self.op = op
         self.ins = tuple(ins)
         self.out = out
         self.params = params or {}
-        self.differentiable = differentiable
-        self.in_requires = tuple(in_requires)
 
 
 class ProgramStructure:
     """Declarative op-list program shared across same-architecture models."""
 
-    def __init__(self, slots, nodes, input_slot, out_slot, backward_order,
-                 differentiable, shareable, rng_paths=None):
+    def __init__(self, slots, nodes, input_slot, out_slot, shareable):
         self.slots: list[Slot] = slots
         self.nodes: list[Node] = nodes
         self.input_slot: int = input_slot
         self.out_slot: int = out_slot
-        # Node indices in the exact order the eager DFS would run their
-        # backward closures (captured by simulating Tensor.backward).
-        self.backward_order: list[int] = backward_order
-        self.differentiable: bool = differentiable
-        # True when every leaf binds by name (params) or path (rngs), so the
-        # structure can be re-instantiated for another model of the same
-        # architecture (ModelPool tenants sharing one compiled program).
+        # True when every parameter leaf binds by name, so the structure can
+        # be re-instantiated for another model of the same architecture
+        # (ModelPool tenants sharing one compiled program).
         self.shareable: bool = shareable
-        self.rng_paths: dict[int, str] = rng_paths or {}
 
     @property
     def num_fused_elementwise(self) -> int:
@@ -117,20 +105,18 @@ class ProgramStructure:
 def _plan_slot_reuse(structure: ProgramStructure):
     """Time-share INTER buffers across disjoint-lifetime slots.
 
-    Forward-only programs (no_grad captures: predict / RMIR scoring) never
-    revisit an intermediate once its last consumer has run, so one physical
-    buffer can serve many slots.  That shrinks the replay arena from one
-    buffer per node to roughly the live width of the graph — small enough
-    to stay cache-resident, which is where replay otherwise loses to eager
-    (the allocator hands eager freshly recycled, cache-hot arrays).
+    Every program is forward-only, and a forward never revisits an
+    intermediate once its last consumer has run, so one physical buffer can
+    serve many slots.  That shrinks the replay arena from one buffer per
+    node to roughly the live width of the graph — small enough to stay
+    cache-resident, which is where replay otherwise loses to eager (the
+    allocator hands eager freshly recycled, cache-hot arrays).
 
     Returns ``{slot_index: physical_id}`` for slots that should draw from
-    the shared pool, or ``None`` when reuse is unsafe: programs with a
-    backward pass read saved activations long after the forward pass, and
-    captured loops rewrite their body slots once per iteration.
+    the shared pool, or ``None`` when reuse is unsafe: captured loops
+    rewrite their body slots once per iteration, so a program containing
+    one opts out.
     """
-    if structure.backward_order or structure.differentiable:
-        return None
     nodes = structure.nodes
     if any(node.op == "loop" for node in nodes):
         return None
@@ -179,78 +165,24 @@ def _plan_slot_reuse(structure: ProgramStructure):
     return assign
 
 
-class _Binder:
-    """Resolve PARAM slots (by name) and rng references for an instance."""
-
-    def __init__(self, model):
-        self.model = model
-        self._params = None
-
-    def param(self, name):
-        if self._params is None:
-            self._params = dict(self.model.named_parameters())
-        try:
-            return self._params[name]
-        except KeyError:
-            raise UntraceableError(f"model has no parameter {name!r}") from None
-
-    def rng(self, path):
-        obj = self.model
-        for part in path.split("."):
-            if part:
-                obj = getattr(obj, part)
-        return obj
-
-
-def _make_unbroadcast(src_shape, dst_shape, dtype):
-    """Precompiled mirror of ``tensor._unbroadcast`` with reusable buffers.
-
-    Returns ``fn(grad) -> array`` of shape ``dst_shape`` running the same
-    ``sum``/``reshape`` steps as the eager helper (bit-identical values).
-    """
-    src_shape = tuple(src_shape)
-    dst_shape = tuple(dst_shape)
-    if src_shape == dst_shape:
-        return lambda g: g
-    extra = len(src_shape) - len(dst_shape)
-    steps = []
-    current = src_shape
-    if extra > 0:
-        axes = tuple(range(extra))
-        current = src_shape[extra:]
-        steps.append((axes, False, np.empty(current, dtype=dtype)))
-    axes = tuple(
-        i for i, dim in enumerate(dst_shape) if dim == 1 and current[i] != 1
-    )
-    if axes:
-        current = tuple(1 if i in axes else d for i, d in enumerate(current))
-        steps.append((axes, True, np.empty(current, dtype=dtype)))
-
-    def run(grad):
-        for ax, keep, buf in steps:
-            np.sum(grad, axis=ax, keepdims=keep, out=buf)
-            grad = buf
-        return grad.reshape(dst_shape)
-
-    return run
-
-
 class ProgramInstance:
     """A structure bound to concrete buffers + prebuilt kernels."""
 
     def __init__(self, structure: ProgramStructure, model):
         self.structure = structure
-        binder = _Binder(model)
         slots = structure.slots
         env: list[np.ndarray | None] = [None] * len(slots)
-        leaves: list[Tensor] = []
-        leaf_by_slot: dict[int, Tensor] = {}
+        params = None
         for slot in slots:
             if slot.kind == CONST:
                 env[slot.index] = slot.array
             elif slot.kind == PARAM:
                 if slot.name is not None:
-                    tensor = binder.param(slot.name)
+                    if params is None:
+                        params = dict(model.named_parameters())
+                    tensor = params.get(slot.name)
+                    if tensor is None:
+                        raise UntraceableError(f"model has no parameter {slot.name!r}")
                 else:
                     tensor = slot.leaf
                     if tensor is None:
@@ -260,58 +192,24 @@ class ProgramInstance:
                         f"parameter {slot.name!r} changed shape/dtype since capture"
                     )
                 env[slot.index] = tensor.data
-                if tensor.requires_grad:
-                    leaves.append(tensor)
-                    leaf_by_slot[slot.index] = tensor
             elif slot.kind in (INPUT, AUX):
                 env[slot.index] = np.empty(slot.shape, dtype=slot.dtype)
             # INTER slots are allocated (or view-derived) in node order below.
         self.env = env
         self._reuse_plan = _plan_slot_reuse(structure)
         self._phys: dict[int, np.ndarray] = {}
-        self.model = model
-        self.leaves = tuple(leaves)
-        self._leaf_by_slot = leaf_by_slot
         self.busy = False
-        self.epoch = [0]
-        self._rngs = {
-            slot: binder.rng(path) for slot, path in structure.rng_paths.items()
-        }
-
-        # Gradient buffers for differentiable non-leaf slots, with an epoch
-        # tag implementing the copy-on-first / add-in-place-after protocol.
-        self._gbuf: dict[int, np.ndarray] = {}
-        self._gtag: dict[int, int] = {}
-        requires = self._slot_requires()
-        for slot in slots:
-            if requires[slot.index] and slot.index not in leaf_by_slot and slot.kind != CONST:
-                self._gbuf[slot.index] = np.empty(slot.shape, dtype=slot.dtype)
-                self._gtag[slot.index] = -1
-        self._requires = requires
 
         # Materialise INTER slots (allocating or deriving views) in node
-        # order, then build the kernel lists.
+        # order, then build the kernel list.
         self.forward_kernels: list = []
         for node in structure.nodes:
             self._materialise_out(node)
             kernel = _build_forward(node, self)
             if kernel is not None:
                 self.forward_kernels.append(kernel)
-        self.backward_kernels = [
-            _build_backward(structure.nodes[i], self) for i in structure.backward_order
-        ]
-        self.backward_kernels = [k for k in self.backward_kernels if k is not None]
 
     # ------------------------------------------------------------------ #
-    def _slot_requires(self) -> list[bool]:
-        requires = [False] * len(self.structure.slots)
-        for slot_index, tensor in self._leaf_by_slot.items():
-            requires[slot_index] = tensor.requires_grad
-        for node in self.structure.nodes:
-            if node.differentiable:
-                requires[node.out] = True
-        return requires
-
     def _materialise_out(self, node: Node) -> None:
         slots = self.structure.slots
         out = slots[node.out]
@@ -338,70 +236,24 @@ class ProgramInstance:
         self.env[node.out] = np.empty(out.shape, dtype=out.dtype)
 
     # ------------------------------------------------------------------ #
-    # Gradient plumbing (mirrors Tensor._accumulate semantics exactly)
-    # ------------------------------------------------------------------ #
-    def emitter(self, slot_index: int):
-        """Closure accumulating a gradient contribution into ``slot_index``.
-
-        Leaf slots route through the live ``Tensor._accumulate`` (which
-        copies, because our buffers are persistent — same values as the
-        eager steal).  Non-leaf slots use copy-on-first-touch per epoch.
-        """
-        if not self._requires[slot_index]:
-            return None
-        leaf = self._leaf_by_slot.get(slot_index)
-        if leaf is not None:
-            return leaf._accumulate
-        buf = self._gbuf[slot_index]
-        tags = self._gtag
-        epoch = self.epoch
-
-        def emit(src, fresh=False):
-            if tags[slot_index] != epoch[0]:
-                np.copyto(buf, src)
-                tags[slot_index] = epoch[0]
-            else:
-                np.add(buf, src, out=buf)
-
-        return emit
-
-    def grad_of(self, slot_index: int) -> np.ndarray:
-        return self._gbuf[slot_index]
-
-    def seeded(self, slot_index: int) -> bool:
-        return self._gtag.get(slot_index, -2) == self.epoch[0]
-
-    # ------------------------------------------------------------------ #
     def run_forward(self, input_array: np.ndarray) -> np.ndarray:
         np.copyto(self.env[self.structure.input_slot], input_array)
         for kernel in self.forward_kernels:
             kernel()
         return self.env[self.structure.out_slot]
 
-    def run_backward(self, grad: np.ndarray) -> None:
-        """Replay the captured backward pass (eager closure order)."""
-        self.epoch[0] += 1
-        out = self.structure.out_slot
-        g = np.asarray(grad, dtype=self.structure.slots[out].dtype)
-        np.copyto(self._gbuf[out], g)
-        self._gtag[out] = self.epoch[0]
-        for kernel in self.backward_kernels:
-            kernel()
-
     def arena_nbytes(self) -> int:
-        if self._reuse_plan is not None:
-            # Pooled slots share storage: count each physical buffer once,
-            # plus the un-pooled slots (inputs, aux, view-fallback allocs).
-            pooled = set(self._reuse_plan)
-            total = sum(buf.nbytes for buf in self._phys.values())
-            total += sum(
-                s.nbytes
-                for s in self.structure.slots
-                if s.kind in (INPUT, INTER, AUX) and s.index not in pooled
-            )
-        else:
-            total = self.structure.arena_nbytes()
-        total += sum(buf.nbytes for buf in self._gbuf.values())
+        if self._reuse_plan is None:
+            return self.structure.arena_nbytes()
+        # Pooled slots share storage: count each physical buffer once, plus
+        # the un-pooled slots (inputs, aux, view-fallback allocs).
+        pooled = set(self._reuse_plan)
+        total = sum(buf.nbytes for buf in self._phys.values())
+        total += sum(
+            s.nbytes
+            for s in self.structure.slots
+            if s.kind in (INPUT, INTER, AUX) and s.index not in pooled
+        )
         return total
 
 
@@ -501,21 +353,8 @@ def _build_forward(node: Node, inst: ProgramInstance):
         return relu_kernel
     if op == "clip":
         (a,) = ins
-        mask = env[p["mask"]]
-        flags = env[p["scratch"]]
         lo, hi = p["minimum"], p["maximum"]
-
-        def clip_kernel():
-            np.clip(a, lo, hi, out=o)
-            mask.fill(1.0)
-            if lo is not None:
-                np.greater_equal(a, lo, out=flags)
-                np.multiply(mask, flags, out=mask)
-            if hi is not None:
-                np.less_equal(a, hi, out=flags)
-                np.multiply(mask, flags, out=mask)
-
-        return clip_kernel
+        return lambda: np.clip(a, lo, hi, out=o)
     if op == "sum":
         (a,) = ins
         axis, keepdims = p["axis"], p["keepdims"]
@@ -620,28 +459,6 @@ def _build_forward(node: Node, inst: ProgramInstance):
         (a,) = ins
         axis = p["axis"]
         return lambda: np.amax(a, axis=axis, keepdims=True, out=o)
-    if op == "refresh_dropout":
-        rng = inst._rngs[node.out]
-        keep = p["keep"]
-        shape = o.shape
-        draw_dtype = p.get("dtype", o.dtype)
-
-        draw_buf = np.empty(shape, dtype=np.float64)
-        mask_buf = np.empty(shape, dtype=bool)
-        cast_buf = o if o.dtype == np.dtype(draw_dtype) else np.empty(shape, draw_dtype)
-
-        def dropout_kernel():
-            # Same draw/compare/cast/divide sequence as functional.dropout, so
-            # the mask (and the rng stream position) matches eager bit-for-bit
-            # -- staged through preallocated buffers into the out slot.
-            rng.random(out=draw_buf)
-            np.less(draw_buf, keep, out=mask_buf)
-            np.copyto(cast_buf, mask_buf)
-            np.divide(cast_buf, keep, out=cast_buf)
-            if cast_buf is not o:
-                np.copyto(o, cast_buf)
-
-        return dropout_kernel
     if op == "loop":
         return _build_loop(node, inst)
     raise UntraceableError(f"no forward kernel for op {node.op!r}")
@@ -685,462 +502,3 @@ def _build_loop(node: Node, inst: ProgramInstance):
                 np.copyto(h_in, h_out)
 
     return loop_kernel
-
-
-# ---------------------------------------------------------------------- #
-# Backward kernel builders (transcriptions of the eager closures)
-# ---------------------------------------------------------------------- #
-def _skip_wrap(inst: ProgramInstance, out_slot: int, body):
-    """Mirror the eager ``node.grad is None -> skip`` check."""
-
-    def kernel():
-        if not inst.seeded(out_slot):
-            return
-        body(inst.grad_of(out_slot))
-
-    return kernel
-
-
-def _build_backward(node: Node, inst: ProgramInstance):
-    if not node.differentiable:
-        return None
-    env = inst.env
-    op, p = node.op, node.params
-    slots = inst.structure.slots
-    out_slot = node.out
-    o = env[out_slot]
-    ins = [env[i] for i in node.ins]
-    emits = [inst.emitter(i) if req else None
-             for i, req in zip(node.ins, node.in_requires)]
-    dtype = slots[out_slot].dtype
-    out_shape = slots[out_slot].shape
-
-    def unb(to_slot):
-        return _make_unbroadcast(out_shape, slots[to_slot].shape, dtype)
-
-    scratch = lambda shape=out_shape: np.empty(shape, dtype=dtype)
-
-    if op == "add":
-        ua = unb(node.ins[0]) if emits[0] else None
-        ub = unb(node.ins[1]) if emits[1] else None
-
-        def body(grad):
-            if emits[0]:
-                emits[0](ua(grad))
-            if emits[1]:
-                emits[1](ub(grad))
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "sub":
-        ua = unb(node.ins[0]) if emits[0] else None
-        ub = unb(node.ins[1]) if emits[1] else None
-        t = scratch() if emits[1] else None
-
-        def body(grad):
-            if emits[0]:
-                emits[0](ua(grad))
-            if emits[1]:
-                np.negative(grad, out=t)
-                emits[1](ub(t))
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "mul":
-        a, b = ins
-        ua = unb(node.ins[0]) if emits[0] else None
-        ub = unb(node.ins[1]) if emits[1] else None
-        ta = scratch() if emits[0] else None
-        tb = scratch() if emits[1] else None
-
-        def body(grad):
-            if emits[0]:
-                np.multiply(grad, b, out=ta)
-                emits[0](ua(ta))
-            if emits[1]:
-                np.multiply(grad, a, out=tb)
-                emits[1](ub(tb))
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "div":
-        a, b = ins
-        ua = unb(node.ins[0]) if emits[0] else None
-        ub = unb(node.ins[1]) if emits[1] else None
-        ta = scratch() if emits[0] else None
-        tb = scratch() if emits[1] else None
-        tb2 = scratch() if emits[1] else None
-
-        def body(grad):
-            if emits[0]:
-                np.divide(grad, b, out=ta)
-                emits[0](ua(ta))
-            if emits[1]:
-                # eager: -grad * self.data / (other.data ** 2)
-                np.negative(grad, out=tb)
-                np.multiply(tb, a, out=tb)
-                np.power(b, 2, out=tb2)
-                np.divide(tb, tb2, out=tb)
-                emits[1](ub(tb))
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "neg":
-        t = scratch()
-
-        def body(grad):
-            np.negative(grad, out=t)
-            emits[0](t)
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "pow":
-        (a,) = ins
-        e = p["exponent"]
-        t = scratch()
-        t2 = scratch()
-
-        def body(grad):
-            # eager: grad * exponent * self.data ** (exponent - 1)
-            np.multiply(grad, e, out=t)
-            np.power(a, e - 1, out=t2)
-            np.multiply(t, t2, out=t)
-            emits[0](t)
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "exp":
-        t = scratch()
-
-        def body(grad):
-            np.multiply(grad, o, out=t)
-            emits[0](t)
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "log":
-        (a,) = ins
-        t = scratch()
-
-        def body(grad):
-            np.divide(grad, a, out=t)
-            emits[0](t)
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "sqrt":
-        t = scratch()
-        m = scratch()
-
-        def body(grad):
-            # eager: grad * 0.5 / np.maximum(data, 1e-12)
-            np.multiply(grad, 0.5, out=t)
-            np.maximum(o, 1e-12, out=m)
-            np.divide(t, m, out=t)
-            emits[0](t)
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "abs":
-        (a,) = ins
-        t = scratch()
-        s = scratch()
-
-        def body(grad):
-            np.sign(a, out=s)
-            np.multiply(grad, s, out=t)
-            emits[0](t)
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "tanh":
-        t = scratch()
-
-        def body(grad):
-            # eager: grad * (1.0 - data ** 2)
-            np.power(o, 2, out=t)
-            np.subtract(1.0, t, out=t)
-            np.multiply(grad, t, out=t)
-            emits[0](t)
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "sigmoid":
-        t = scratch()
-        t2 = scratch()
-
-        def body(grad):
-            # eager: grad * data * (1.0 - data)
-            np.multiply(grad, o, out=t)
-            np.subtract(1.0, o, out=t2)
-            np.multiply(t, t2, out=t)
-            emits[0](t)
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "relu":
-        mask = env[p["mask"]]
-        t = scratch()
-
-        def body(grad):
-            np.multiply(grad, mask, out=t)
-            emits[0](t)
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "clip":
-        mask = env[p["mask"]]
-        t = scratch()
-
-        def body(grad):
-            np.multiply(grad, mask, out=t)
-            emits[0](t)
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "sum":
-        (a,) = ins
-        axis, keepdims = p["axis"], p["keepdims"]
-        in_shape = slots[node.ins[0]].shape
-
-        def body(grad):
-            expanded = grad
-            if axis is not None and not keepdims:
-                expanded = np.expand_dims(grad, axis)
-            emits[0](np.broadcast_to(expanded, in_shape))
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "max":
-        (a,) = ins
-        axis, keepdims = p["axis"], p["keepdims"]
-        mask = np.empty(a.shape, dtype=bool)
-        t = np.empty(a.shape, dtype=dtype)
-
-        def body(grad):
-            expanded_data = o
-            expanded_grad = grad
-            if axis is not None and not keepdims:
-                expanded_data = np.expand_dims(o, axis)
-                expanded_grad = np.expand_dims(grad, axis)
-            np.equal(a, expanded_data, out=mask)
-            counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            np.multiply(expanded_grad, mask, out=t)
-            np.divide(t, counts, out=t)
-            emits[0](t)
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "reshape":
-        in_shape = slots[node.ins[0]].shape
-        grad_buf = inst.grad_of(out_slot)
-        view = grad_buf.reshape(in_shape)
-
-        def body(grad):
-            emits[0](view)
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "transpose":
-        inverse = p["inverse"]
-        view = inst.grad_of(out_slot).transpose(inverse)
-
-        def body(grad):
-            emits[0](view)
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "expand_dims":
-        view = np.squeeze(inst.grad_of(out_slot), axis=p["axis"])
-
-        def body(grad):
-            emits[0](view)
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "squeeze":
-        in_shape = slots[node.ins[0]].shape
-        view = inst.grad_of(out_slot).reshape(in_shape)
-
-        def body(grad):
-            emits[0](view)
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "pad":
-        view = inst.grad_of(out_slot)[p["slices"]]
-
-        def body(grad):
-            emits[0](view)
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "getitem":
-        index, basic = p["index"], p["basic"]
-        in_slot = slots[node.ins[0]]
-        full = np.empty(in_slot.shape, dtype=in_slot.dtype)
-
-        def body(grad):
-            full.fill(0)
-            if basic:
-                full[index] = grad
-            else:
-                np.add.at(full, index, grad)
-            emits[0](full)
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "matmul":
-        a, b = ins
-        return _skip_wrap(inst, out_slot, _matmul_backward(node, inst, a, b, emits))
-
-    if op == "spmm":
-        transposed = p["transposed"]
-
-        def body(grad):
-            emits[0](_spmm_leading(transposed, grad))
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "spmm_multi":
-        (a,) = ins
-        transposed, count = p["transposed"], p["count"]
-        size = transposed.shape[0]
-        channels = a.shape[-1]
-
-        def body(grad):
-            g_blocks = grad.reshape(grad.shape[:-1] + (count, channels))
-            g_moved = np.moveaxis(g_blocks, (-2, -3), (0, 1))
-            g_flat = np.ascontiguousarray(g_moved).reshape(count * size, -1)
-            x_grad = transposed @ g_flat
-            lead = np.moveaxis(a, -2, 0).shape[1:]
-            x_grad = np.moveaxis(x_grad.reshape(size, *lead), 0, -2)
-            emits[0](np.ascontiguousarray(x_grad))
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "concatenate":
-        axis = p["axis"]
-        grad_buf = inst.grad_of(out_slot)
-        pieces = []
-        offset = 0
-        for slot_index, emit in zip(node.ins, emits):
-            size = slots[slot_index].shape[axis]
-            index = [slice(None)] * grad_buf.ndim
-            index[axis] = slice(offset, offset + size)
-            pieces.append((grad_buf[tuple(index)], emit))
-            offset += size
-
-        def body(grad):
-            for view, emit in pieces:
-                if emit:
-                    emit(view)
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "stack":
-        axis = p["axis"]
-        grad_buf = inst.grad_of(out_slot)
-        pieces = []
-        for position, emit in enumerate(emits):
-            index = [slice(None)] * grad_buf.ndim
-            index[axis] = position
-            pieces.append((grad_buf[tuple(index)], emit))
-
-        def body(grad):
-            for view, emit in pieces:
-                if emit:
-                    emit(view)
-
-        return _skip_wrap(inst, out_slot, body)
-
-    if op == "where":
-        cond = env[p["condition"]]
-        ua = unb(node.ins[0]) if emits[0] else None
-        ub = unb(node.ins[1]) if emits[1] else None
-        t = scratch()
-        notc = np.empty(cond.shape, dtype=bool)
-
-        def body(grad):
-            if emits[0]:
-                np.multiply(grad, cond, out=t)
-                emits[0](ua(t))
-            if emits[1]:
-                np.logical_not(cond, out=notc)
-                np.multiply(grad, notc, out=t)
-                emits[1](ub(t))
-
-        return _skip_wrap(inst, out_slot, body)
-
-    raise UntraceableError(f"no backward kernel for op {node.op!r}")
-
-
-def _matmul_backward(node, inst, a, b, emits):
-    """Transcription of the four-branch eager matmul backward."""
-    slots = inst.structure.slots
-    dtype = slots[node.out].dtype
-    out_shape = slots[node.out].shape
-    a_shape = slots[node.ins[0]].shape
-    b_shape = slots[node.ins[1]].shape
-
-    if a.ndim == 1 and b.ndim == 1:
-
-        def body(grad):
-            if emits[0]:
-                emits[0](grad * b)
-            if emits[1]:
-                emits[1](grad * a)
-
-        return body
-    if a.ndim == 1:
-
-        def body(grad):
-            if emits[0]:
-                grad_a = (grad[..., None, :] * b).sum(axis=-1)
-                emits[0](_rt_unbroadcast(grad_a, a_shape))
-            if emits[1]:
-                grad_b = a[..., :, None] * grad[..., None, :]
-                emits[1](_rt_unbroadcast(grad_b, b_shape))
-
-        return body
-    if b.ndim == 1:
-
-        def body(grad):
-            if emits[0]:
-                grad_a = grad[..., :, None] * b
-                emits[0](_rt_unbroadcast(grad_a, a_shape))
-            if emits[1]:
-                grad_b = (a * grad[..., :, None]).sum(axis=tuple(range(a.ndim - 1)))
-                emits[1](_rt_unbroadcast(grad_b, b_shape))
-
-        return body
-
-    bT = np.swapaxes(b, -1, -2)
-    aT = np.swapaxes(a, -1, -2)
-    ta = np.empty(out_shape[:-2] + (out_shape[-2], b.shape[-2]), dtype=dtype) if emits[0] else None
-    tb = np.empty(out_shape[:-2] + (a.shape[-1], out_shape[-1]), dtype=dtype) if emits[1] else None
-    ua = _make_unbroadcast(ta.shape, a_shape, dtype) if emits[0] else None
-    ub = _make_unbroadcast(tb.shape, b_shape, dtype) if emits[1] else None
-
-    def body(grad):
-        if emits[0]:
-            np.matmul(grad, bT, out=ta)
-            emits[0](ua(ta))
-        if emits[1]:
-            np.matmul(aT, grad, out=tb)
-            emits[1](ub(tb))
-
-    return body
-
-
-def _rt_unbroadcast(grad, shape):
-    """Runtime mirror of ``tensor._unbroadcast`` for the rare 1-d matmuls."""
-    if grad.shape == tuple(shape):
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, dim in enumerate(shape) if dim == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)

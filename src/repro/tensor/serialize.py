@@ -1,7 +1,7 @@
 """Serialize compiled :class:`ProgramStructure` op-lists across processes.
 
-A captured program is mostly *topology* — slots, node op-lists, backward
-order — plus a set of heavyweight array payloads: baked CONST buffers
+A captured program is mostly *topology* — slots and the node op-list —
+plus a set of heavyweight array payloads: baked CONST buffers
 (diffusion supports, transposes, fused stacks) and the CSR matrices carried
 in ``spmm``/``spmm_multi`` node params.  Shipping a structure to a worker
 process therefore splits it in two:
@@ -16,9 +16,8 @@ process therefore splits it in two:
 
 ``load_structures(blob, arrays)`` is the inverse; the arrays it is handed
 may be read-only shared-memory views.  Only *shareable* structures (every
-PARAM slot binds by dotted name, every rng by dotted path) can travel: a
-non-shareable structure pins live ``Tensor``/``Generator`` objects that do
-not exist in another process.
+PARAM slot binds by dotted name) can travel: a non-shareable structure pins
+live ``Tensor`` objects that do not exist in another process.
 """
 
 from __future__ import annotations
@@ -133,18 +132,12 @@ def _portable_slot(slot: Slot) -> Slot:
 def _portable(structure: ProgramStructure) -> ProgramStructure:
     if not structure.shareable:
         raise ValueError("only shareable structures can be serialized")
-    for path in structure.rng_paths.values():
-        if not isinstance(path, str):
-            raise ValueError("structure pins a process-local rng; not serializable")
     return ProgramStructure(
         [_portable_slot(slot) for slot in structure.slots],
         structure.nodes,
         structure.input_slot,
         structure.out_slot,
-        structure.backward_order,
-        differentiable=structure.differentiable,
         shareable=True,
-        rng_paths=dict(structure.rng_paths),
     )
 
 

@@ -367,6 +367,14 @@ def no_grad():
         _GRAD_MODE.enabled = previous
 
 
+def _released_backward(grad: np.ndarray) -> None:
+    """Closure of an interior node that a finished backward pass freed."""
+    raise RuntimeError(
+        "trying to backward through the graph a second time: backward() frees "
+        "interior nodes as it consumes them; run the forward again"
+    )
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` so that it matches ``shape`` after broadcasting.
 
@@ -566,6 +574,13 @@ class Tensor:
     def backward(self, grad: np.ndarray | float | None = None) -> None:
         """Run reverse-mode autodiff from this tensor.
 
+        The pass frees the graph as it goes (PyTorch semantics): once an
+        interior node's closure has run, its ``grad``, closure and parent
+        links are dropped, so saved activations die as soon as nothing
+        downstream needs them.  Afterwards only leaves and ``self`` hold a
+        ``.grad``, and a second ``backward()`` through a freed node raises
+        ``RuntimeError`` — re-run the forward instead.
+
         Parameters
         ----------
         grad:
@@ -600,10 +615,15 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(order):
+        while order:
+            node = order.pop()  # reverse topological order, root first
             if node._backward is None or node.grad is None:
                 continue
             node._backward(node.grad)
+            if node is not self:
+                node.grad = None
+                node._backward = _released_backward
+                node._parents = ()
 
     # ------------------------------------------------------------------ #
     # Elementwise arithmetic
@@ -853,7 +873,7 @@ class Tensor:
             self._accumulate(grad.transpose(inverse))
 
         return Tensor._make(
-            data, (self,), backward, op="transpose", ctx={"axes": axes, "inverse": inverse}
+            data, (self,), backward, op="transpose", ctx={"axes": axes}
         )
 
     def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
@@ -1032,7 +1052,7 @@ def spmm(matrix, x, transpose=None) -> Tensor:
         (x,),
         backward,
         op="spmm",
-        ctx={"matrix": matrix, "transposed": transposed},
+        ctx={"matrix": matrix},
     )
 
 
@@ -1106,7 +1126,7 @@ def spmm_multi(stacked, x, count: int, transpose=None, rows: int | None = None) 
         (x,),
         backward,
         op="spmm_multi",
-        ctx={"stacked": stacked, "transposed": transposed, "count": count, "rows": rows},
+        ctx={"stacked": stacked, "count": count, "rows": rows},
     )
 
 

@@ -1,13 +1,14 @@
-"""Tape capture for compiled execution of the train/predict hot loop.
+"""Tape capture for compiled execution of eval-mode ``no_grad`` forwards.
 
-On the first call for a ``(model, input-shape, dtype, graph, knobs)`` key,
-:func:`run_compiled` runs the model eagerly under a thread-local
+On the first call for a ``(model, kind, input-shape, dtype, graph, knobs)``
+key, :func:`run_compiled` runs the model eagerly under a thread-local
 :class:`Tape` that records every ``Tensor._make`` site into an explicit
-op-list :class:`~repro.tensor.program.ProgramStructure`.  Subsequent calls
-replay the program through arena-bound kernels (see
-:mod:`repro.tensor.program`) — bit-identical to the untraced path, forward
-and backward — and fall back to eager execution transparently on shape
-misses, unknown ops or data-dependent constants.
+forward-only op-list :class:`~repro.tensor.program.ProgramStructure`.
+Subsequent calls replay the program through arena-bound kernels (see
+:mod:`repro.tensor.program`) — bit-identical to the untraced forward — and
+fall back to eager execution transparently on shape misses, unknown ops or
+data-dependent constants.  Training forwards never compile: they run on the
+autograd tape, whose backward frees the graph as it goes.
 
 The cache is keyed like the diffusion-support cache (content + sparse-knob
 state + dtype) and byte-bounded with LRU eviction; same-architecture models
@@ -60,7 +61,7 @@ __all__ = [
 # ---------------------------------------------------------------------- #
 _ENABLED = True
 _LOCK = threading.RLock()
-_MAX_INSTANCES = 4  # per (model, key): joint-loss double replay + headroom
+_MAX_INSTANCES = 4  # per (model, key): concurrent replays (serving threads)
 _LIMIT_BYTES = 256 * 1024 * 1024
 _MAX_STRUCTURES = 128
 
@@ -73,7 +74,6 @@ _STATS = {
     "captures": 0,
     "replays": 0,
     "forward_replays": 0,
-    "backward_replays": 0,
     "eager_calls": 0,
     "untraceable": 0,
     "shape_misses": 0,
@@ -222,8 +222,7 @@ def _knob_token() -> tuple:
 class Tape:
     """Records the ``Tensor._make`` graph of one model call as an op list."""
 
-    def __init__(self, model):
-        self.model = model
+    def __init__(self):
         self.ok = True
         self.reason = None
         self.slots: list[Slot] = []
@@ -231,28 +230,12 @@ class Tape:
         self.tensor_slots: dict[int, int] = {}
         self.array_slots: dict[int, int] = {}
         self.cond_slots: dict[int, int] = {}
-        self.node_of: dict[int, int] = {}
-        self.parents_map: dict[int, tuple] = {}
         self.fresh: set[int] = set()
         self.declared: set[int] = set()
         self.keep: list = []  # strong refs: keeps ids stable during capture
         self.input_slot: int | None = None
-        self.rng_paths: dict[int, object] = {}
         self.shareable = True
-        self._rng_name_map = self._collect_rngs(model)
         self._in_loop: list[Node] | None = None
-
-    @staticmethod
-    def _collect_rngs(model) -> dict[int, str]:
-        names: dict[int, str] = {}
-        try:
-            for prefix, module in model.named_modules():
-                for attr, value in vars(module).items():
-                    if isinstance(value, np.random.Generator):
-                        names[id(value)] = f"{prefix}.{attr}" if prefix else attr
-        except Exception:
-            pass
-        return names
 
     # -------------------------------------------------------------- #
     def poison(self, reason: str) -> None:
@@ -335,27 +318,12 @@ class Tape:
             return
         out_index = self._new_slot(INTER, out.shape, out.dtype)
         self._bind(out, out_index)
-        node = Node(
-            op,
-            ins,
-            out_index,
-            params=params,
-            differentiable=bool(out.requires_grad),
-            in_requires=tuple(p.requires_grad for p in parents),
-        )
-        sink = self._sink()
-        sink.append(node)
-        if sink is self.nodes:
-            self.node_of[id(out)] = len(self.nodes) - 1
-            self.parents_map[id(out)] = tuple(parents)
+        self._sink().append(Node(op, ins, out_index, params=params))
 
     def _translate(self, op: str, ctx: dict, out: Tensor) -> dict | None:
         params = dict(ctx)
         if op == "relu":
             params["mask"] = self.new_aux(out.shape, bool)
-        elif op == "clip":
-            params["mask"] = self.new_aux(out.shape, out.dtype)
-            params["scratch"] = self.new_aux(out.shape, bool)
         elif op == "where":
             condition = params.pop("condition_array")
             index = self.cond_slots.get(id(condition))
@@ -405,29 +373,6 @@ class Tape:
         self._bind(shift, index)
         self._sink().append(
             Node("refresh_amax", (src,), index, params={"axis": axis})
-        )
-
-    def register_dropout(
-        self, mask: Tensor, rng: np.random.Generator, keep: float, draw_dtype
-    ) -> None:
-        """Register an inverted-dropout mask re-drawn from ``rng`` per replay."""
-        if not self.ok:
-            return
-        index = self.new_aux(mask.shape, mask.dtype)
-        self._bind(mask, index)
-        path = self._rng_name_map.get(id(rng))
-        if path is None:
-            self.shareable = False
-            self.rng_paths[index] = rng
-        else:
-            self.rng_paths[index] = path
-        self._sink().append(
-            Node(
-                "refresh_dropout",
-                (),
-                index,
-                params={"keep": keep, "dtype": np.dtype(draw_dtype)},
-            )
         )
 
     # -------------------------------------------------------------- #
@@ -485,8 +430,6 @@ class Tape:
         else:
             result = h_out
         self.nodes.append(Node("loop", (xs_slot, h0_slot), self.tensor_slots[id(result)], params=params))
-        self.node_of[id(result)] = len(self.nodes) - 1
-        self.parents_map[id(result)] = (xs, h0)
 
         # Materialise the remaining iterations' values (tape suspended) so
         # downstream capture sees the final hidden state / stacked outputs.
@@ -522,37 +465,8 @@ class Tape:
                 slot.name = names.get(id(slot.leaf))
                 if slot.name is None:
                     shareable = False
-
-        # Simulate Tensor.backward's DFS to pin the exact closure order.
-        order: list = []
-        visited: set[int] = set()
-        work: list[tuple] = [(out, False)]
-        while work:
-            node, processed = work.pop()
-            if processed:
-                order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            work.append((node, True))
-            for parent in self.parents_map.get(id(node), ()):
-                if parent.requires_grad and id(parent) not in visited:
-                    work.append((parent, False))
-        backward_order = [
-            self.node_of[id(t)]
-            for t in reversed(order)
-            if id(t) in self.node_of and self.nodes[self.node_of[id(t)]].differentiable
-        ]
         return ProgramStructure(
-            self.slots,
-            self.nodes,
-            self.input_slot,
-            out_slot,
-            backward_order,
-            differentiable=bool(out.requires_grad),
-            shareable=shareable,
-            rng_paths=self.rng_paths,
+            self.slots, self.nodes, self.input_slot, out_slot, shareable=shareable
         )
 
 
@@ -723,7 +637,7 @@ def _acquire(entry: _Entry, model) -> ProgramInstance | None:
 
 
 def _capture(model, fn, x):
-    tape = Tape(model)
+    tape = Tape()
     tape.declare_input(x)
     _TAPE.tape = tape
     try:
@@ -737,46 +651,35 @@ def _capture(model, fn, x):
     return out, structure
 
 
-def _replay(entry: _Entry, instance: ProgramInstance, x: Tensor) -> Tensor:
-    structure = entry.structure
+def _replay(instance: ProgramInstance, x: Tensor) -> Tensor:
     out_buffer = instance.run_forward(x.data)
     _STATS["replays"] += 1
     _STATS["forward_replays"] += 1
-    if structure.differentiable and is_grad_enabled():
-        released = [False]
-
-        def _release():
-            if not released[0]:
-                released[0] = True
-                instance.busy = False
-
-        def backward(grad: np.ndarray) -> None:
-            try:
-                instance.run_backward(grad)
-                _STATS["backward_replays"] += 1
-            finally:
-                _release()
-
-        boundary = Tensor._make(out_buffer, instance.leaves, backward)
-        weakref.finalize(boundary, _release)
-        return boundary
     out = Tensor(out_buffer.copy(), dtype=out_buffer.dtype)
     instance.busy = False
     return out
 
 
-def run_compiled(model, fn, x, *, graph=None, kind="forward", enabled=None):
-    """Execute ``fn(x)`` through the compiled-program cache for ``model``.
+def run_compiled(model, fn, x, *, graph=None, kind="forward"):
+    """Execute ``fn(x)``, replaying a compiled program where one applies.
 
-    Transparent: eager on the first call per key (capturing), on shape/dtype
-    misses, on untraceable graphs, while another capture is active, and
-    whenever traced execution is disabled.  ``graph`` pins the program to a
-    specific :class:`repro.graph.Graph` identity so augmented/evolved graphs
-    never replay against stale supports.
+    Only the forward of an eval-mode model under ``no_grad`` compiles: what
+    :meth:`repro.models.base.STModel.predict` runs for serving and
+    evaluation.  Every other call — a grad-mode training forward, or a
+    training-mode ``no_grad`` forward such as RMIR scoring — runs ``fn(x)``
+    on the autograd tape.  Training call sites still route through here
+    with their ``kind``, so every model forward has one named seam.
+
+    A compiled call is transparent: eager on the first call per key
+    (capturing), on shape/dtype misses, on untraceable graphs, while another
+    capture is active, and whenever traced execution is disabled.  ``graph``
+    pins the program to a specific :class:`repro.graph.Graph` identity so
+    augmented/evolved graphs never replay against stale supports.
     """
-    gate = _ENABLED if enabled is None else enabled
     if (
-        not gate
+        not _ENABLED
+        or is_grad_enabled()
+        or getattr(model, "training", False)
         or not isinstance(x, Tensor)
         or x.requires_grad
         or _TAPE.tape is not None
@@ -790,8 +693,6 @@ def run_compiled(model, fn, x, *, graph=None, kind="forward", enabled=None):
         kind,
         x.shape,
         str(x.dtype),
-        bool(getattr(model, "training", False)),
-        is_grad_enabled(),
         id(graph) if graph is not None else None,
         pctx.trace_token if pctx is not None else None,
         _knob_token(),
@@ -828,7 +729,7 @@ def run_compiled(model, fn, x, *, graph=None, kind="forward", enabled=None):
         # shard blocking in a halo gather inside its program would otherwise
         # deadlock every other shard against the cache lock.
         try:
-            return _replay(entry, instance, x)
+            return _replay(instance, x)
         except Exception:
             instance.busy = False
             raise

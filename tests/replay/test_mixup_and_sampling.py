@@ -11,7 +11,7 @@ from repro.models.graphwavenet import GraphWaveNetBackbone
 from repro.models.stencoder import STEncoderConfig
 from repro.nn.losses import mae_loss
 from repro.replay import RandomSampler, ReplayBuffer, RMIRSampler, STMixup, pearson_similarity
-from repro.tensor import Tensor, no_grad, run_compiled
+from repro.tensor import Tensor, no_grad
 
 
 @pytest.fixture
@@ -197,9 +197,7 @@ class TestRMIRSampler:
         as the oracle for RNG stream, chosen windows and parameter bits."""
         def per_sample_loss(batch_inputs, batch_targets):
             with no_grad():
-                predictions = run_compiled(
-                    model, model.forward, Tensor(batch_inputs), kind="rmir"
-                )
+                predictions = model.forward(Tensor(batch_inputs))
                 errors = np.abs(predictions.data - batch_targets)
                 return errors.reshape(errors.shape[0], -1).mean(axis=1)
 
@@ -209,7 +207,7 @@ class TestRMIRSampler:
         candidate_inputs, candidate_targets = buffer.get(candidate_indices)
         losses_before = per_sample_loss(candidate_inputs, candidate_targets)
         model.zero_grad()
-        predictions = run_compiled(model, model.forward, Tensor(inputs), kind="train")
+        predictions = model.forward(Tensor(inputs))
         loss_fn(predictions, Tensor(targets)).backward()
         saved = []
         for parameter in model.parameters():

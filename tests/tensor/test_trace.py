@@ -1,8 +1,9 @@
 """Traced (tape capture + replay) vs eager bit-parity across the model zoo.
 
-The compiled path must be invisible: forward, backward and optimizer steps
-replayed from a captured program have to produce bit-identical arrays to
-the untraced closures, shape misses must fall back transparently, knob
+The compiled path must be invisible: eval-mode ``no_grad`` forwards replayed
+from a captured program have to produce bit-identical arrays to the untraced
+forward, training must stay on the tape (bit-identical to the backward that
+kept the whole graph), shape misses must fall back transparently, knob
 changes (spatial mode, default dtype) must re-key the program cache, and
 structure sharing must only ever happen between models on the same graph.
 """
@@ -11,20 +12,25 @@ import numpy as np
 import pytest
 
 import repro  # noqa: F401 - registers the model zoo
+from repro.core.config import URCLConfig
+from repro.core.urcl import URCLModel
 from repro.graph import sparse as gs
 from repro.graph.generators import grid_network
 from repro.models.registry import build_model
-from repro.nn.optim import SGD
+from repro.nn.losses import mae_loss
+from repro.nn.optim import Adam
 from repro.tensor import (
     Tensor,
     clear_program_cache,
     default_dtype,
+    no_grad,
     program_cache_stats,
     run_compiled,
     traced_execution,
 )
 
 ZOO = ("graphwavenet", "dcrnn", "geoman", "stgcn", "mtgnn", "agcrn", "stgode")
+URCL_BACKBONES = ("graphwavenet", "dcrnn", "geoman")
 
 SHAPES = {"in_channels": 2, "input_steps": 12, "output_steps": 3, "out_channels": 1}
 
@@ -59,26 +65,92 @@ def _eager_predict(model, x):
         return model.predict(x)
 
 
-def _train_steps(model, x, y, steps=3, traced=True):
-    """SGD steps returning (loss, grads, params) snapshots per step."""
-    optimizer = SGD(model.parameters(), lr=0.05)
-    model.train(True)
-    records = []
-    with traced_execution(traced):
-        for _ in range(steps):
-            out = run_compiled(model, model.forward, Tensor(x), kind="train")
-            diff = out - Tensor(y)
-            loss = (diff * diff).sum()
-            model.zero_grad()
-            loss.backward()
-            grads = [
-                None if p.grad is None else p.grad.copy() for p in model.parameters()
-            ]
-            optimizer.step()
-            records.append(
-                (float(loss.item()), grads, [p.data.copy() for p in model.parameters()])
-            )
-    return records
+# The oracle: ``Tensor.backward`` as it was before it freed the graph as it
+# went, copied verbatim (every interior node keeps its grad and closure).
+def _retaining_backward(self, grad: np.ndarray | float | None = None) -> None:
+    """Run reverse-mode autodiff from this tensor.
+
+    Parameters
+    ----------
+    grad:
+        Upstream gradient.  Defaults to 1.0, which requires ``self`` to
+        be a scalar.
+    """
+    if not self.requires_grad:
+        raise RuntimeError("backward() called on a tensor that does not require grad")
+    if grad is None:
+        if self.size != 1:
+            raise RuntimeError("grad must be provided for non-scalar outputs")
+        grad = np.ones_like(self.data)
+    grad = np.asarray(grad, dtype=self.data.dtype)
+    if grad.shape != self.shape:
+        grad = np.broadcast_to(grad, self.shape).astype(self.data.dtype)
+
+    # Topological order over the graph reachable from ``self``.
+    order: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(self, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in visited:
+                stack.append((parent, False))
+
+    self._accumulate(grad)
+    for node in reversed(order):
+        if node._backward is None or node.grad is None:
+            continue
+        node._backward(node.grad)
+
+
+def _interior_nodes(root):
+    """Every non-leaf tensor of ``root``'s graph, ``root`` excluded."""
+    seen, stack, interior = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node is not root and node._backward is not None:
+            interior.append(node)
+        stack.extend(node._parents)
+    return interior
+
+
+def _training_step(name, network, encoder_config):
+    """One training step plus Adam: (leaf grads, parameters, interior nodes).
+
+    URCL backbones run the full Alg. 1 step over a non-empty buffer (RMIR's
+    virtual step, STMixup, the joint current loss and the STSimSiam views);
+    the other zoo models run the baseline step the trainer gives them.
+    """
+    x, y = _inputs(network, batch=4), _targets(network, batch=4)
+    if name in URCL_BACKBONES:
+        config = URCLConfig(
+            backbone=name, encoder=encoder_config, buffer_capacity=16,
+            replay_sample_size=2, rmir_candidate_pool=4,
+        )
+        model = URCLModel(network, config=config, rng=1, **SHAPES)
+        model.buffer.add_batch(x, y)
+        loss = model.training_step(x + 0.5, y).total_loss
+    else:
+        model = _build(name, network)
+        predictions = run_compiled(model, model.forward, Tensor(x), kind="train")
+        loss = mae_loss(predictions, Tensor(y))
+    interior = _interior_nodes(loss)
+    optimizer = Adam(model.parameters(), lr=0.01)
+    model.zero_grad()
+    loss.backward()
+    grads = [None if p.grad is None else p.grad.copy() for p in model.parameters()]
+    optimizer.step()
+    return grads, [p.data.copy() for p in model.parameters()], interior
 
 
 class TestForwardParity:
@@ -98,25 +170,40 @@ class TestForwardParity:
 
 
 class TestTrainingParity:
+    """Training never compiles: it runs on the tape, whose backward frees the
+    graph as it goes without changing one bit of what it computes."""
+
     @pytest.mark.parametrize("name", ZOO)
-    def test_loss_grads_and_params_bitwise(self, small_network, name):
-        x, y = _inputs(small_network), _targets(small_network)
-        eager = _train_steps(_build(name, small_network), x, y, traced=False)
-        clear_program_cache()
-        traced = _train_steps(_build(name, small_network), x, y, traced=True)
-        stats = program_cache_stats()
-        assert stats["untraceable"] == 0
-        # Step 1 captures; steps 2-3 replay forward AND backward.
-        assert stats["backward_replays"] >= 1
-        for (le, ge, pe), (lt, gt, pt) in zip(eager, traced):
-            assert le == lt
-            for a, b in zip(ge, gt):
-                if a is None or b is None:
-                    assert a is None and b is None
-                else:
-                    assert np.array_equal(a, b)
-            for a, b in zip(pe, pt):
-                assert np.array_equal(a, b)
+    def test_step_bit_identical_to_retaining_backward(
+        self, small_network, tiny_encoder_config, monkeypatch, name
+    ):
+        grads, params, interior = _training_step(name, small_network, tiny_encoder_config)
+        assert interior and all(node.grad is None for node in interior)
+        monkeypatch.setattr(Tensor, "backward", _retaining_backward)
+        ref_grads, ref_params, ref_interior = _training_step(
+            name, small_network, tiny_encoder_config
+        )
+        assert any(node.grad is not None for node in ref_interior)
+        for got, want in zip(grads, ref_grads):
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got, want)
+        for got, want in zip(params, ref_params):
+            assert np.array_equal(got, want)
+
+    def test_grad_or_training_mode_call_leaves_captures_unchanged(self, small_network):
+        model = _build("stgcn", small_network)
+        x = Tensor(_inputs(small_network))
+        before = program_cache_stats()["captures"]
+        model.train(True)
+        run_compiled(model, model.forward, x, kind="train")
+        with no_grad():
+            run_compiled(model, model.forward, x, kind="rmir")
+        model.train(False)
+        run_compiled(model, model.forward, x, kind="eval")
+        assert program_cache_stats()["captures"] == before
+        with no_grad():
+            run_compiled(model, model.forward, x, kind="predict")
+        assert program_cache_stats()["captures"] == before + 1
 
 
 class TestFallbacksAndInvalidation:
