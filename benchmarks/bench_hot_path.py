@@ -46,9 +46,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -68,9 +66,8 @@ from repro.tensor import (
     run_compiled,
     traced_execution,
 )
-from repro.utils.serialization import save_json
 
-RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_hot_path.json"
+from records import append_record
 
 DTYPES = ("float64", "float32")
 MODES = ("eager", "traced")
@@ -463,17 +460,7 @@ def main(argv=None) -> dict:
         diff = record["metric_parity"]["max_abs_diff"]
         print(f"metric parity (Table 3 smoke): max |f32 - f64| = {diff:.2e}")
 
-    history = []
-    if RESULTS_PATH.exists():
-        try:
-            history = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(record)
-    save_json(RESULTS_PATH, history)
-    print(f"recorded to {RESULTS_PATH}")
+    append_record("hot_path", record)
     return record
 
 

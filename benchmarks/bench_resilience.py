@@ -35,17 +35,14 @@ Run directly (no pytest needed)::
 from __future__ import annotations
 
 import argparse
-import json
-from pathlib import Path
 
 import numpy as np
 
 from repro.experiments.reporting import format_table
 from repro.serve import FaultPlan, ServingEngine, build_synthetic_tenants
 from repro.serve.loadgen import resilience_config, run_fault_storm
-from repro.utils.serialization import save_json
 
-RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_resilience.json"
+from records import append_record
 
 # (tenants, concurrency, total requests, nodes, request windows)
 SWEEPS = {
@@ -186,17 +183,7 @@ def main(argv=None) -> dict:
         f"0 lost futures across all phases"
     )
 
-    history = []
-    if RESULTS_PATH.exists():
-        try:
-            history = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(record)
-    save_json(RESULTS_PATH, history)
-    print(f"recorded to {RESULTS_PATH}")
+    append_record("resilience", record)
     return record
 
 

@@ -39,7 +39,6 @@ Run directly (no pytest needed)::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import tempfile
 from pathlib import Path
@@ -57,9 +56,8 @@ from repro.serve import (
 )
 from repro.serve.loadgen import serving_sweep_point
 from repro.serve.tenancy import ModelPool
-from repro.utils.serialization import save_json
 
-RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_serving.json"
+from records import append_record
 
 # The threaded engine's 4-tenant / 2-shard batched throughput collapses to
 # ~556 req/s under the GIL (see the PR-7 record in BENCH_serving.json); the
@@ -641,17 +639,7 @@ def main(argv=None) -> dict:
                 f"(owned+halo bound {worst['bound_fraction']:.3f})"
             )
 
-    history = []
-    if RESULTS_PATH.exists():
-        try:
-            history = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(record)
-    save_json(RESULTS_PATH, history)
-    print(f"recorded to {RESULTS_PATH}")
+    append_record("serving", record)
     return record
 
 

@@ -27,9 +27,7 @@ Run directly (no pytest needed)::
 from __future__ import annotations
 
 import argparse
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -38,9 +36,8 @@ from repro.graph import Graph, sparse as graph_sparse
 from repro.models.gcn import DiffusionGraphConv
 from repro.tensor import Tensor
 from repro.experiments.reporting import format_table
-from repro.utils.serialization import save_json
 
-RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_spatial.json"
+from records import append_record
 
 # (node counts, densities, batch, time steps, channels, repetitions)
 SWEEPS = {
@@ -404,17 +401,7 @@ def main(argv=None) -> dict:
             f"worst {record['worst_augmented_speedup']:.2f}x vs dense fallback"
         )
 
-    history = []
-    if RESULTS_PATH.exists():
-        try:
-            history = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(record)
-    save_json(RESULTS_PATH, history)
-    print(f"recorded to {RESULTS_PATH}")
+    append_record("spatial", record)
     return record
 
 

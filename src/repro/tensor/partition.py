@@ -309,7 +309,7 @@ class PartitionContext:
         return Tensor._make(
             data,
             (x,),
-            _gather_backward,
+            (_gather_backward,),
             op="halo_gather",
             ctx={"exchange": self.exchange, "spec": spec},
         )

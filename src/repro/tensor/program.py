@@ -97,10 +97,6 @@ class ProgramStructure:
                  "abs", "tanh", "sigmoid", "relu", "clip", "where"}
         return sum(1 for node in self.nodes if node.op in chain)
 
-    def arena_nbytes(self) -> int:
-        owned = (INPUT, INTER, AUX)
-        return sum(s.nbytes for s in self.slots if s.kind in owned)
-
 
 def _plan_slot_reuse(structure: ProgramStructure):
     """Time-share INTER buffers across disjoint-lifetime slots.
@@ -243,18 +239,14 @@ class ProgramInstance:
         return self.env[self.structure.out_slot]
 
     def arena_nbytes(self) -> int:
-        if self._reuse_plan is None:
-            return self.structure.arena_nbytes()
-        # Pooled slots share storage: count each physical buffer once, plus
-        # the un-pooled slots (inputs, aux, view-fallback allocs).
-        pooled = set(self._reuse_plan)
-        total = sum(buf.nbytes for buf in self._phys.values())
-        total += sum(
-            s.nbytes
-            for s in self.structure.slots
-            if s.kind in (INPUT, INTER, AUX) and s.index not in pooled
-        )
-        return total
+        """Bytes of the buffers this instance owns, each counted once: pooled
+        slots share one buffer, and a view-derived slot owns none."""
+        owned = {
+            id(array): array.nbytes
+            for slot, array in zip(self.structure.slots, self.env)
+            if slot.kind in (INPUT, INTER, AUX) and array is not None and array.base is None
+        }
+        return sum(owned.values())
 
 
 # ---------------------------------------------------------------------- #

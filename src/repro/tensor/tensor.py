@@ -233,14 +233,16 @@ class ActivationStats:
 
     Counts only *owning* arrays (``base is None``) and each distinct buffer
     once; bytes are released when the last wrapping tensor is collected.
-    Used by the sharding benchmarks to measure per-shard activation memory.
+    ``largest_bytes`` is the largest single buffer seen.  Used by the
+    sharding benchmarks to measure per-shard activation memory.
     """
 
-    __slots__ = ("live_bytes", "peak_bytes", "_counts")
+    __slots__ = ("live_bytes", "peak_bytes", "largest_bytes", "_counts")
 
     def __init__(self):
         self.live_bytes = 0
         self.peak_bytes = 0
+        self.largest_bytes = 0
         self._counts: dict[int, list] = {}
 
     def _note(self, tensor: "Tensor", array: np.ndarray) -> None:
@@ -249,6 +251,7 @@ class ActivationStats:
         entry = self._counts.get(id(array))
         if entry is None:
             self._counts[id(array)] = [1, array.nbytes]
+            self.largest_bytes = max(self.largest_bytes, array.nbytes)
             self.live_bytes += array.nbytes
             if self.live_bytes > self.peak_bytes:
                 self.peak_bytes = self.live_bytes
@@ -367,12 +370,58 @@ def no_grad():
         _GRAD_MODE.enabled = previous
 
 
-def _released_backward(grad: np.ndarray) -> None:
-    """Closure of an interior node that a finished backward pass freed."""
-    raise RuntimeError(
-        "trying to backward through the graph a second time: backward() frees "
-        "interior nodes as it consumes them; run the forward again"
-    )
+class _Node:
+    """The autograd record of one op result that requires grad.
+
+    Holds the result's gradient, the nodes of its parents that require grad
+    (a leaf :class:`Tensor` is its own node) and one VJP per such parent, and
+    no ``.data``: each VJP closes over exactly the arrays it reads, so every
+    other intermediate of the forward dies with its ``Tensor``.
+    """
+
+    __slots__ = ("grad", "_parents", "_vjps", "dtype")
+    requires_grad = True
+
+    def __init__(self, parents: tuple, vjps: tuple, dtype: np.dtype):
+        self.grad: np.ndarray | None = None
+        self._parents = parents
+        self._vjps: tuple | None = vjps
+        self.dtype = dtype
+
+    def _backward(self, grad: np.ndarray) -> None:
+        if self._vjps is None:
+            raise RuntimeError(
+                "trying to backward through the graph a second time: backward() "
+                "frees interior nodes as it consumes them; run the forward again"
+            )
+        for parent, vjp in zip(self._parents, self._vjps):
+            share = vjp(grad)
+            # A VJP returns ``grad`` itself, a view, or an array it allocated.
+            parent._accumulate(share, fresh=share is not grad)
+
+    def _release(self) -> None:
+        self.grad = None
+        self._parents = ()
+        self._vjps = None
+
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """:meth:`Tensor._accumulate` for a node (which has no data to alias)."""
+        g = np.asarray(grad, dtype=self.dtype)
+        if self.grad is None:
+            self.grad = g if g.base is None and (fresh or g is not grad) else g.copy()
+        else:
+            np.add(self.grad, g, out=self.grad)
+
+
+def _take_along(axis: int, key):
+    """VJP of one concatenate/stack input: ``grad[..., key, ...]`` at ``axis``."""
+
+    def vjp(grad: np.ndarray) -> np.ndarray:
+        index = [slice(None)] * grad.ndim
+        index[axis] = key
+        return grad[tuple(index)]
+
+    return vjp
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -434,17 +483,12 @@ class Tensor:
         ``requires_grad`` from freshly created parameters).
     """
 
-    __slots__ = (
-        "data",
-        "requires_grad",
-        "grad",
-        "_backward",
-        "_parents",
-        "name",
-        "__weakref__",
-    )
+    __slots__ = ("data", "requires_grad", "grad", "_node", "name", "__weakref__")
 
     __array_priority__ = 100  # ensure ndarray.__mul__ defers to Tensor
+    # A leaf is its own autograd node: no VJPs, no parents.
+    _backward = None
+    _parents = ()
 
     def __init__(self, data, requires_grad: bool = False, dtype=None, name: str | None = None):
         if isinstance(data, Tensor):
@@ -458,8 +502,7 @@ class Tensor:
         self.data: np.ndarray = array
         self.requires_grad: bool = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._backward: Callable[[np.ndarray], None] | None = None
-        self._parents: tuple[Tensor, ...] = ()
+        self._node: _Node | None = None
         self.name = name
         stats = _ACTIVATIONS.stats
         if stats is not None:
@@ -525,11 +568,19 @@ class Tensor:
         cls,
         data: np.ndarray,
         parents: Sequence["Tensor"],
-        backward: Callable[[np.ndarray], None],
+        vjps: Sequence[Callable[[np.ndarray], np.ndarray]],
         op: str | None = None,
         ctx: dict | None = None,
     ) -> "Tensor":
         """Create a result tensor wired into the autograd graph.
+
+        ``vjps[i]`` maps the result's gradient to ``parents[i]``'s share of it
+        (HIPS/autograd's vector-Jacobian product).  While recording, a result
+        with a parent that requires grad gets a :class:`_Node` holding those
+        parents' nodes and only their VJPs, so a VJP for an operand that needs
+        no gradient is never run and the arrays it closed over die now.  Each
+        VJP must close over exactly the arrays it reads (never a ``Tensor``):
+        that is what lets every other intermediate die with the forward.
 
         The computed dtype is preserved (only *leaf* creation consults the
         default dtype), so a model keeps its precision even when the global
@@ -537,12 +588,13 @@ class Tensor:
         an active capture tape; a ``_make`` without metadata poisons the tape
         (eager fallback) instead of replaying an op it cannot reproduce.
         """
-        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = cls(data, requires_grad=False, dtype=data.dtype)
-        out.requires_grad = requires
-        if requires:
-            out._parents = tuple(parents)
-            out._backward = backward
+        if _GRAD_MODE.enabled:
+            pairs = [(p._node or p, vjp) for p, vjp in zip(parents, vjps) if p.requires_grad]
+            if pairs:
+                nodes, kept = zip(*pairs)
+                out.requires_grad = True
+                out._node = _Node(nodes, kept, data.dtype)
         tape = _TAPE.tape
         if tape is not None:
             tape.record(out, parents, op, ctx)
@@ -574,12 +626,13 @@ class Tensor:
     def backward(self, grad: np.ndarray | float | None = None) -> None:
         """Run reverse-mode autodiff from this tensor.
 
-        The pass frees the graph as it goes (PyTorch semantics): once an
-        interior node's closure has run, its ``grad``, closure and parent
-        links are dropped, so saved activations die as soon as nothing
-        downstream needs them.  Afterwards only leaves and ``self`` hold a
-        ``.grad``, and a second ``backward()`` through a freed node raises
-        ``RuntimeError`` — re-run the forward instead.
+        The pass walks autograd nodes, not tensors: the graph holds only what
+        the VJPs saved, never an intermediate's ``.data``.  It frees the graph
+        as it goes (PyTorch semantics): once an interior node's VJPs have run,
+        its ``grad``, VJPs and parent links are dropped, so saved arrays die
+        as soon as nothing downstream needs them.  Afterwards only leaves and
+        ``self`` hold a ``.grad``, and a second ``backward()`` through a freed
+        node raises ``RuntimeError`` — re-run the forward instead.
 
         Parameters
         ----------
@@ -597,10 +650,11 @@ class Tensor:
         if grad.shape != self.shape:
             grad = np.broadcast_to(grad, self.shape).astype(self.data.dtype)
 
-        # Topological order over the graph reachable from ``self``.
-        order: list[Tensor] = []
+        # Topological order over the graph reachable from ``self``'s node.
+        root = self._node or self
+        order: list = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -614,16 +668,15 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
 
-        self._accumulate(grad)
+        root._accumulate(grad)
         while order:
             node = order.pop()  # reverse topological order, root first
             if node._backward is None or node.grad is None:
                 continue
             node._backward(node.grad)
-            if node is not self:
-                node.grad = None
-                node._backward = _released_backward
-                node._parents = ()
+            if node is not root:
+                node._release()
+        self.grad = root.grad
 
     # ------------------------------------------------------------------ #
     # Elementwise arithmetic
@@ -631,72 +684,53 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         other = as_tensor(other)
         data = self.data + other.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad, self.shape))
-            other._accumulate(_unbroadcast(grad, other.shape))
-
-        return Tensor._make(data, (self, other), backward, op="add")
+        a, b = self.shape, other.shape
+        vjps = (lambda g: _unbroadcast(g, a), lambda g: _unbroadcast(g, b))
+        return Tensor._make(data, (self, other), vjps, op="add")
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Tensor":
         other = as_tensor(other)
         data = self.data - other.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad, self.shape))
-            other._accumulate(_unbroadcast(-grad, other.shape), fresh=True)
-
-        return Tensor._make(data, (self, other), backward, op="sub")
+        a, b = self.shape, other.shape
+        vjps = (lambda g: _unbroadcast(g, a), lambda g: _unbroadcast(-g, b))
+        return Tensor._make(data, (self, other), vjps, op="sub")
 
     def __rsub__(self, other) -> "Tensor":
         return as_tensor(other).__sub__(self)
 
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        data = self.data * other.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad * other.data, self.shape), fresh=True)
-            other._accumulate(_unbroadcast(grad * self.data, other.shape), fresh=True)
-
-        return Tensor._make(data, (self, other), backward, op="mul")
+        x, y = self.data, other.data
+        a, b = x.shape, y.shape
+        vjps = (lambda g: _unbroadcast(g * y, a), lambda g: _unbroadcast(g * x, b))
+        return Tensor._make(x * y, (self, other), vjps, op="mul")
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         other = as_tensor(other)
-        data = self.data / other.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad / other.data, self.shape), fresh=True)
-            other._accumulate(
-                _unbroadcast(-grad * self.data / (other.data**2), other.shape), fresh=True
-            )
-
-        return Tensor._make(data, (self, other), backward, op="div")
+        x, y = self.data, other.data
+        a, b = x.shape, y.shape
+        vjps = (
+            lambda g: _unbroadcast(g / y, a),
+            lambda g: _unbroadcast(-g * x / (y**2), b),
+        )
+        return Tensor._make(x / y, (self, other), vjps, op="div")
 
     def __rtruediv__(self, other) -> "Tensor":
         return as_tensor(other).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
-        data = -self.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad, fresh=True)
-
-        return Tensor._make(data, (self,), backward, op="neg")
+        return Tensor._make(-self.data, (self,), (np.negative,), op="neg")
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("Tensor.__pow__ only supports scalar exponents")
-        data = self.data**exponent
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1), fresh=True)
-
-        return Tensor._make(data, (self,), backward, op="pow", ctx={"exponent": exponent})
+        x = self.data
+        vjps = (lambda g: g * exponent * x ** (exponent - 1),)
+        return Tensor._make(x**exponent, (self,), vjps, op="pow", ctx={"exponent": exponent})
 
     # ------------------------------------------------------------------ #
     # Comparisons (non-differentiable, return plain arrays)
@@ -718,60 +752,34 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def exp(self) -> "Tensor":
         data = np.exp(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * data, fresh=True)
-
-        return Tensor._make(data, (self,), backward, op="exp")
+        return Tensor._make(data, (self,), (lambda g: g * data,), op="exp")
 
     def log(self) -> "Tensor":
-        data = np.log(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data, fresh=True)
-
-        return Tensor._make(data, (self,), backward, op="log")
+        x = self.data
+        return Tensor._make(np.log(x), (self,), (lambda g: g / x,), op="log")
 
     def sqrt(self) -> "Tensor":
         data = np.sqrt(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * 0.5 / np.maximum(data, 1e-12), fresh=True)
-
-        return Tensor._make(data, (self,), backward, op="sqrt")
+        vjps = (lambda g: g * 0.5 / np.maximum(data, 1e-12),)
+        return Tensor._make(data, (self,), vjps, op="sqrt")
 
     def abs(self) -> "Tensor":
-        data = np.abs(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * np.sign(self.data), fresh=True)
-
-        return Tensor._make(data, (self,), backward, op="abs")
+        x = self.data
+        return Tensor._make(np.abs(x), (self,), (lambda g: g * np.sign(x),), op="abs")
 
     def tanh(self) -> "Tensor":
         data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - data**2), fresh=True)
-
-        return Tensor._make(data, (self,), backward, op="tanh")
+        return Tensor._make(data, (self,), (lambda g: g * (1.0 - data**2),), op="tanh")
 
     def sigmoid(self) -> "Tensor":
         data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * data * (1.0 - data), fresh=True)
-
-        return Tensor._make(data, (self,), backward, op="sigmoid")
+        vjps = (lambda g: g * data * (1.0 - data),)
+        return Tensor._make(data, (self,), vjps, op="sigmoid")
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
         data = self.data * mask
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask, fresh=True)
-
-        return Tensor._make(data, (self,), backward, op="relu")
+        return Tensor._make(data, (self,), (lambda g: g * mask,), op="relu")
 
     def clip(self, minimum: float | None = None, maximum: float | None = None) -> "Tensor":
         data = np.clip(self.data, minimum, maximum)
@@ -780,14 +788,10 @@ class Tensor:
             mask = mask * (self.data >= minimum)
         if maximum is not None:
             mask = mask * (self.data <= maximum)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask, fresh=True)
-
         return Tensor._make(
             data,
             (self,),
-            backward,
+            (lambda g: g * mask,),
             op="clip",
             ctx={"minimum": minimum, "maximum": maximum},
         )
@@ -797,15 +801,15 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         data = self.data.sum(axis=axis, keepdims=keepdims)
+        shape = self.shape
 
-        def backward(grad: np.ndarray) -> None:
-            expanded = grad
+        def vjp(grad: np.ndarray) -> np.ndarray:
             if axis is not None and not keepdims:
-                expanded = np.expand_dims(grad, axis)
-            self._accumulate(np.broadcast_to(expanded, self.shape).copy(), fresh=True)
+                grad = np.expand_dims(grad, axis)
+            return np.broadcast_to(grad, shape).copy()
 
         return Tensor._make(
-            data, (self,), backward, op="sum", ctx={"axis": axis, "keepdims": keepdims}
+            data, (self,), (vjp,), op="sum", ctx={"axis": axis, "keepdims": keepdims}
         )
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -823,20 +827,21 @@ class Tensor:
         return result
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.max(axis=axis, keepdims=keepdims)
+        x = self.data
+        data = x.max(axis=axis, keepdims=keepdims)
 
-        def backward(grad: np.ndarray) -> None:
+        def vjp(grad: np.ndarray) -> np.ndarray:
             expanded_data = data
             expanded_grad = grad
             if axis is not None and not keepdims:
                 expanded_data = np.expand_dims(data, axis)
                 expanded_grad = np.expand_dims(grad, axis)
-            mask = self.data == expanded_data
+            mask = x == expanded_data
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(expanded_grad * mask / counts, fresh=True)
+            return expanded_grad * mask / counts
 
         return Tensor._make(
-            data, (self,), backward, op="max", ctx={"axis": axis, "keepdims": keepdims}
+            data, (self,), (vjp,), op="max", ctx={"axis": axis, "keepdims": keepdims}
         )
 
     def min(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -854,12 +859,9 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         data = self.data.reshape(shape)
-        original_shape = self.shape
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.reshape(original_shape))
-
-        return Tensor._make(data, (self,), backward, op="reshape", ctx={"shape": shape})
+        original = self.shape
+        vjps = (lambda g: g.reshape(original),)
+        return Tensor._make(data, (self,), vjps, op="reshape", ctx={"shape": shape})
 
     def transpose(self, *axes) -> "Tensor":
         if not axes:
@@ -868,13 +870,8 @@ class Tensor:
             axes = tuple(axes[0])
         data = self.data.transpose(axes)
         inverse = np.argsort(axes)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.transpose(inverse))
-
-        return Tensor._make(
-            data, (self,), backward, op="transpose", ctx={"axes": axes}
-        )
+        vjps = (lambda g: g.transpose(inverse),)
+        return Tensor._make(data, (self,), vjps, op="transpose", ctx={"axes": axes})
 
     def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
         axes = list(range(self.ndim))
@@ -883,20 +880,14 @@ class Tensor:
 
     def expand_dims(self, axis: int) -> "Tensor":
         data = np.expand_dims(self.data, axis)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(np.squeeze(grad, axis=axis))
-
-        return Tensor._make(data, (self,), backward, op="expand_dims", ctx={"axis": axis})
+        vjps = (lambda g: np.squeeze(g, axis=axis),)
+        return Tensor._make(data, (self,), vjps, op="expand_dims", ctx={"axis": axis})
 
     def squeeze(self, axis: int | None = None) -> "Tensor":
         data = np.squeeze(self.data, axis=axis)
-        original_shape = self.shape
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.reshape(original_shape))
-
-        return Tensor._make(data, (self,), backward, op="squeeze", ctx={"axis": axis})
+        original = self.shape
+        vjps = (lambda g: g.reshape(original),)
+        return Tensor._make(data, (self,), vjps, op="squeeze", ctx={"axis": axis})
 
     def flatten(self) -> "Tensor":
         return self.reshape(-1)
@@ -907,11 +898,8 @@ class Tensor:
         slices = tuple(
             slice(before, before + dim) for (before, _), dim in zip(pad_width, self.shape)
         )
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad[slices])
-
-        return Tensor._make(data, (self,), backward, op="pad", ctx={"slices": slices})
+        vjps = (lambda g: g[slices],)
+        return Tensor._make(data, (self,), vjps, op="pad", ctx={"slices": slices})
 
     def __getitem__(self, index) -> "Tensor":
         data = self.data[index]
@@ -919,7 +907,7 @@ class Tensor:
         dtype = self.data.dtype
         basic = _is_basic_index(index)
 
-        def backward(grad: np.ndarray) -> None:
+        def vjp(grad: np.ndarray) -> np.ndarray:
             full = np.zeros(original_shape, dtype=dtype)
             if basic:
                 # Basic (slice/int) indexing never selects the same element
@@ -928,10 +916,10 @@ class Tensor:
                 full[index] = grad
             else:
                 np.add.at(full, index, grad)
-            self._accumulate(full, fresh=True)
+            return full
 
         return Tensor._make(
-            data, (self,), backward, op="getitem", ctx={"index": index, "basic": basic}
+            data, (self,), (vjp,), op="getitem", ctx={"index": index, "basic": basic}
         )
 
     # ------------------------------------------------------------------ #
@@ -939,49 +927,30 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        data = _matmul_execute(self.data, other.data)
-        a, b = self, other
-
-        def backward(grad: np.ndarray) -> None:
-            # Skip the (potentially huge) product for operands that do not
-            # require grad — mixing against a constant dense support would
-            # otherwise burn a batched (..., n, m) matmul per backward just
-            # to throw the result away.
-            a_data, b_data = a.data, b.data
-            if a_data.ndim == 1 and b_data.ndim == 1:
-                if a.requires_grad:
-                    a._accumulate(grad * b_data, fresh=True)
-                if b.requires_grad:
-                    b._accumulate(grad * a_data, fresh=True)
-                return
-            if a_data.ndim == 1:
-                # (m,) @ (..., m, p) -> (..., p)
-                if a.requires_grad:
-                    grad_a = (grad[..., None, :] * b_data).sum(axis=-1)
-                    a._accumulate(_unbroadcast(grad_a, a.shape), fresh=True)
-                if b.requires_grad:
-                    grad_b = a_data[..., :, None] * grad[..., None, :]
-                    b._accumulate(_unbroadcast(grad_b, b.shape), fresh=True)
-                return
-            if b_data.ndim == 1:
-                # (..., n, m) @ (m,) -> (..., n)
-                if a.requires_grad:
-                    grad_a = grad[..., :, None] * b_data
-                    a._accumulate(_unbroadcast(grad_a, a.shape), fresh=True)
-                if b.requires_grad:
-                    grad_b = (a_data * grad[..., :, None]).sum(
-                        axis=tuple(range(a_data.ndim - 1))
-                    )
-                    b._accumulate(_unbroadcast(grad_b, b.shape), fresh=True)
-                return
-            if a.requires_grad:
-                grad_a = grad @ np.swapaxes(b_data, -1, -2)
-                a._accumulate(_unbroadcast(grad_a, a.shape), fresh=True)
-            if b.requires_grad:
-                grad_b = np.swapaxes(a_data, -1, -2) @ grad
-                b._accumulate(_unbroadcast(grad_b, b.shape), fresh=True)
-
-        return Tensor._make(data, (self, other), backward, op="matmul")
+        x, y = self.data, other.data
+        a, b = x.shape, y.shape
+        if x.ndim == 1 and y.ndim == 1:
+            vjps = (lambda g: g * y, lambda g: g * x)
+        elif x.ndim == 1:
+            # (m,) @ (..., m, p) -> (..., p)
+            vjps = (
+                lambda g: _unbroadcast((g[..., None, :] * y).sum(axis=-1), a),
+                lambda g: _unbroadcast(x[..., :, None] * g[..., None, :], b),
+            )
+        elif y.ndim == 1:
+            # (..., n, m) @ (m,) -> (..., n)
+            vjps = (
+                lambda g: _unbroadcast(g[..., :, None] * y, a),
+                lambda g: _unbroadcast(
+                    (x * g[..., :, None]).sum(axis=tuple(range(x.ndim - 1))), b
+                ),
+            )
+        else:
+            vjps = (
+                lambda g: _unbroadcast(g @ np.swapaxes(y, -1, -2), a),
+                lambda g: _unbroadcast(np.swapaxes(x, -1, -2) @ g, b),
+            )
+        return Tensor._make(_matmul_execute(x, y), (self, other), vjps, op="matmul")
 
     def __rmatmul__(self, other) -> "Tensor":
         return as_tensor(other).__matmul__(self)
@@ -1042,18 +1011,8 @@ def spmm(matrix, x, transpose=None) -> Tensor:
         transpose = None
     data = _spmm_leading(matrix, x.data)
     transposed = transpose if transpose is not None else matrix.T
-
-    def backward(grad: np.ndarray) -> None:
-        # scipy products always allocate, so the buffer is fresh.
-        x._accumulate(_spmm_leading(transposed, grad), fresh=True)
-
-    return Tensor._make(
-        data,
-        (x,),
-        backward,
-        op="spmm",
-        ctx={"matrix": matrix},
-    )
+    vjps = (lambda g: _spmm_leading(transposed, g),)
+    return Tensor._make(data, (x,), vjps, op="spmm", ctx={"matrix": matrix})
 
 
 def spmm_multi(stacked, x, count: int, transpose=None, rows: int | None = None) -> Tensor:
@@ -1108,23 +1067,23 @@ def spmm_multi(stacked, x, count: int, transpose=None, rows: int | None = None) 
     product = _spmm_product(stacked, flat)  # (S*rows, L): the single fused traversal
     # (S, rows, ..., C) -> (..., rows, S, C) -> (..., rows, S*C)
     blocks = np.moveaxis(product.reshape(count, rows, *lead), (0, 1), (-2, -3))
-    out_shape = array.shape[:-2] + (rows, count * array.shape[-1])
+    channels = array.shape[-1]
+    out_shape = array.shape[:-2] + (rows, count * channels)
     data = np.ascontiguousarray(blocks.reshape(out_shape))
     transposed = transpose if transpose is not None else stacked.T
 
-    def backward(grad: np.ndarray) -> None:
+    def vjp(grad: np.ndarray) -> np.ndarray:
         # (..., rows, S*C) -> (S, rows, ..., C) -> (S*rows, L)
-        g_blocks = grad.reshape(grad.shape[:-1] + (count, array.shape[-1]))
+        g_blocks = grad.reshape(grad.shape[:-1] + (count, channels))
         g_moved = np.moveaxis(g_blocks, (-2, -3), (0, 1))
         g_flat = np.ascontiguousarray(g_moved).reshape(count * rows, -1)
         x_grad = transposed @ g_flat  # (N, L): sum_s A_s^T grad_s, fused
-        x_grad = np.moveaxis(x_grad.reshape(size, *lead), 0, -2)
-        x._accumulate(np.ascontiguousarray(x_grad), fresh=True)
+        return np.ascontiguousarray(np.moveaxis(x_grad.reshape(size, *lead), 0, -2))
 
     return Tensor._make(
         data,
         (x,),
-        backward,
+        (vjp,),
         op="spmm_multi",
         ctx={"stacked": stacked, "count": count, "rows": rows},
     )
@@ -1134,29 +1093,19 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` (differentiable)."""
     tensors = [as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * grad.ndim
-            index[axis] = slice(start, stop)
-            tensor._accumulate(grad[tuple(index)])
-
-    return Tensor._make(data, tensors, backward, op="concatenate", ctx={"axis": axis})
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+    vjps = [
+        _take_along(axis, slice(start, stop)) for start, stop in zip(offsets[:-1], offsets[1:])
+    ]
+    return Tensor._make(data, tensors, vjps, op="concatenate", ctx={"axis": axis})
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new ``axis`` (differentiable)."""
     tensors = [as_tensor(t) for t in tensors]
     data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        pieces = np.split(grad, len(tensors), axis=axis)
-        for tensor, piece in zip(tensors, pieces):
-            tensor._accumulate(np.squeeze(piece, axis=axis))
-
-    return Tensor._make(data, tensors, backward, op="stack", ctx={"axis": axis})
+    vjps = [_take_along(axis, position) for position in range(len(tensors))]
+    return Tensor._make(data, tensors, vjps, op="stack", ctx={"axis": axis})
 
 
 def where(condition: np.ndarray, a, b) -> Tensor:
@@ -1165,14 +1114,12 @@ def where(condition: np.ndarray, a, b) -> Tensor:
     b = as_tensor(b)
     condition = np.asarray(condition, dtype=bool)
     data = np.where(condition, a.data, b.data)
-
-    def backward(grad: np.ndarray) -> None:
-        a._accumulate(_unbroadcast(grad * condition, a.shape), fresh=True)
-        b._accumulate(_unbroadcast(grad * ~condition, b.shape), fresh=True)
-
-    return Tensor._make(
-        data, (a, b), backward, op="where", ctx={"condition_array": condition}
+    a_shape, b_shape = a.shape, b.shape
+    vjps = (
+        lambda g: _unbroadcast(g * condition, a_shape),
+        lambda g: _unbroadcast(g * ~condition, b_shape),
     )
+    return Tensor._make(data, (a, b), vjps, op="where", ctx={"condition_array": condition})
 
 
 def maximum(a, b) -> Tensor:

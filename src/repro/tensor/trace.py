@@ -227,12 +227,14 @@ class Tape:
         self.reason = None
         self.slots: list[Slot] = []
         self.nodes: list[Node] = []
-        self.tensor_slots: dict[int, int] = {}
-        self.array_slots: dict[int, int] = {}
-        self.cond_slots: dict[int, int] = {}
+        # id(obj) -> (slot, weakref to obj): the tape pins no intermediate, so
+        # an entry counts only while its weakref still returns that object.
+        self.tensor_slots: dict[int, tuple] = {}
+        self.array_slots: dict[int, tuple] = {}
+        self.cond_slots: dict[int, tuple] = {}
         self.fresh: set[int] = set()
         self.declared: set[int] = set()
-        self.keep: list = []  # strong refs: keeps ids stable during capture
+        self.keep: list = []  # strong refs: keeps ``declared`` ids stable
         self.input_slot: int | None = None
         self.shareable = True
         self._in_loop: list[Node] | None = None
@@ -252,9 +254,17 @@ class Tape:
         return slot.index
 
     def _bind(self, tensor: Tensor, index: int) -> None:
-        self.tensor_slots[id(tensor)] = index
-        self.array_slots[id(tensor.data)] = index
-        self.keep.append(tensor)
+        self.tensor_slots[id(tensor)] = (index, weakref.ref(tensor))
+        self.array_slots[id(tensor.data)] = (index, weakref.ref(tensor.data))
+
+    @staticmethod
+    def _lookup(table: dict, obj) -> int | None:
+        """The slot bound to ``obj`` itself, never to a dead object whose id
+        ``obj`` now reuses."""
+        entry = table.get(id(obj))
+        if entry is None or entry[1]() is not obj:
+            return None
+        return entry[0]
 
     def declare_input(self, tensor: Tensor) -> None:
         index = self._new_slot(INPUT, tensor.shape, tensor.dtype)
@@ -266,16 +276,16 @@ class Tape:
 
     # -------------------------------------------------------------- #
     def resolve(self, tensor: Tensor) -> int | None:
-        index = self.tensor_slots.get(id(tensor))
+        index = self._lookup(self.tensor_slots, tensor)
         if index is not None:
             return index
-        index = self.array_slots.get(id(tensor.data))
+        index = self._lookup(self.array_slots, tensor.data)
         if index is not None and self.slots[index].shape == tensor.shape:
             # detach()/Tensor(x.data): a new wrapper over a traced buffer.
             self._bind(tensor, index)
             return index
         if tensor.requires_grad:
-            if tensor._parents or tensor._backward is not None:
+            if tensor._node is not None:
                 self.poison("input graph crosses the capture boundary")
                 return None
             index = self._new_slot(
@@ -326,7 +336,7 @@ class Tape:
             params["mask"] = self.new_aux(out.shape, bool)
         elif op == "where":
             condition = params.pop("condition_array")
-            index = self.cond_slots.get(id(condition))
+            index = self._lookup(self.cond_slots, condition)
             if index is None:
                 self.poison("where() condition is not a traced mask")
                 return None
@@ -358,8 +368,7 @@ class Tape:
         else:
             params["scalar"] = b
         index = self.new_aux(cond.shape, bool)
-        self.cond_slots[id(cond)] = index
-        self.keep.append(cond)
+        self.cond_slots[id(cond)] = (index, weakref.ref(cond))
         self._sink().append(Node("refresh_cond", ins, index, params=params))
 
     def register_amax(self, shift: Tensor, source: Tensor, axis) -> None:
@@ -401,7 +410,9 @@ class Tape:
             h_out = body(x_t, h_t)
         finally:
             self._in_loop = None
-        h_out_slot = self.tensor_slots.get(id(h_out)) if isinstance(h_out, Tensor) else None
+        h_out_slot = (
+            self._lookup(self.tensor_slots, h_out) if isinstance(h_out, Tensor) else None
+        )
         if not self.ok or h_out_slot is None or not body_nodes:
             # Body could not be captured: finish the remaining iterations
             # eagerly so the caller still gets correct values.
@@ -426,10 +437,10 @@ class Tape:
             out_index = self._new_slot(INTER, out_shape, h_out.dtype)
             self._bind(collected, out_index)
             params["collect"] = out_index
-            result = collected
+            result, result_slot = collected, out_index
         else:
-            result = h_out
-        self.nodes.append(Node("loop", (xs_slot, h0_slot), self.tensor_slots[id(result)], params=params))
+            result, result_slot = h_out, h_out_slot
+        self.nodes.append(Node("loop", (xs_slot, h0_slot), result_slot, params=params))
 
         # Materialise the remaining iterations' values (tape suspended) so
         # downstream capture sees the final hidden state / stacked outputs.
@@ -453,7 +464,7 @@ class Tape:
     def finalize(self, out: Tensor, model) -> ProgramStructure | None:
         if not self.ok or not isinstance(out, Tensor):
             return None
-        out_slot = self.tensor_slots.get(id(out))
+        out_slot = self._lookup(self.tensor_slots, out)
         if out_slot is None or not self.nodes or out_slot == self.input_slot:
             return None
         if self.slots[out_slot].kind != INTER:

@@ -18,16 +18,20 @@ from repro.graph import sparse as gs
 from repro.graph.generators import grid_network
 from repro.models.registry import build_model
 from repro.nn.losses import mae_loss
+from repro.nn.module import Module, Parameter
 from repro.nn.optim import Adam
 from repro.tensor import (
     Tensor,
     clear_program_cache,
+    declare_const,
     default_dtype,
+    export_structures,
     no_grad,
     program_cache_stats,
     run_compiled,
     traced_execution,
 )
+from repro.tensor.program import AUX, INPUT, INTER, ProgramInstance
 
 ZOO = ("graphwavenet", "dcrnn", "geoman", "stgcn", "mtgnn", "agcrn", "stgode")
 URCL_BACKBONES = ("graphwavenet", "dcrnn", "geoman")
@@ -66,7 +70,8 @@ def _eager_predict(model, x):
 
 
 # The oracle: ``Tensor.backward`` as it was before it freed the graph as it
-# went, copied verbatim (every interior node keeps its grad and closure).
+# went, copied verbatim (every interior node keeps its grad and closure)
+# except that it starts from the loss's autograd node.
 def _retaining_backward(self, grad: np.ndarray | float | None = None) -> None:
     """Run reverse-mode autodiff from this tensor.
 
@@ -86,10 +91,11 @@ def _retaining_backward(self, grad: np.ndarray | float | None = None) -> None:
     if grad.shape != self.shape:
         grad = np.broadcast_to(grad, self.shape).astype(self.data.dtype)
 
-    # Topological order over the graph reachable from ``self``.
-    order: list[Tensor] = []
+    # Topological order over the graph reachable from ``self``'s node.
+    root = self._node or self
+    order: list = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(self, False)]
+    stack: list = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -103,15 +109,16 @@ def _retaining_backward(self, grad: np.ndarray | float | None = None) -> None:
             if parent.requires_grad and id(parent) not in visited:
                 stack.append((parent, False))
 
-    self._accumulate(grad)
+    root._accumulate(grad)
     for node in reversed(order):
         if node._backward is None or node.grad is None:
             continue
         node._backward(node.grad)
 
 
-def _interior_nodes(root):
-    """Every non-leaf tensor of ``root``'s graph, ``root`` excluded."""
+def _interior_nodes(loss):
+    """Every interior autograd node of ``loss``'s graph, its root excluded."""
+    root = loss._node
     seen, stack, interior = set(), [root], []
     while stack:
         node = stack.pop()
@@ -283,3 +290,68 @@ class TestStructureSharing:
         stats = program_cache_stats()
         assert stats["captures"] == 2
         assert stats["structure_hits"] == 0
+
+
+class TestArenaBytes:
+    @pytest.mark.parametrize("name", ZOO)
+    def test_counts_each_owned_buffer_once(self, small_network, name):
+        model = _build(name, small_network)
+        x = _inputs(small_network)
+        model.predict(x)
+        model.predict(x)  # the replay builds the one instance
+        (structure,) = [structure for _, structure in export_structures()]
+        instance = ProgramInstance(structure, model)
+        arena = [
+            array
+            for slot, array in zip(structure.slots, instance.env)
+            if slot.kind in (INPUT, INTER, AUX)
+        ]
+        owned = {id(array): array.nbytes for array in arena if array.base is None}
+        assert any(array.base is not None for array in arena)  # views own nothing
+        assert instance.arena_nbytes() == sum(owned.values())
+        assert program_cache_stats()["bytes"] == instance.arena_nbytes()
+
+
+class _Affine(Module):
+    def __init__(self):
+        super().__init__()
+        self.weight = Parameter(np.full(3, 1.5))
+
+
+class TestCaptureIdentity:
+    """The capture tape pins no intermediate: an ``id()`` that a dead traced
+    tensor left behind must never resolve to that tensor's slot."""
+
+    @pytest.mark.parametrize("declared", [True, False])
+    def test_reused_id_never_resolves_to_a_dead_slot(self, declared):
+        model = _Affine().eval()
+        reused = []
+
+        def forward(x):
+            dead = x * 2.0
+            dead_id = id(dead)
+            del dead
+            source = np.full(x.shape, 3.0)
+            alive = []
+            reborn = Tensor(source)
+            while id(reborn) != dead_id and len(alive) < 100_000:
+                alive.append(reborn)
+                reborn = Tensor(source)
+            reused.append(id(reborn) == dead_id)
+            if declared:
+                declare_const(reborn)
+            return x * model.weight + reborn
+
+        def run(x):
+            with no_grad():
+                return run_compiled(model, forward, Tensor(x), kind="predict").data
+
+        x = np.random.default_rng(0).standard_normal((2, 3))
+        with traced_execution(False):
+            eager = run(x)
+        captured, replayed = run(x), run(x)
+        assert reused[1]  # the capture really handed the dead id to ``reborn``
+        assert np.array_equal(captured, eager)
+        assert np.array_equal(replayed, eager)
+        stats = program_cache_stats()
+        assert (stats["replays"], stats["untraceable"]) == ((1, 0) if declared else (0, 1))
