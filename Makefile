@@ -35,7 +35,8 @@ test-parity:
 	for threads in $(BLAS_THREADS); do \
 		OPENBLAS_NUM_THREADS=$$threads $(PYTHON) -m pytest \
 			tests/tensor/test_partition_kernels.py tests/tensor/test_trace.py \
-			tests/serve/test_partition_parity.py tests/serve/test_engine.py \
+			tests/serve/test_partition_parity.py tests/serve/test_sharding.py \
+			tests/serve/test_engine.py \
 			-k "parity or identical or bit" -x -q || exit 1; \
 	done
 
@@ -100,9 +101,10 @@ bench-serving-smoke:
 bench-serving-proc-smoke:
 	$(PYTHON) benchmarks/bench_serving.py --scale smoke --engine process
 
-# Memory-sharded partition forward: bit-parity at K in {2,4} for both
-# planner strategies, min-cut-beats-contiguous, and per-shard peak
-# activation within the owned+halo bound (N=50k at bench scale).
+# Memory-sharded partition forward: bit-parity at K in {2,4}, the min-cut
+# plan cutting fewer edge pairs than identity-order node ranges, and
+# per-shard peak activation within the owned+halo bound (N=50k at bench
+# scale).
 bench-sharding:
 	$(PYTHON) benchmarks/bench_serving.py --engine sharding
 

@@ -8,7 +8,7 @@ and sweeps the three serving axes:
   deadline-based dynamic micro-batcher, at fixed concurrency;
 * **tenants** — traffic interleaved round-robin over T tenant models that
   share one CSR graph through the byte-bounded :class:`ModelPool`;
-* **shards** — node-sharded serving (``replicate`` mode) at K shards.
+* **shards** — node-sharded (memory-partitioned) serving at K shards.
 
 Correctness is asserted inline before any timing: the batched + sharded
 engine must produce *bit-identical* outputs to a direct
@@ -368,6 +368,19 @@ def _shard_activation_peaks(facade, plan, windows: np.ndarray) -> tuple[int, lis
     return full_peak, peaks
 
 
+def _range_cut_pairs(csr, num_shards: int) -> int:
+    """Unordered edge pairs cut by balanced node ranges in identity order —
+    the naive baseline the min-cut planner must beat."""
+    num_nodes = csr.shape[0]
+    bounds = np.linspace(0, num_nodes, num_shards + 1).round().astype(int)
+    owner = np.repeat(np.arange(num_shards), np.diff(bounds))
+    coo = csr.tocoo()
+    cross = owner[coo.row] != owner[coo.col]
+    lo = np.minimum(coo.row, coo.col)[cross].astype(np.int64)
+    hi = np.maximum(coo.row, coo.col)[cross]
+    return len(np.unique(lo * num_nodes + hi))
+
+
 def sharding_leg(scale: str, seed: int) -> dict:
     """Partition-mode serving: exactness, cut quality, per-shard memory."""
     import time
@@ -392,55 +405,42 @@ def sharding_leg(scale: str, seed: int) -> dict:
         record["direct_seconds"] = time.perf_counter() - started
 
         # Exactness + accuracy-vs-cut sweep (traced path, like production).
-        for strategy in ("contiguous", "mincut"):
-            for shards in shard_counts:
-                with ShardedForecaster(
-                    facade, shards, mode="partition", strategy=strategy,
-                    strict=True,
-                ) as sharded:
-                    started = time.perf_counter()
-                    stitched = sharded.predict(windows)
-                    elapsed = time.perf_counter() - started
-                    exact = bool(np.array_equal(stitched, direct))
-                    if not exact:
-                        raise AssertionError(
-                            f"partitioned predict diverged from direct at "
-                            f"K={shards} strategy={strategy} "
-                            f"(max |diff| {np.abs(stitched - direct).max():.3e})"
-                        )
-                    profile = sharded.halo_profile(2)
-                    record["sweep"].append(
-                        {
-                            "strategy": strategy,
-                            "shards": shards,
-                            "bit_identical": exact,
-                            "max_abs_diff": 0.0,
-                            "cut_edge_pairs": int(sharded.plan.cut_edge_pairs),
-                            "edge_cut": float(sharded.plan.edge_cut),
-                            "max_halo_fraction": profile["max_halo_fraction"],
-                            "seconds": elapsed,
-                        }
-                    )
-
-        # Min-cut must actually beat contiguous ranges on the shuffled graph.
         for shards in shard_counts:
-            contiguous = next(
-                p for p in record["sweep"]
-                if p["strategy"] == "contiguous" and p["shards"] == shards
-            )
-            mincut = next(
-                p for p in record["sweep"]
-                if p["strategy"] == "mincut" and p["shards"] == shards
-            )
-            if mincut["cut_edge_pairs"] >= contiguous["cut_edge_pairs"]:
-                raise AssertionError(
-                    f"min-cut planner cut {mincut['cut_edge_pairs']} pairs at "
-                    f"K={shards}, contiguous cut {contiguous['cut_edge_pairs']}"
+            with ShardedForecaster(facade, shards, strict=True) as sharded:
+                started = time.perf_counter()
+                stitched = sharded.predict(windows)
+                elapsed = time.perf_counter() - started
+                exact = bool(np.array_equal(stitched, direct))
+                if not exact:
+                    raise AssertionError(
+                        f"partitioned predict diverged from direct at K={shards} "
+                        f"(max |diff| {np.abs(stitched - direct).max():.3e})"
+                    )
+                profile = sharded.halo_profile(2)
+                cut_pairs = int(sharded.plan.cut_edge_pairs)
+                range_cut_pairs = _range_cut_pairs(graph.csr, shards)
+                # Min-cut must actually beat node ranges on the shuffled graph.
+                if cut_pairs >= range_cut_pairs:
+                    raise AssertionError(
+                        f"min-cut planner cut {cut_pairs} pairs at K={shards}, "
+                        f"identity-order ranges cut {range_cut_pairs}"
+                    )
+                record["sweep"].append(
+                    {
+                        "shards": shards,
+                        "bit_identical": exact,
+                        "max_abs_diff": 0.0,
+                        "cut_edge_pairs": cut_pairs,
+                        "range_cut_edge_pairs": range_cut_pairs,
+                        "edge_cut": float(sharded.plan.edge_cut),
+                        "max_halo_fraction": profile["max_halo_fraction"],
+                        "seconds": elapsed,
+                    }
                 )
 
         # Memory: per-shard peak activation vs the unsharded forward.
         for shards in shard_counts:
-            plan = ShardPlanner(shards, strategy="mincut").plan(graph)
+            plan = ShardPlanner(shards).plan(graph)
             full_peak, shard_peaks = _shard_activation_peaks(facade, plan, windows)
             profile = graph.halo_profile(plan, 2)
             entries = []
@@ -616,13 +616,13 @@ def main(argv=None) -> dict:
         sharding = sharding_leg(args.scale, args.seed)
         record["sharding"] = sharding
         rows = [
-            [p["strategy"], p["shards"], "yes" if p["bit_identical"] else "NO",
-             p["cut_edge_pairs"], f"{p['edge_cut']:.4f}",
+            [p["shards"], "yes" if p["bit_identical"] else "NO",
+             p["cut_edge_pairs"], p["range_cut_edge_pairs"], f"{p['edge_cut']:.4f}",
              f"{p['max_halo_fraction']:.4f}", f"{p['seconds']:.2f}"]
             for p in sharding["sweep"]
         ]
         print(format_table(
-            ["strategy", "shards", "exact", "cut pairs", "edge cut",
+            ["shards", "exact", "cut pairs", "range cut pairs", "edge cut",
              "max halo frac", "seconds"],
             rows,
             title=f"Memory-sharded partition forward — N={sharding['num_nodes']} "

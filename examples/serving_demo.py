@@ -87,30 +87,20 @@ def main() -> None:
         assert result["failed"] == 0
         assert np.isfinite(result["latency_ms"]["p99"])
 
-    # 4. Node-sharded serving (replicate mode): stitched output is
-    #    bit-identical to the unsharded forecaster.
+    # 4. Node-sharded serving: each shard worker holds only its owned node
+    #    rows; spatial mixes gather just the halo rows their CSR columns
+    #    reference through an in-process exchange.  The min-cut planner
+    #    picks the shard boundaries; the stitched output is bit-identical
+    #    to the unsharded forecaster.
     forecaster = pool.forecaster("tenant-1")
     direct = forecaster.predict(windows)
     with ShardedForecaster(forecaster, num_shards=2) as sharded:
         stitched = sharded.predict(windows)
         print(f"sharded serving: {sharded!r}")
     assert np.array_equal(stitched, direct)
-    print("2-shard stitched predictions are bit-identical to direct predict")
-
-    # 4b. True memory sharding (partition mode): each shard worker holds
-    #     only its owned node rows; spatial mixes gather just the halo rows
-    #     their CSR columns reference through an in-process exchange.  The
-    #     min-cut planner picks the shard boundaries; output is still
-    #     bit-identical to the unsharded forecaster.
-    with ShardedForecaster(
-        forecaster, num_shards=2, mode="partition", strategy="mincut"
-    ) as sharded:
-        partitioned = sharded.predict(windows)
-        plan = sharded.plan
-    assert np.array_equal(partitioned, direct)
     print(
-        f"partition mode: 2 memory shards ({plan.strategy} plan, "
-        f"{plan.cut_edge_pairs} cut edge pairs) bit-identical to direct predict"
+        f"2 memory shards ({sharded.plan.cut_edge_pairs} cut edge pairs) "
+        "bit-identical to direct predict"
     )
 
     # 5. Process-parallel serving: the same submit()/future/update API, but

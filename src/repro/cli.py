@@ -141,7 +141,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
                        help="longest a request waits for company behind busy workers "
                             "(an idle worker takes it at once)")
     serve.add_argument("--workers", type=int, default=2, help="engine workers (threads or processes)")
-    serve.add_argument("--shards", type=int, default=1, help="node shards (replicate mode)")
+    serve.add_argument("--shards", type=int, default=1, help="node shards (memory-sharded)")
     serve.add_argument(
         "--engine", choices=("thread", "process"), default="thread",
         help="worker plane: in-process threads or shared-memory worker processes",

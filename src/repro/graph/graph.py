@@ -467,9 +467,7 @@ class Graph:
         """Contiguous CSR row slice ``adjacency[start:stop, :]``.
 
         CSR stores rows contiguously, so a contiguous node range slices in
-        ``O(rows + nnz_block)`` with no re-sorting — the reason shard
-        planning partitions nodes into *contiguous* ranges.  Used by the
-        shard planner to account per-shard edges and cross-shard cut.
+        ``O(rows + nnz_block)`` with no re-sorting.
         """
         if not 0 <= start <= stop <= self.num_nodes:
             raise GraphError(

@@ -6,6 +6,7 @@ import numpy as np
 
 from ..tensor import Tensor
 from ..tensor import functional as F
+from ..tensor import partition
 from ..utils.random import get_rng
 from .linear import Linear
 from .module import Module
@@ -58,7 +59,9 @@ class SpatialAttention(Module):
     """Attention over the node axis of ``(batch, time, nodes, channels)``.
 
     Captures global (non-local) spatial correlations, analogous to the
-    global spatial attention stream of GeoMAN.
+    global spatial attention stream of GeoMAN.  Every node attends over every
+    node, so under memory-sharded inference the shard attends over the
+    full-width gather of its input and keeps its own rows.
     """
 
     def __init__(self, channels: int, attention_dim: int | None = None, rng=None):
@@ -74,6 +77,12 @@ class SpatialAttention(Module):
         x = x if isinstance(x, Tensor) else Tensor(x)
         if x.ndim != 4:
             raise ValueError(f"SpatialAttention expects 4-d input, got {x.shape}")
+        ctx = partition.active_context()
+        if ctx is not None:
+            return ctx.whole_operand(x, self._attend)
+        return self._attend(x)
+
+    def _attend(self, x: Tensor) -> Tensor:
         query = self.query_proj(x)
         key = self.key_proj(x)
         value = self.value_proj(x)

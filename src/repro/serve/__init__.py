@@ -30,8 +30,8 @@ On top of the facade sits the process-level serving stack::
 Requests coalesce in a work-conserving dynamic micro-batcher (a request
 waits for company only while every worker is busy, and then at most
 ``max_delay_ms``), tenants share one CSR graph (supports built once), and
-node-sharded serving stitches per-shard predictions bit-exactly in the
-default ``replicate`` mode.
+node-sharded serving runs each shard's forward on its own node rows and
+stitches the predictions bit-exactly.
 """
 
 from .batching import DynamicBatcher, MicroBatch, PendingRequest

@@ -56,8 +56,8 @@ processes over shared memory.  What they share:
   :class:`~repro.serve.tenancy.ModelPool` (byte-bounded LRU of per-tenant
   checkpoints, one shared graph).
 * **Sharding**: with ``shards > 1`` every tenant is served through a
-  :class:`~repro.serve.sharding.ShardedForecaster`, bit-exact in both the
-  ``replicate`` and the memory-sharded ``partition`` mode.
+  :class:`~repro.serve.sharding.ShardedForecaster`, whose memory-sharded
+  partitioned forward is bit-exact against the unsharded one.
 * **Online updates** go through a serialized update lane
   (:meth:`~EngineCore.update`): one update at a time engine-wide, a
   per-tenant readers/writer lock keeps in-flight predicts from observing
@@ -130,11 +130,8 @@ class EngineConfig:
         Micro-batch size *inside* ``Forecaster.predict`` (one flushed batch
         can be larger than this; the forecaster then chunks it).
     shards:
-        Node shards per tenant (1 disables sharding).
-    shard_mode:
-        ``"replicate"`` (every shard runs the full forward) or
-        ``"partition"`` (each shard runs only its own node rows); both are
-        bit-identical to the unsharded forward.
+        Node shards per tenant (1 disables sharding); each shard runs only
+        its own node rows, bit-identical to the unsharded forward.
     deadline_default_ms:
         Deadline applied to requests that pass none (``None``: no default).
     overload_policy:
@@ -179,7 +176,6 @@ class EngineConfig:
     num_workers: int = 2
     predict_batch_size: int = 256
     shards: int = 1
-    shard_mode: str = "replicate"
     deadline_default_ms: float | None = None
     overload_policy: str = "reject"
     max_retries: int = 2
@@ -204,10 +200,6 @@ class EngineConfig:
             raise ConfigurationError(f"num_workers must be >= 1, got {self.num_workers}")
         if self.shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
-        if self.shard_mode not in ("replicate", "partition"):
-            raise ConfigurationError(
-                f"shard_mode must be 'replicate' or 'partition', got {self.shard_mode!r}"
-            )
         if self.deadline_default_ms is not None and self.deadline_default_ms <= 0:
             raise ConfigurationError(
                 f"deadline_default_ms must be positive, got {self.deadline_default_ms}"
@@ -263,7 +255,7 @@ class EngineConfig:
 # What stats() echoes of the configuration.
 _STATS_CONFIG = (
     "max_batch_size", "max_delay_ms", "max_pending", "num_workers", "shards",
-    "shard_mode", "overload_policy", "max_retries", "wedge_timeout_s",
+    "overload_policy", "max_retries", "wedge_timeout_s",
     "breaker_failures", "nan_policy", "fallback",
 )
 
@@ -1035,14 +1027,14 @@ class ServingEngine(EngineCore):
                     "the pool already decorates tenants; configure sharding in "
                     "one place (EngineConfig.shards or the pool decorator)"
                 )
-            shards, mode = self.config.shards, self.config.shard_mode
-            self.pool._decorate = lambda f: ShardedForecaster(f, shards, mode=mode)
+            shards = self.config.shards
+            self.pool._decorate = lambda f: ShardedForecaster(f, shards)
             # Already-resident tenants (put() before the engine existed)
             # get their serving view retrofitted.
             for tenant in self.pool.resident:
                 entry = self.pool.get(tenant)
                 if entry.served is entry.forecaster:
-                    entry.served = ShardedForecaster(entry.forecaster, shards, mode=mode)
+                    entry.served = ShardedForecaster(entry.forecaster, shards)
         self._workers_lock = threading.Lock()
         self._worker_seq = itertools.count()
         self._workers: list[_Worker] = []

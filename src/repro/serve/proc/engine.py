@@ -231,7 +231,6 @@ class ProcessServingEngine(EngineCore):
         )
         self._serving_spec = {
             "shards": self.config.shards,
-            "shard_mode": self.config.shard_mode,
             "predict_batch_size": self.config.predict_batch_size,
         }
         self.worker_metrics = WorkerMetricsPlane.create(self.config.num_workers)

@@ -103,11 +103,7 @@ def worker_main(
         forecaster, generation = plane.build_forecaster(tenant, network)
         served = forecaster
         if serving.get("shards", 1) > 1:
-            served = ShardedForecaster(
-                forecaster,
-                serving["shards"],
-                mode=serving.get("shard_mode", "replicate"),
-            )
+            served = ShardedForecaster(forecaster, serving["shards"])
         states[tenant] = {
             "forecaster": forecaster,
             "served": served,

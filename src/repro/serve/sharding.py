@@ -1,52 +1,39 @@
-"""Node-sharded inference: bandwidth-aware shard planning + exact partition.
+"""Node-sharded inference: min-cut shard planning + the exact partitioned forward.
 
-The sensor network's nodes are partitioned into ``K`` shards
-(:class:`ShardPlanner`).  Two strategies:
-
-* ``"contiguous"`` — balanced contiguous ranges in original node order
-  (identity permutation).  A contiguous node range is a contiguous CSR row
-  block of the shared adjacency, so per-shard edge accounting never
-  re-sorts indices.
-* ``"mincut"`` — greedy graph-growing (GGGP-style) over the symmetrised
-  structure: each part grows from a min-degree seed by maximum gain
-  (neighbours already inside the part) to a balanced size target.  The plan
-  carries the resulting node *permutation*; shard ``k`` owns the permuted
-  positions ``[start, stop)`` and :meth:`ShardPlan.owned` returns its
-  original node ids (ascending).  Cut accounting is explicit about
-  direction: ``cut_edges`` counts *directed* crossing edges,
-  ``cut_edge_pairs`` counts unordered crossing pairs of the symmetrised
-  structure.
+The sensor network's nodes are partitioned into ``K`` balanced shards by
+:class:`ShardPlanner`: greedy graph growing (GGGP-style) over the symmetrised
+structure, each part growing from a min-degree seed by maximum gain
+(neighbours already inside the part) to a balanced size target.  A plan
+needs at least two nodes per shard.  It carries the resulting node
+*permutation* (the identity at ``K = 1``); shard ``k`` owns the permuted
+positions ``[start, stop)`` and :meth:`ShardPlan.owned` returns its original
+node ids (ascending).  Cut accounting is explicit about direction:
+``cut_edges`` counts *directed* crossing edges, ``cut_edge_pairs`` counts
+unordered crossing pairs of the symmetrised structure.
 
 :class:`ShardedForecaster` is the serving view over one
-:class:`~repro.serve.forecaster.Forecaster`:
+:class:`~repro.serve.forecaster.Forecaster`: each shard thread runs the
+forward on *only its owned node rows*.  Spatial mixes are intercepted by a
+thread-local :class:`repro.tensor.PartitionContext`: the shard's rectangular
+CSR row block (cached per ``(support, plan)``) consumes a gathered operand
+assembled by an in-process :class:`HaloExchange` that moves exactly the halo
+rows the block's columns reference.  Per-shard activation memory is
+``O(N/K + halo)`` and outputs are **bit-identical** to the unsharded
+forward: CSR row accumulation order is preserved by the block construction,
+and channel matmuls run through the fixed-size blocked
+:func:`repro.tensor.tensor._matmul_execute` with shard boundaries aligned to
+the block size (plus the graph tail pinned to the last shard), so every node
+row sees byte-identical BLAS calls in both paths.  For graphs smaller than
+``K *`` block size the guarantee instead rests on the verified small-width
+envelope (contraction dims < 256 and shard sizes >= 2 — the whole model zoo
+qualifies).  Node-global layers (dense/global supports such as the adaptive
+adjacency, GeoMAN's spatial attention) take an exact full-width gather
+(:meth:`PartitionContext.whole_operand`), which ``strict=True`` rejects
+instead (guaranteeing no full-``N`` activation is ever materialised).
 
-* ``mode="replicate"`` (default, **exact**): every shard worker runs the
-  full-graph forward and contributes only its own node rows to the stitched
-  output — the replica-per-partition topology, bit-identical to the
-  unsharded ``predict`` by construction (compute is replicated).
-* ``mode="partition"`` (**exact, memory-sharded**): each shard thread runs
-  the forward on *only its owned node rows*.  Spatial mixes are intercepted
-  by a thread-local :class:`repro.tensor.PartitionContext`: the shard's
-  rectangular CSR row block (cached per ``(support, plan)``) consumes a
-  gathered operand assembled by an in-process :class:`HaloExchange` that
-  moves exactly the halo rows the block's columns reference.  Per-shard
-  activation memory is ``O(N/K + halo)`` and outputs are **bit-identical**
-  to the unsharded forward: CSR row accumulation order is preserved by the
-  block construction, and channel matmuls run through the fixed-size
-  blocked :func:`repro.tensor.tensor._matmul_execute` with shard boundaries
-  aligned to the block size (plus the graph tail pinned to the last shard),
-  so every node row sees byte-identical BLAS calls in both paths.  For
-  graphs smaller than ``K *`` block size the guarantee instead rests on the
-  verified small-width envelope (contraction dims < 256 and shard sizes
-  >= 2 — the whole model zoo qualifies).  Dense/global supports (adaptive
-  adjacency) fall back to an exact full-width gather, which
-  ``strict=True`` rejects instead (guaranteeing no full-``N`` activation is
-  ever materialised).
-
-Replicate workers run on a thread pool and the first call warms caches
-sequentially.  Partition workers are *lockstep* (every gather pairs with
-the peers' same-round gathers), so they always run concurrently and predict
-calls are serialised by a lock.
+Shard workers are *lockstep* (every gather pairs with the peers' same-round
+gathers), so they always run concurrently and predict calls are serialised
+by a lock.
 """
 
 from __future__ import annotations
@@ -66,10 +53,6 @@ from ..graph.graph import Graph
 from ..tensor import MATMUL_BLOCK_ROWS, PartitionContext, HaloExchange, partition_scope
 
 __all__ = ["Shard", "ShardPlan", "ShardPlanner", "ShardedForecaster"]
-
-_SHARD_MODES = ("replicate", "partition")
-
-_STRATEGIES = ("contiguous", "mincut")
 
 _PLAN_TOKENS = itertools.count(1)
 
@@ -100,19 +83,17 @@ class Shard:
 class ShardPlan:
     """A full partition of a graph's nodes into ``K`` shards.
 
-    ``permutation`` maps permuted position -> original node id
-    (``None`` means identity / contiguous planning); within every shard the
-    ids are ascending, so :meth:`owned` is always a sorted array.  ``token``
-    uniquely identifies this plan instance — the partitioned-support cache
-    keys on it.
+    ``permutation`` maps permuted position -> original node id; within
+    every shard the ids are ascending, so :meth:`owned` is always a sorted
+    array.  ``token`` uniquely identifies this plan instance — the
+    partitioned-support cache keys on it.
     """
 
     shards: tuple[Shard, ...]
     num_nodes: int
     total_edges: int
-    strategy: str = "contiguous"
-    cut_edge_pairs: int = 0
-    permutation: np.ndarray | None = field(default=None, compare=False, repr=False)
+    cut_edge_pairs: int
+    permutation: np.ndarray = field(compare=False, repr=False)
     token: int = field(default_factory=lambda: next(_PLAN_TOKENS), compare=False)
 
     @property
@@ -131,13 +112,7 @@ class ShardPlan:
 
     @cached_property
     def _owned(self) -> tuple:
-        out = []
-        for shard in self.shards:
-            if self.permutation is None:
-                out.append(np.arange(shard.start, shard.stop, dtype=np.int64))
-            else:
-                out.append(np.asarray(self.permutation[shard.start : shard.stop]))
-        return tuple(out)
+        return tuple(self.permutation[shard.start : shard.stop] for shard in self.shards)
 
     def owned(self, index: int) -> np.ndarray:
         """Original node ids owned by shard ``index`` (ascending)."""
@@ -165,7 +140,6 @@ class ShardPlan:
             "num_shards": self.num_shards,
             "num_nodes": int(self.num_nodes),
             "total_edges": int(self.total_edges),
-            "strategy": self.strategy,
             "cut_edges": int(self.cut_edges),
             "edge_cut": float(self.edge_cut),
             "cut_edge_pairs": int(self.cut_edge_pairs),
@@ -184,35 +158,26 @@ class ShardPlan:
 
 
 class ShardPlanner:
-    """Partition a graph's nodes into ``K`` balanced shards.
+    """Partition a graph's nodes into ``K`` balanced min-cut shards.
 
-    ``strategy="contiguous"`` reproduces balanced contiguous ranges in the
-    original order.  ``strategy="mincut"`` grows parts greedily to minimise
-    the edge cut and emits a node permutation.  ``align`` (default: the
-    tensor engine's matmul row-block size) rounds shard sizes to multiples
-    of the block so partitioned channel matmuls issue byte-identical BLAS
-    calls to the unsharded forward; it only engages when
-    ``N >= K * align``.
+    Parts grow greedily to minimise the edge cut and the plan carries the
+    resulting node permutation.  Shard sizes are rounded to multiples of the
+    tensor engine's matmul row block (``MATMUL_BLOCK_ROWS``) so partitioned
+    channel matmuls issue byte-identical BLAS calls to the unsharded
+    forward; the rounding only engages when ``N >= K * MATMUL_BLOCK_ROWS``.
     """
 
-    def __init__(self, num_shards: int, strategy: str = "contiguous",
-                 align: int | None = None):
+    def __init__(self, num_shards: int):
         if num_shards < 1:
             raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-        if strategy not in _STRATEGIES:
-            raise ConfigurationError(
-                f"strategy must be one of {_STRATEGIES}, got {strategy!r}"
-            )
         self.num_shards = int(num_shards)
-        self.strategy = strategy
-        self.align = MATMUL_BLOCK_ROWS if align is None else int(align)
 
     # ------------------------------------------------------------------ #
     def _sizes(self, num_nodes: int) -> list[int]:
         """Balanced shard sizes, block-aligned when the graph is large enough."""
         count = self.num_shards
-        unit = self.align
-        if unit > 0 and num_nodes >= count * unit:
+        unit = MATMUL_BLOCK_ROWS
+        if num_nodes >= count * unit:
             blocks, tail = divmod(num_nodes, unit)
             per, extra = divmod(blocks, count)
             sizes = [(per + (1 if k < extra else 0)) * unit for k in range(count)]
@@ -221,22 +186,18 @@ class ShardPlanner:
         bounds = np.linspace(0, num_nodes, count + 1).round().astype(int)
         return np.diff(bounds).tolist()
 
-    def _pinned_tail(self, num_nodes: int, sizes: list[int]) -> int:
+    def _pinned_tail(self, num_nodes: int) -> int:
         """Nodes pinned to the last shard so the final partial matmul block
         holds the same rows (same call size ``m``) as the unsharded forward."""
-        unit = self.align
-        if unit <= 0 or num_nodes <= unit or num_nodes < self.num_shards * unit:
+        unit = MATMUL_BLOCK_ROWS
+        if num_nodes <= unit or num_nodes < self.num_shards * unit:
             return 0
         return num_nodes % unit
 
     def _mincut_parts(self, graph: Graph, sizes: list[int], pinned_tail: int) -> list:
         """Greedy graph growing: min-degree seeds, max-gain frontier pops."""
-        csr = graph.csr
-        num_nodes = csr.shape[0]
-        structure = csr.copy()
-        if structure.nnz:
-            structure.data = np.ones_like(structure.data)
-        sym = sp.csr_array(structure.maximum(structure.T))
+        num_nodes = graph.num_nodes
+        sym = _symmetrised(graph.csr)
         indptr, indices = sym.indptr, sym.indices
         degree = np.diff(indptr)
         count = self.num_shards
@@ -287,50 +248,26 @@ class ShardPlanner:
     # ------------------------------------------------------------------ #
     def plan(self, graph: Graph) -> ShardPlan:
         num_nodes = graph.num_nodes
-        if num_nodes < self.num_shards:
+        count = self.num_shards
+        if num_nodes < 2 * count:
             raise GraphError(
-                f"cannot split {num_nodes} nodes into {self.num_shards} shards"
+                f"shard planning needs >= 2 nodes per shard, got "
+                f"{num_nodes} nodes for {count} shards"
             )
-        if self.strategy == "mincut":
-            if num_nodes < 2 * self.num_shards:
-                raise GraphError(
-                    f"mincut partitioning needs >= 2 nodes per shard, got "
-                    f"{num_nodes} nodes for {self.num_shards} shards"
-                )
-            sizes = self._sizes(num_nodes)
-            pinned = self._pinned_tail(num_nodes, sizes)
-            parts = self._mincut_parts(graph, sizes, pinned)
-            permutation = np.concatenate(parts) if parts else np.arange(0)
-            sizes = [len(part) for part in parts]
-        else:
-            bounds = np.linspace(0, num_nodes, self.num_shards + 1).round().astype(int)
-            sizes = np.diff(bounds).tolist()
-            permutation = None
-        plan = ShardPlan(
-            shards=self._shards_for(graph, permutation, sizes),
+        parts = self._mincut_parts(graph, self._sizes(num_nodes), self._pinned_tail(num_nodes))
+        permutation = np.concatenate(parts)
+        sizes = [len(part) for part in parts]
+        owner = np.empty(num_nodes, dtype=np.int32)
+        owner[permutation] = np.repeat(np.arange(count, dtype=np.int32), sizes)
+        return ShardPlan(
+            shards=self._shards_for(graph, owner, sizes),
             num_nodes=num_nodes,
             total_edges=graph.nnz,
-            strategy=self.strategy,
-            cut_edge_pairs=self._cut_pairs(graph, permutation, sizes),
+            cut_edge_pairs=_cut_pairs(graph.csr, owner),
             permutation=permutation,
         )
-        return plan
 
-    def _owner_array(self, num_nodes: int, permutation, sizes) -> np.ndarray:
-        owner = np.empty(num_nodes, dtype=np.int32)
-        start = 0
-        for k, size in enumerate(sizes):
-            ids = (
-                np.arange(start, start + size)
-                if permutation is None
-                else permutation[start : start + size]
-            )
-            owner[ids] = k
-            start += size
-        return owner
-
-    def _shards_for(self, graph: Graph, permutation, sizes) -> tuple:
-        owner = self._owner_array(graph.num_nodes, permutation, sizes)
+    def _shards_for(self, graph: Graph, owner: np.ndarray, sizes) -> tuple:
         csr = graph.csr
         rows = np.repeat(np.arange(graph.num_nodes), np.diff(csr.indptr))
         owner_row = owner[rows]
@@ -354,84 +291,52 @@ class ShardPlanner:
             start += size
         return tuple(shards)
 
-    def _cut_pairs(self, graph: Graph, permutation, sizes) -> int:
-        """Unordered crossing pairs of the symmetrised structure."""
-        csr = graph.csr
-        if not csr.nnz:
-            return 0
-        owner = self._owner_array(graph.num_nodes, permutation, sizes)
-        structure = csr.copy()
-        structure.data = np.ones_like(structure.data)
-        sym = sp.csr_array(structure.maximum(structure.T))
-        rows = np.repeat(np.arange(graph.num_nodes), np.diff(sym.indptr))
-        return int((owner[rows] != owner[sym.indices]).sum()) // 2
+
+def _symmetrised(csr) -> sp.csr_array:
+    """Unit-weight structure of ``csr`` made symmetric."""
+    structure = csr.copy()
+    structure.data = np.ones_like(structure.data)
+    return sp.csr_array(structure.maximum(structure.T))
+
+
+def _cut_pairs(csr, owner: np.ndarray) -> int:
+    """Unordered crossing pairs of the symmetrised structure."""
+    sym = _symmetrised(csr)
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(sym.indptr))
+    return int((owner[rows] != owner[sym.indices]).sum()) // 2
 
 
 class ShardedForecaster:
-    """Run one forecaster's predict as ``K`` parallel per-shard calls.
+    """Run one forecaster's predict as ``K`` lockstep per-shard forwards.
 
     Parameters
     ----------
     forecaster:
         The serving facade whose graph defines the partition.
     num_shards:
-        Number of node shards.
-    mode:
-        ``"replicate"`` (exact, replicated compute) or ``"partition"``
-        (exact, memory-sharded halo exchange) — see the module docstring.
-    max_workers:
-        Thread-pool width; defaults to ``num_shards``.  Partition mode
-        requires lockstep shard threads, so it is floored at ``num_shards``.
-    strategy:
-        Shard planning strategy; ``"auto"`` (default) picks ``"mincut"``
-        for partition mode and ``"contiguous"`` for replicate.
+        Number of node shards (at least two nodes each).
     strict:
-        Partition mode only: refuse dense/global supports (which need an
-        exact full-width gather) instead of falling back, guaranteeing no
-        full-``N`` activation is ever materialised per shard.
-    halo_timeout:
-        Seconds a partitioned gather waits on a peer before poisoning the
-        exchange.
+        Refuse node-global layers (dense/global supports, spatial
+        attention), which need an exact full-width gather, instead of
+        gathering, guaranteeing no full-``N`` activation is ever
+        materialised per shard.
     """
 
-    def __init__(self, forecaster, num_shards: int, mode: str = "replicate",
-                 max_workers: int | None = None, strategy: str = "auto",
-                 strict: bool = False, halo_timeout: float = 120.0):
-        if mode not in _SHARD_MODES:
-            raise ConfigurationError(f"shard mode must be one of {_SHARD_MODES}, got {mode!r}")
-        if strategy not in ("auto",) + _STRATEGIES:
-            raise ConfigurationError(
-                f"strategy must be 'auto' or one of {_STRATEGIES}, got {strategy!r}"
-            )
+    def __init__(self, forecaster, num_shards: int, strict: bool = False):
         self.forecaster = forecaster
-        self.mode = mode
-        if strategy == "auto":
-            strategy = "mincut" if mode == "partition" else "contiguous"
-        self.strategy = strategy
-        self.plan = ShardPlanner(num_shards, strategy=strategy).plan(forecaster.graph)
+        self.plan = ShardPlanner(num_shards).plan(forecaster.graph)
         self.strict = bool(strict)
-        self._exchange: HaloExchange | None = None
-        self._contexts: list[PartitionContext] | None = None
-        workers = max(max_workers or self.plan.num_shards, 1)
-        if mode == "partition":
-            if min(s.num_nodes for s in self.plan.shards) < 2:
-                raise ConfigurationError(
-                    "partition mode needs >= 2 nodes per shard for exact execution"
-                )
-            # Lockstep halo rounds: every shard thread must be runnable at
-            # once or a gather would wait on a peer that never got a thread.
-            workers = max(workers, self.plan.num_shards)
-            self._exchange = HaloExchange(self.plan.num_shards, timeout=halo_timeout)
-            self._contexts = [
-                PartitionContext(self.plan, k, self._exchange, strict=self.strict)
-                for k in range(self.plan.num_shards)
-            ]
+        self._exchange = HaloExchange(self.plan.num_shards)
+        self._contexts = [
+            PartitionContext(self.plan, k, self._exchange, strict=self.strict)
+            for k in range(self.plan.num_shards)
+        ]
+        # Lockstep halo rounds: every shard thread must be runnable at once
+        # or a gather would wait on a peer that never got a thread.
         self._executor = ThreadPoolExecutor(
-            max_workers=workers,
+            max_workers=self.plan.num_shards,
             thread_name_prefix="repro-shard",
         )
-        self._warm = False
-        self._warm_lock = threading.Lock()
         self._predict_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -447,49 +352,6 @@ class ShardedForecaster:
         """Per-shard halo statistics of the serving graph under this plan."""
         return self.graph.halo_profile(self.plan, order, directed)
 
-    # ------------------------------------------------------------------ #
-    # Replicate mode
-    # ------------------------------------------------------------------ #
-    def _shard_predict(self, index: int, windows: np.ndarray, batch_size: int) -> np.ndarray:
-        full = self.forecaster.predict(windows, batch_size=batch_size)
-        # Predictions are (..., nodes, channels): each worker owns its rows.
-        return full[..., self.plan.owned(index), :]
-
-    def _predict_replicate(self, windows: np.ndarray, batch_size: int) -> np.ndarray:
-        model = self.forecaster.model
-        was_training = bool(getattr(model, "training", False))
-        if hasattr(model, "eval"):
-            # Pin eval mode once, outside the workers: the per-call
-            # save/restore inside ``predict`` is then idempotent (False ->
-            # False) instead of racing across threads.
-            model.eval()
-        try:
-            if not self._warm:
-                with self._warm_lock:
-                    parts = [
-                        self._shard_predict(index, windows, batch_size)
-                        for index in range(self.num_shards)
-                    ]
-                    self._warm = True
-            else:
-                futures = [
-                    self._executor.submit(self._shard_predict, index, windows, batch_size)
-                    for index in range(self.num_shards)
-                ]
-                parts = [future.result() for future in futures]
-        finally:
-            if hasattr(model, "train"):
-                model.train(was_training)
-        out = np.empty(
-            parts[0].shape[:-2] + (self.plan.num_nodes, parts[0].shape[-1]),
-            dtype=parts[0].dtype,
-        )
-        for index, part in enumerate(parts):
-            out[..., self.plan.owned(index), :] = part
-        return out
-
-    # ------------------------------------------------------------------ #
-    # Partition mode (exact memory-sharded forward)
     # ------------------------------------------------------------------ #
     def _partition_worker(self, index: int, scaled: np.ndarray, batch_size: int) -> np.ndarray:
         context = self._contexts[index]
@@ -554,21 +416,16 @@ class ShardedForecaster:
     def predict(self, windows: np.ndarray, batch_size: int = 64) -> np.ndarray:
         """Sharded forecast, stitched back along the node axis.
 
-        Bit-identical to ``forecaster.predict(windows)`` in both modes (see
-        the module docstring for partition mode's exactness envelope).
+        Bit-identical to ``forecaster.predict(windows)`` (see the module
+        docstring for the exactness envelope).
         """
         windows, single = self.forecaster._coerce_windows(windows)
         if windows.shape[0] == 0:
             raise ShapeError("predict received an empty batch of windows")
         batch_size = max(int(batch_size), 1)
-        if self.mode == "partition":
-            predictions = self._predict_partition(windows, batch_size)
-        else:
-            predictions = self._predict_replicate(windows, batch_size)
-        if self.mode == "partition":
-            predictions = self.forecaster.scaler.inverse_transform_channel(
-                predictions, self.forecaster.target_channel
-            )
+        predictions = self.forecaster.scaler.inverse_transform_channel(
+            self._predict_partition(windows, batch_size), self.forecaster.target_channel
+        )
         return predictions[0] if single else predictions
 
     # ------------------------------------------------------------------ #
@@ -587,6 +444,6 @@ class ShardedForecaster:
 
     def __repr__(self) -> str:
         return (
-            f"ShardedForecaster(num_shards={self.num_shards}, mode={self.mode!r}, "
-            f"strategy={self.strategy!r}, edge_cut={self.plan.edge_cut:.3f})"
+            f"ShardedForecaster(num_shards={self.num_shards}, strict={self.strict}, "
+            f"edge_cut={self.plan.edge_cut:.3f})"
         )

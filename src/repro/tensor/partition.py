@@ -12,8 +12,9 @@ the unsharded kernel — outputs are bit-identical, per-shard activation
 memory is ``O(N/K + halo)``.
 
 The thread-local :class:`PartitionContext` is consulted by
-:func:`repro.tensor.functional.spatial_mix` (and ``spatial_mix_multi``) and
-by ``STModel.check_input``; everything else in the model zoo runs unchanged.
+:func:`repro.tensor.functional.spatial_mix` (and ``spatial_mix_multi``), by
+:class:`repro.nn.SpatialAttention` and by ``STModel.check_input``; everything
+else in the model zoo runs unchanged.
 Gathers are recorded on the capture tape as ``halo_gather`` ops, so the
 compiled replay path drives the same exchange.
 
@@ -149,11 +150,11 @@ def build_specs(plan, halos) -> list[GatherSpec]:
 
 
 def build_full_specs(plan) -> list[GatherSpec]:
-    """Specs for the full-width gather (dense/global supports).
+    """Specs for the full-width gather (node-global operations).
 
     The gathered operand is the *entire* activation in original node order,
-    so a global mix (e.g. the adaptive adjacency) computes exactly the
-    unsharded product before the shard slices out its own rows.
+    so a global mix (the adaptive adjacency, spatial attention) computes
+    exactly the unsharded result before the shard slices out its own rows.
     """
     num_shards = plan.num_shards
     owned = [plan.owned(k) for k in range(num_shards)]
@@ -277,8 +278,9 @@ class PartitionContext:
 
     Intercepts spatial mixes (sparse supports become rectangular local
     blocks fed by a halo gather; dense/global supports fall back to an exact
-    full-width gather unless ``strict``) and relaxes the model's node-count
-    input check to the shard's local width.
+    full-width gather unless ``strict``), runs other node-global layers
+    through the same gather (:meth:`whole_operand`) and relaxes the model's
+    node-count input check to the shard's local width.
     """
 
     def __init__(self, plan, shard_index: int, exchange: HaloExchange, strict: bool = False):
@@ -369,32 +371,38 @@ class PartitionContext:
             rows=self.local_nodes,
         )
 
-    def _dense_mix(self, support: Tensor, x: Tensor) -> Tensor:
-        """Exact fallback for dense/global supports (adaptive adjacency).
+    def whole_operand(self, x: Tensor, fn) -> Tensor:
+        """Apply the node-global ``fn`` to the full-width operand, keep own rows.
 
-        Whole-operand contract: the full ``support`` meets the full-width,
-        C-contiguous gather of the activation in original node order, and the
-        shard's rows are sliced out *afterwards*.  Every shard therefore
-        issues the very ``support @ x`` the unsharded forward issues, so the
-        batched-``b`` product needs no canonical geometry and is plain BLAS;
-        row-slicing ``support`` first would not be exact.  Costs a full-width
+        Whole-operand contract: ``fn`` meets the full-width, C-contiguous
+        gather of ``x`` in original node order, and the shard's rows are
+        sliced out of its result *afterwards*.  Every shard therefore issues
+        the very call the unsharded forward issues, so the result is
+        bit-identical by construction, whatever ``fn`` mixes across nodes
+        (a dense support, attention over the node axis).  Costs a full-width
         operand, which is why ``strict`` mode refuses it.
         """
+        self._check_inference()
         if self.strict:
             raise PartitionError(
-                "dense/global support requires a full-width gather; "
+                "node-global operation requires a full-width gather; "
                 "strict partitioned mode forbids full-N activations "
                 "(disable the model's global mixing or set strict=False)"
             )
+        full = self._gather(x, self._full_gather_spec())
+        return fn(full)[..., self.plan.owned(self.shard), :]
+
+    def _dense_mix(self, support: Tensor, x: Tensor) -> Tensor:
+        """Exact fallback for dense/global supports (adaptive adjacency):
+        the full ``support @ x`` through :meth:`whole_operand` (row-slicing
+        ``support`` first would not be exact)."""
         from .tensor import _TAPE
 
-        full = self._gather(x, self._full_gather_spec())
         tape = _TAPE.tape
         if tape is not None and not support.requires_grad:
             tape.declared.add(id(support))
             tape.keep.append(support)
-        mixed = support @ full
-        return mixed[..., self.plan.owned(self.shard), :]
+        return self.whole_operand(x, lambda full: support @ full)
 
     def __repr__(self) -> str:
         return (

@@ -131,8 +131,6 @@ class TestValidation:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             EngineConfig(max_pending=0)
-        with pytest.raises(ConfigurationError):
-            EngineConfig(shard_mode="nope")
 
 
 class TestBackpressure:

@@ -374,6 +374,14 @@ class TestUpdateLane:
         assert not np.array_equal(after, before)
         assert engine.metrics.updates == 1
 
+    def test_sharded_serving_is_bit_identical_before_and_after_update(self, harness):
+        engine = harness.engine(shards=2)
+        assert np.array_equal(harness.serve_all(engine), harness.direct)
+        engine.update(*self.update_batch(harness), tenant=TENANT)
+        expected = harness.forecaster.predict(harness.windows)
+        assert not np.array_equal(expected, harness.direct)
+        assert np.array_equal(harness.serve_all(engine), expected)
+
     def test_raising_step_rolls_back_bit_exactly(self, harness):
         # The horizon is one step short: the step raises mid-update.
         inputs, bad_targets = self.update_batch(harness, horizon_shortfall=1)

@@ -1,8 +1,9 @@
-"""Bit-parity of memory-sharded (partition-mode) inference across the zoo.
+"""Bit-parity of memory-sharded (partitioned) inference across the zoo.
 
-The tentpole guarantee: a partitioned predict — each shard holding only its
-owned node rows plus per-layer halo gathers — returns bit-identical output
-to the unsharded forecaster, for any shard count and planner strategy.
+The guarantee: a partitioned predict — each shard holding only its owned
+node rows plus per-layer halo gathers, and the full-width gather at
+node-global layers — returns bit-identical output to the unsharded
+forecaster, for every registered model and any shard count.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -10,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import repro  # noqa: F401 - registers URCLModel via repro.core
 from repro.exceptions import PartitionError
 from repro.graph.sensor_network import SensorNetwork
 from repro.graph.sparse import (
@@ -18,21 +20,22 @@ from repro.graph.sparse import (
     spatial_mode,
     support_cache_stats,
 )
-from repro.models.dcrnn import DCRNNBackbone
 from repro.models.graphwavenet import GraphWaveNetBackbone
 from repro.models.baselines.stgcn import STGCN
-from repro.models.baselines.stgode import STGODE
+from repro.models.registry import available_models, build_model
 from repro.models.stencoder import STEncoderConfig
+from repro.nn import SpatialAttention
 from repro.serve import Forecaster
 from repro.serve.sharding import ShardedForecaster, ShardPlanner
 from repro.tensor import HaloExchange, PartitionContext, Tensor, no_grad
 from repro.tensor import tensor as tensor_kernels
+from repro.tensor.partition import partition_scope
 
 
 def _clustered_network(num_clusters=4, size=6, seed=0, name="clustered"):
     """Dense intra-cluster blocks, a few cross edges, node ids shuffled.
 
-    The shuffle makes contiguous range partitions cut many edges while a
+    The shuffle makes identity-order node ranges cut many edges while a
     min-cut planner can recover the clusters — the planner regression below
     relies on that gap.
     """
@@ -67,48 +70,88 @@ ZOO = {
         net, in_channels=2, input_steps=8, encoder_config=_tiny_encoder(),
         decoder_hidden=8, rng=0,
     ),
-    "dcrnn": lambda net: DCRNNBackbone(
-        net, in_channels=2, input_steps=8, hidden_dim=8, latent_dim=8,
-        decoder_hidden=8, rng=0,
-    ),
     "stgcn": lambda net: STGCN(
         net, in_channels=2, input_steps=8, hidden_dim=8, rng=0,
     ),
-    "stgode": lambda net: STGODE(
-        net, in_channels=2, input_steps=8, hidden_dim=8,
-        integration_steps=2, rng=0,
-    ),
 }
+
+# Every registered model with a (batch, time, nodes, channels) forward: the
+# classical forecasters (ARIMA, historical average) have none to partition.
+REGISTRY = [
+    name for name in available_models() if name not in ("arima", "historicalaverage")
+]
+
+
+def _registry_model(name, network):
+    return build_model(name, {"in_channels": 2, "input_steps": 8}, network=network, rng=0)
 
 
 class TestZooBitParity:
     @pytest.mark.parametrize("num_shards", [2, 4])
-    @pytest.mark.parametrize("name", sorted(ZOO))
+    @pytest.mark.parametrize("name", REGISTRY)
     def test_partitioned_predict_is_bit_identical(self, name, num_shards):
         network = _clustered_network()
         rng = np.random.default_rng(11)
-        windows = rng.normal(size=(3, 8, network.num_nodes, 2))
         with spatial_mode("sparse"):
-            facade = Forecaster(ZOO[name](network))
+            facade = Forecaster(_registry_model(name, network))
+            with ShardedForecaster(facade, num_shards) as sharded:
+                for batch in (1, 3):
+                    windows = rng.normal(size=(batch, 8, network.num_nodes, 2))
+                    direct = facade.predict(windows)
+                    stitched = sharded.predict(windows)  # capture
+                    repeat = sharded.predict(windows)  # replay
+                    assert np.array_equal(stitched, direct), f"batch={batch}"
+                    assert np.array_equal(repeat, direct), f"batch={batch} repeat"
+
+    @pytest.mark.parametrize("name", REGISTRY)
+    def test_dense_supports_are_bit_identical(self, name):
+        """Under ``spatial_mode("dense")`` every support takes the whole-operand
+        gather; three shards leave 24 nodes in unequal mincut parts."""
+        network = _clustered_network(seed=7)
+        rng = np.random.default_rng(29)
+        windows = rng.normal(size=(2, 8, network.num_nodes, 2))
+        with spatial_mode("dense"):
+            facade = Forecaster(_registry_model(name, network))
             direct = facade.predict(windows)
-            with ShardedForecaster(facade, num_shards, mode="partition") as sharded:
+            with ShardedForecaster(facade, 3) as sharded:
                 stitched = sharded.predict(windows)
                 repeat = sharded.predict(windows)
         assert np.array_equal(stitched, direct)
         assert np.array_equal(repeat, direct)
 
-    def test_contiguous_strategy_also_exact(self):
-        network = _clustered_network(seed=3)
-        rng = np.random.default_rng(7)
-        windows = rng.normal(size=(2, 8, network.num_nodes, 2))
-        with spatial_mode("sparse"):
-            facade = Forecaster(ZOO["stgcn"](network))
-            direct = facade.predict(windows)
-            with ShardedForecaster(
-                facade, 3, mode="partition", strategy="contiguous"
-            ) as sharded:
-                stitched = sharded.predict(windows)
-        assert np.array_equal(stitched, direct)
+
+class TestWholeOperand:
+    """``PartitionContext.whole_operand`` as node-global layers use it."""
+
+    def test_spatial_attention_shards_keep_their_rows_of_the_full_result(self):
+        network = _clustered_network(seed=21)
+        nodes, num_shards = network.num_nodes, 3
+        plan = ShardPlanner(num_shards).plan(network.graph)
+        exchange = HaloExchange(num_shards)
+        attention = SpatialAttention(4, rng=0)
+        x = np.random.default_rng(31).normal(size=(2, 5, nodes, 4))
+
+        def shard_attend(k):
+            context = PartitionContext(plan, k, exchange)
+            with no_grad(), partition_scope(context):
+                return attention(Tensor(x[..., plan.owned(k), :])).data
+
+        with ThreadPoolExecutor(num_shards) as pool:
+            parts = list(pool.map(shard_attend, range(num_shards)))
+        with no_grad():
+            full = attention(Tensor(x)).data
+        for k, part in enumerate(parts):
+            assert part.shape == (2, 5, plan.shards[k].num_nodes, 4)
+            assert np.array_equal(part, full[..., plan.owned(k), :])
+
+    def test_strict_context_refuses_before_gathering(self):
+        plan = ShardPlanner(2).plan(_clustered_network(seed=21).graph)
+        context = PartitionContext(plan, 0, HaloExchange(2), strict=True)
+        calls = []
+        local = Tensor(np.zeros((1, 2, plan.shards[0].num_nodes, 4)))
+        with no_grad(), pytest.raises(PartitionError):
+            context.whole_operand(local, calls.append)
+        assert calls == []
 
 
 class TestStrictMode:
@@ -119,9 +162,18 @@ class TestStrictMode:
         windows = rng.normal(size=(2, 8, network.num_nodes, 2))
         with spatial_mode("sparse"):
             facade = Forecaster(ZOO["graphwavenet"](network))
-            with ShardedForecaster(
-                facade, 2, mode="partition", strict=True
-            ) as sharded:
+            with ShardedForecaster(facade, 2, strict=True) as sharded:
+                with pytest.raises(PartitionError):
+                    sharded.predict(windows)
+
+    def test_strict_rejects_spatial_attention(self):
+        """GeoMAN attends over every node: a full-N gather strict refuses."""
+        network = _clustered_network(seed=5)
+        rng = np.random.default_rng(2)
+        windows = rng.normal(size=(2, 8, network.num_nodes, 2))
+        with spatial_mode("sparse"):
+            facade = Forecaster(_registry_model("geoman", network))
+            with ShardedForecaster(facade, 2, strict=True) as sharded:
                 with pytest.raises(PartitionError):
                     sharded.predict(windows)
 
@@ -132,9 +184,7 @@ class TestStrictMode:
         with spatial_mode("sparse"):
             facade = Forecaster(ZOO["stgcn"](network))
             direct = facade.predict(windows)
-            with ShardedForecaster(
-                facade, 2, mode="partition", strict=True
-            ) as sharded:
+            with ShardedForecaster(facade, 2, strict=True) as sharded:
                 stitched = sharded.predict(windows)
         assert np.array_equal(stitched, direct)
 
@@ -142,7 +192,7 @@ class TestStrictMode:
 class TestPartitionCache:
     def test_halo_blocks_cached_per_plan(self):
         graph = _clustered_network(seed=9).graph
-        plan = ShardPlanner(2, strategy="mincut").plan(graph)
+        plan = ShardPlanner(2).plan(graph)
         with spatial_mode("sparse"):
             support = graph.conv_supports(2)[0]
             clear_support_cache()
@@ -156,7 +206,7 @@ class TestPartitionCache:
             assert stats["partition_bytes"] > 0
 
             # A fresh plan (new token) is a different key even if equal-shaped.
-            other_plan = ShardPlanner(2, strategy="mincut").plan(graph)
+            other_plan = ShardPlanner(2).plan(graph)
             rebuilt = partition_support_blocks(support, other_plan)
             assert rebuilt is not first
             assert support_cache_stats()["partition_entries"] == 2
@@ -169,7 +219,7 @@ class TestPartitionCache:
     def test_halo_layout_references_only_csr_columns(self):
         """Each shard's halo is exactly the foreign columns its rows touch."""
         graph = _clustered_network(seed=9).graph
-        plan = ShardPlanner(3, strategy="mincut").plan(graph)
+        plan = ShardPlanner(3).plan(graph)
         with spatial_mode("sparse"):
             support = graph.conv_supports(2)[0]
             clear_support_cache()
@@ -189,9 +239,14 @@ class TestPartitionCache:
 class TestMinCutPlanner:
     def test_mincut_beats_contiguous_on_clustered_graph(self):
         graph = _clustered_network(num_clusters=4, size=8, seed=1).graph
-        contiguous = ShardPlanner(4, strategy="contiguous").plan(graph)
-        mincut = ShardPlanner(4, strategy="mincut").plan(graph)
-        assert mincut.cut_edge_pairs < contiguous.cut_edge_pairs
+        mincut = ShardPlanner(4).plan(graph)
+        # Baseline: unordered edge pairs cut by balanced identity-order ranges.
+        n = graph.num_nodes
+        owner = np.repeat(np.arange(4), np.diff(np.linspace(0, n, 5).round().astype(int)))
+        coo = graph.csr.tocoo()
+        cross = owner[coo.row] != owner[coo.col]
+        pairs = np.minimum(coo.row, coo.col)[cross] * n + np.maximum(coo.row, coo.col)[cross]
+        assert mincut.cut_edge_pairs < len(np.unique(pairs))
         # Balanced: every part within one alignment unit of the target.
         sizes = [s.num_nodes for s in mincut.shards]
         assert max(sizes) - min(sizes) <= 1
@@ -208,13 +263,12 @@ class TestMinCutPlanner:
         np.fill_diagonal(adjacency, 0.0)
         perm = rng.permutation(n)
         graph = SensorNetwork(adjacency=adjacency[np.ix_(perm, perm)], name="bd").graph
-        plan = ShardPlanner(2, strategy="mincut").plan(graph)
+        plan = ShardPlanner(2).plan(graph)
         assert plan.cut_edge_pairs == 0
 
     def test_describe_reports_strategy_and_cut(self):
         graph = _clustered_network(seed=1).graph
-        description = ShardPlanner(2, strategy="mincut").plan(graph).describe()
-        assert description["strategy"] == "mincut"
+        description = ShardPlanner(2).plan(graph).describe()
         assert "cut_edge_pairs" in description
         import json
 
@@ -226,7 +280,7 @@ class TestHaloProfile:
         network = _clustered_network(num_clusters=4, size=8, seed=1)
         with spatial_mode("sparse"):
             facade = Forecaster(ZOO["stgcn"](network))
-            with ShardedForecaster(facade, 4, mode="partition") as sharded:
+            with ShardedForecaster(facade, 4) as sharded:
                 profile = sharded.halo_profile(2)
         assert profile["num_shards"] == 4
         assert len(profile["shards"]) == 4
@@ -245,20 +299,17 @@ class TestDenseRouteParity:
     so parity needs no canonical geometry — at N > 256 the left operand is
     row-blocked identically in both."""
 
-    @pytest.mark.parametrize("strategy", ["contiguous", "mincut"])
     @pytest.mark.parametrize("num_shards", [2, 3, 4])
     @pytest.mark.parametrize("mode", ["dense", "sparse"])
     @pytest.mark.parametrize("cluster_size", [6, 66])  # N = 24 and N = 264
     def test_adaptive_graphwavenet_is_bit_identical(
-        self, cluster_size, mode, num_shards, strategy
+        self, cluster_size, mode, num_shards
     ):
         network = _clustered_network(size=cluster_size, seed=13)
         rng = np.random.default_rng(17)
         with spatial_mode(mode):
             facade = Forecaster(ZOO["graphwavenet"](network))
-            with ShardedForecaster(
-                facade, num_shards, mode="partition", strategy=strategy
-            ) as sharded:
+            with ShardedForecaster(facade, num_shards) as sharded:
                 for batch in (1, 5):
                     windows = rng.normal(size=(batch, 8, network.num_nodes, 2))
                     direct = facade.predict(windows)
@@ -267,13 +318,10 @@ class TestDenseRouteParity:
                     assert np.array_equal(stitched, direct), f"batch={batch}"
                     assert np.array_equal(repeat, direct), f"batch={batch} repeat"
 
-    @pytest.mark.parametrize("strategy", ["contiguous", "mincut"])
-    def test_every_shard_multiplies_the_full_contiguous_operand(
-        self, strategy, monkeypatch
-    ):
+    def test_every_shard_multiplies_the_full_contiguous_operand(self, monkeypatch):
         network = _clustered_network(seed=19)
         nodes, num_shards = network.num_nodes, 3
-        plan = ShardPlanner(num_shards, strategy=strategy).plan(network.graph)
+        plan = ShardPlanner(num_shards).plan(network.graph)
         exchange = HaloExchange(num_shards)
         rng = np.random.default_rng(23)
         support = rng.normal(size=(nodes, nodes))

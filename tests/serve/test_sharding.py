@@ -51,6 +51,17 @@ class TestShardPlanner:
         with pytest.raises(ConfigurationError):
             ShardPlanner(0)
 
+    def test_plan_needs_two_nodes_per_shard(self, chain_graph):
+        assert ShardPlanner(6).plan(chain_graph).num_shards == 6
+        with pytest.raises(GraphError):
+            ShardPlanner(7).plan(chain_graph)
+
+    def test_single_shard_plan_is_the_identity(self, chain_graph):
+        plan = ShardPlanner(1).plan(chain_graph)
+        assert np.array_equal(plan.permutation, np.arange(12))
+        assert np.array_equal(plan.owned(0), np.arange(12))
+        assert plan.cut_edge_pairs == 0
+
     def test_describe_is_json_friendly(self, chain_graph):
         import json
 
@@ -75,7 +86,7 @@ def raw_windows(tiny_scenario, rng):
     return np.stack([series[s : s + spec.input_steps] for s in starts])
 
 
-class TestReplicateParity:
+class TestShardedParity:
     """Acceptance: sharded output bit-identical to direct predict."""
 
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
@@ -86,8 +97,8 @@ class TestReplicateParity:
         with spatial_mode(mode):
             direct = forecaster.predict(raw_windows)
             with ShardedForecaster(forecaster, num_shards) as sharded:
-                first = sharded.predict(raw_windows)   # sequential warm pass
-                second = sharded.predict(raw_windows)  # thread-pool pass
+                first = sharded.predict(raw_windows)   # capture pass
+                second = sharded.predict(raw_windows)  # replay pass
             assert np.array_equal(first, direct)
             assert np.array_equal(second, direct)
 
@@ -131,7 +142,7 @@ class TestPartitionMode:
         windows = rng.normal(size=(3, 8, 8, 2))
         with spatial_mode("sparse"):
             direct = facade.predict(windows)
-            with ShardedForecaster(facade, 2, mode="partition") as sharded:
+            with ShardedForecaster(facade, 2) as sharded:
                 assert sharded.plan.edge_cut == 0.0
                 stitched = sharded.predict(windows)
         assert np.array_equal(stitched, direct)
@@ -139,12 +150,8 @@ class TestPartitionMode:
     def test_partition_exact_when_edges_cross(self, forecaster, raw_windows):
         """Cross-shard edges go through the halo exchange: still bit-exact."""
         direct = forecaster.predict(raw_windows)
-        with ShardedForecaster(forecaster, 2, mode="partition") as sharded:
+        with ShardedForecaster(forecaster, 2) as sharded:
             assert sharded.plan.edge_cut > 0.0
             stitched = sharded.predict(raw_windows)
         assert stitched.shape == direct.shape
         assert np.array_equal(stitched, direct)
-
-    def test_unknown_mode_raises(self, forecaster):
-        with pytest.raises(ConfigurationError):
-            ShardedForecaster(forecaster, 2, mode="telepathy")
