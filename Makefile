@@ -28,13 +28,15 @@ test:
 # OpenBLAS splits a gemm's rows, so the exactness envelope is checked at both
 # (CI runs one value per matrix job: `make test-parity BLAS_THREADS=2`).
 # test_trace.py adds replay == eager and the training step == the backward
-# that keeps the whole graph.
+# that keeps the whole graph; test_serialize.py adds a dumped and reloaded
+# recurrent structure replaying == eager.
 BLAS_THREADS ?= 1 2
 
 test-parity:
 	for threads in $(BLAS_THREADS); do \
 		OPENBLAS_NUM_THREADS=$$threads $(PYTHON) -m pytest \
 			tests/tensor/test_partition_kernels.py tests/tensor/test_trace.py \
+			tests/tensor/test_serialize.py \
 			tests/serve/test_partition_parity.py tests/serve/test_sharding.py \
 			tests/serve/test_engine.py \
 			-k "parity or identical or bit" -x -q || exit 1; \

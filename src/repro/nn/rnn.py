@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import Tensor, concatenate, is_grad_enabled, scan, stack
+from ..tensor import Tensor, concatenate, declare_const, stack
 from ..tensor import functional as F
-from ..tensor.tensor import _TAPE
 from ..utils.random import get_rng
 from .linear import Linear
 from .module import Module
@@ -60,14 +59,9 @@ class GRU(Module):
             raise ValueError(f"GRU expects (batch, time, nodes, channels), got {x.shape}")
         batch, time, nodes, _ = x.shape
         if hidden is None:
-            hidden = Tensor(np.zeros((batch, nodes, self.hidden_size)))
-        if _TAPE.tape is not None and not is_grad_enabled():
-            # Record one cell body instead of unrolling ``time`` copies.
-            sequence = scan(lambda x_t, h: self.cell(x_t, h), x, hidden, collect=True)
-            return sequence, sequence[:, -1]
+            hidden = declare_const(Tensor(np.zeros((batch, nodes, self.hidden_size))))
         outputs = []
         for step in range(time):
             hidden = self.cell(x[:, step, :, :], hidden)
             outputs.append(hidden)
-        sequence = stack(outputs, axis=1)
-        return sequence, hidden
+        return stack(outputs, axis=1), hidden

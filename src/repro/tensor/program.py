@@ -90,13 +90,6 @@ class ProgramStructure:
         # (ModelPool tenants sharing one compiled program).
         self.shareable: bool = shareable
 
-    @property
-    def num_fused_elementwise(self) -> int:
-        """Length-weighted count of elementwise ops replayed as flat chains."""
-        chain = {"add", "sub", "mul", "div", "neg", "pow", "exp", "log", "sqrt",
-                 "abs", "tanh", "sigmoid", "relu", "clip", "where"}
-        return sum(1 for node in self.nodes if node.op in chain)
-
 
 def _plan_slot_reuse(structure: ProgramStructure):
     """Time-share INTER buffers across disjoint-lifetime slots.
@@ -108,14 +101,11 @@ def _plan_slot_reuse(structure: ProgramStructure):
     cache-resident, which is where replay otherwise loses to eager (the
     allocator hands eager freshly recycled, cache-hot arrays).
 
-    Returns ``{slot_index: physical_id}`` for slots that should draw from
-    the shared pool, or ``None`` when reuse is unsafe: captured loops
-    rewrite their body slots once per iteration, so a program containing
-    one opts out.
+    Returns ``{slot_index: physical_id}`` for the INTER slots that draw
+    from the shared pool.  The op list is flat (a recurrent model records
+    its cell once per time step), so the plan covers every program.
     """
     nodes = structure.nodes
-    if any(node.op == "loop" for node in nodes):
-        return None
     slots = structure.slots
     # Views alias their parent's storage, so lifetimes are tracked per
     # storage root: a read through any view keeps the root's buffer live.
@@ -192,21 +182,21 @@ class ProgramInstance:
                 env[slot.index] = np.empty(slot.shape, dtype=slot.dtype)
             # INTER slots are allocated (or view-derived) in node order below.
         self.env = env
-        self._reuse_plan = _plan_slot_reuse(structure)
-        self._phys: dict[int, np.ndarray] = {}
         self.busy = False
 
-        # Materialise INTER slots (allocating or deriving views) in node
-        # order, then build the kernel list.
+        # Materialise INTER slots (drawing from the reuse pool or deriving
+        # views) in node order, then build the kernel list.
+        plan = _plan_slot_reuse(structure)
+        pool: dict[int, np.ndarray] = {}
         self.forward_kernels: list = []
         for node in structure.nodes:
-            self._materialise_out(node)
-            kernel = _build_forward(node, self)
+            self._materialise_out(node, plan, pool)
+            kernel = _build_forward(node, self.env)
             if kernel is not None:
                 self.forward_kernels.append(kernel)
 
     # ------------------------------------------------------------------ #
-    def _materialise_out(self, node: Node) -> None:
+    def _materialise_out(self, node: Node, plan: dict, pool: dict) -> None:
         slots = self.structure.slots
         out = slots[node.out]
         if self.env[node.out] is not None:
@@ -221,14 +211,13 @@ class ProgramInstance:
             if view is not None:
                 self.env[node.out] = view
                 return
-        if self._reuse_plan is not None:
-            pid = self._reuse_plan.get(node.out)
-            if pid is not None:
-                buf = self._phys.get(pid)
-                if buf is None:
-                    buf = self._phys[pid] = np.empty(out.shape, dtype=out.dtype)
-                self.env[node.out] = buf
-                return
+        pid = plan.get(node.out)
+        if pid is not None:
+            buf = pool.get(pid)
+            if buf is None:
+                buf = pool[pid] = np.empty(out.shape, dtype=out.dtype)
+            self.env[node.out] = buf
+            return
         self.env[node.out] = np.empty(out.shape, dtype=out.dtype)
 
     # ------------------------------------------------------------------ #
@@ -271,8 +260,7 @@ def _derive_view(node: Node, parent: np.ndarray):
 # ---------------------------------------------------------------------- #
 # Forward kernel builders
 # ---------------------------------------------------------------------- #
-def _build_forward(node: Node, inst: ProgramInstance):
-    env = inst.env
+def _build_forward(node: Node, env: list):
     op, p = node.op, node.params
     o = env[node.out]
     ins = [env[i] for i in node.ins]
@@ -451,46 +439,4 @@ def _build_forward(node: Node, inst: ProgramInstance):
         (a,) = ins
         axis = p["axis"]
         return lambda: np.amax(a, axis=axis, keepdims=True, out=o)
-    if op == "loop":
-        return _build_loop(node, inst)
     raise UntraceableError(f"no forward kernel for op {node.op!r}")
-
-
-def _build_loop(node: Node, inst: ProgramInstance):
-    """Captured-loop primitive: one recorded body replayed ``length`` times."""
-    env = inst.env
-    p = node.params
-    length = p["length"]
-    xs = env[p["xs"]]
-    x_in = env[p["x_in"]]
-    h_in = env[p["h_in"]]
-    h_out = env[p["h_out"]]
-    h0 = env[p["h0"]]
-    body_kernels = []
-    for body_node in p["body"]:
-        inst._materialise_out(body_node)
-        kernel = _build_forward(body_node, inst)
-        if kernel is not None:
-            body_kernels.append(kernel)
-    # Refresh h_out in case the body's output slot is view-derived elsewhere.
-    h_out = env[p["h_out"]]
-    x_slices = [xs[(slice(None), step)] for step in range(length)]
-    collect = env[p["collect"]] if p.get("collect") is not None else None
-    collect_slices = (
-        [collect[(slice(None), step)] for step in range(length)]
-        if collect is not None
-        else None
-    )
-
-    def loop_kernel():
-        np.copyto(h_in, h0)
-        for step in range(length):
-            np.copyto(x_in, x_slices[step])
-            for kernel in body_kernels:
-                kernel()
-            if collect_slices is not None:
-                np.copyto(collect_slices[step], h_out)
-            if step < length - 1:
-                np.copyto(h_in, h_out)
-
-    return loop_kernel

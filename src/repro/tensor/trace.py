@@ -3,7 +3,9 @@
 On the first call for a ``(model, kind, input-shape, dtype, graph, knobs)``
 key, :func:`run_compiled` runs the model eagerly under a thread-local
 :class:`Tape` that records every ``Tensor._make`` site into an explicit
-forward-only op-list :class:`~repro.tensor.program.ProgramStructure`.
+forward-only op-list :class:`~repro.tensor.program.ProgramStructure`.  The
+list is flat: recurrent models step through time in a plain Python loop
+(:func:`scan`), so their cell records once per time step.
 Subsequent calls replay the program through arena-bound kernels (see
 :mod:`repro.tensor.program`) — bit-identical to the untraced forward — and
 fall back to eager execution transparently on shape misses, unknown ops or
@@ -38,7 +40,7 @@ from .program import (
     Slot,
     UntraceableError,
 )
-from .tensor import Tensor, is_grad_enabled, stack
+from .tensor import Tensor, is_grad_enabled
 
 __all__ = [
     "set_traced_execution",
@@ -73,7 +75,6 @@ _cache_bytes = 0
 _STATS = {
     "captures": 0,
     "replays": 0,
-    "forward_replays": 0,
     "eager_calls": 0,
     "untraceable": 0,
     "shape_misses": 0,
@@ -121,9 +122,6 @@ def program_cache_stats() -> dict:
         stats["structures"] = len(_STRUCTURES)
         stats["bytes"] = _cache_bytes
         stats["limit_bytes"] = _LIMIT_BYTES
-        stats["fused_elementwise"] = sum(
-            s.num_fused_elementwise for s in _STRUCTURES.values()
-        )
         stats["enabled"] = _ENABLED
     return stats
 
@@ -237,16 +235,12 @@ class Tape:
         self.keep: list = []  # strong refs: keeps ``declared`` ids stable
         self.input_slot: int | None = None
         self.shareable = True
-        self._in_loop: list[Node] | None = None
 
     # -------------------------------------------------------------- #
     def poison(self, reason: str) -> None:
         self.ok = False
         if self.reason is None:
             self.reason = reason
-
-    def _sink(self) -> list[Node]:
-        return self.nodes if self._in_loop is None else self._in_loop
 
     def _new_slot(self, kind, shape, dtype, **kw) -> int:
         slot = Slot(len(self.slots), kind, shape, dtype, **kw)
@@ -328,7 +322,7 @@ class Tape:
             return
         out_index = self._new_slot(INTER, out.shape, out.dtype)
         self._bind(out, out_index)
-        self._sink().append(Node(op, ins, out_index, params=params))
+        self.nodes.append(Node(op, ins, out_index, params=params))
 
     def _translate(self, op: str, ctx: dict, out: Tensor) -> dict | None:
         params = dict(ctx)
@@ -369,7 +363,7 @@ class Tape:
             params["scalar"] = b
         index = self.new_aux(cond.shape, bool)
         self.cond_slots[id(cond)] = (index, weakref.ref(cond))
-        self._sink().append(Node("refresh_cond", ins, index, params=params))
+        self.nodes.append(Node("refresh_cond", ins, index, params=params))
 
     def register_amax(self, shift: Tensor, source: Tensor, axis) -> None:
         """Register a detached ``max(source, axis, keepdims)`` shift tensor."""
@@ -380,85 +374,9 @@ class Tape:
             return
         index = self.new_aux(shift.shape, shift.dtype)
         self._bind(shift, index)
-        self._sink().append(
+        self.nodes.append(
             Node("refresh_amax", (src,), index, params={"axis": axis})
         )
-
-    # -------------------------------------------------------------- #
-    # Captured-loop primitive (recorded recurrent body)
-    # -------------------------------------------------------------- #
-    def record_scan(self, body, xs: Tensor, h0: Tensor, length: int, collect: bool):
-        if self._in_loop is not None:
-            self.poison("nested scan capture")
-            return _eager_scan(body, xs, h0, length, collect)
-        xs_slot = self.resolve(xs)
-        h0_slot = self.resolve(h0) if self.ok else None
-        if xs_slot is None or h0_slot is None or not self.ok:
-            return _eager_scan(body, xs, h0, length, collect)
-
-        x_shape = (xs.shape[0],) + xs.shape[2:]
-        x_in = self.new_aux(x_shape, xs.dtype)
-        h_in = self.new_aux(h0.shape, h0.dtype)
-        x_t = Tensor(np.array(xs.data[:, 0]), dtype=xs.dtype)
-        h_t = Tensor(np.array(h0.data), dtype=h0.dtype)
-        self._bind(x_t, x_in)
-        self._bind(h_t, h_in)
-
-        body_nodes: list[Node] = []
-        self._in_loop = body_nodes
-        try:
-            h_out = body(x_t, h_t)
-        finally:
-            self._in_loop = None
-        h_out_slot = (
-            self._lookup(self.tensor_slots, h_out) if isinstance(h_out, Tensor) else None
-        )
-        if not self.ok or h_out_slot is None or not body_nodes:
-            # Body could not be captured: finish the remaining iterations
-            # eagerly so the caller still gets correct values.
-            self.poison("scan body is untraceable")
-            return _finish_scan(body, xs, h_out, length, collect)
-
-        params = {
-            "length": length,
-            "xs": xs_slot,
-            "x_in": x_in,
-            "h_in": h_in,
-            "h_out": h_out_slot,
-            "h0": h0_slot,
-            "body": body_nodes,
-            "collect": None,
-        }
-        if collect:
-            out_shape = (xs.shape[0], length) + h_out.shape[1:]
-            collected = Tensor(
-                np.empty(out_shape, dtype=h_out.dtype), dtype=h_out.dtype
-            )
-            out_index = self._new_slot(INTER, out_shape, h_out.dtype)
-            self._bind(collected, out_index)
-            params["collect"] = out_index
-            result, result_slot = collected, out_index
-        else:
-            result, result_slot = h_out, h_out_slot
-        self.nodes.append(Node("loop", (xs_slot, h0_slot), result_slot, params=params))
-
-        # Materialise the remaining iterations' values (tape suspended) so
-        # downstream capture sees the final hidden state / stacked outputs.
-        previous = _TAPE.tape
-        _TAPE.tape = None
-        try:
-            if collect:
-                result.data[:, 0] = h_out.data
-            h = Tensor(h_out.data.copy(), dtype=h_out.dtype)
-            for step in range(1, length):
-                h = body(Tensor(np.array(xs.data[:, step]), dtype=xs.dtype), h)
-                if collect:
-                    result.data[:, step] = h.data
-            if not collect:
-                np.copyto(h_out.data, h.data)
-        finally:
-            _TAPE.tape = previous
-        return result
 
     # -------------------------------------------------------------- #
     def finalize(self, out: Tensor, model) -> ProgramStructure | None:
@@ -503,43 +421,18 @@ def declare_const(tensor: Tensor) -> Tensor:
     return tensor
 
 
-# ---------------------------------------------------------------------- #
-# scan: the captured-loop primitive
-# ---------------------------------------------------------------------- #
-def _eager_scan(body, xs, h0, length, collect):
-    h = h0
-    outs = []
-    for step in range(length):
-        h = body(xs[:, step], h)
-        if collect:
-            outs.append(h)
-    return stack(outs, axis=1) if collect else h
-
-
-def _finish_scan(body, xs, h, length, collect):
-    outs = [h] if collect else None
-    for step in range(1, length):
-        h = body(xs[:, step], h)
-        if collect:
-            outs.append(h)
-    return stack(outs, axis=1) if collect else h
-
-
-def scan(body, xs: Tensor, h0: Tensor, collect: bool = False) -> Tensor:
+def scan(body, xs: Tensor, h0: Tensor) -> Tensor:
     """Run ``h = body(xs[:, t], h)`` over the time axis of ``xs``.
 
-    Eagerly identical to the plain Python loop; under no-grad tape capture
-    the body is recorded once and replayed ``T`` times by the compiled
-    program (Dr.Jit-style symbolic loop), so recurrent models do not unroll
-    into ``T`` copies of the trace.  With ``collect=True`` the per-step
-    hidden states are stacked along axis 1.
+    A plain Python loop: under tape capture the body records once per time
+    step, so the compiled program stays a flat op list.  ``h0`` is declared
+    constant, so a zero state created inside ``forward`` captures as a const
+    slot instead of poisoning the tape.
     """
-    length = xs.shape[1]
-    tape = _TAPE.tape
-    h0 = declare_const(h0)
-    if tape is None or is_grad_enabled() or not tape.ok:
-        return _eager_scan(body, xs, h0, length, collect)
-    return tape.record_scan(body, xs, h0, length, collect)
+    h = declare_const(h0)
+    for step in range(xs.shape[1]):
+        h = body(xs[:, step], h)
+    return h
 
 
 # ---------------------------------------------------------------------- #
@@ -630,13 +523,18 @@ def _acquire(entry: _Entry, model) -> ProgramInstance | None:
     if len(entry.instances) >= _MAX_INSTANCES:
         _STATS["overflow_fallbacks"] += 1
         return None
-    global _cache_bytes
     try:
         instance = ProgramInstance(entry.structure, model)
     except UntraceableError:
         entry.status = "untraceable"
         _STATS["untraceable"] += 1
         return None
+    return _keep(entry, instance)
+
+
+def _keep(entry: _Entry, instance: ProgramInstance) -> ProgramInstance:
+    """Add a freshly built ``instance`` to ``entry``, busy, bytes counted."""
+    global _cache_bytes
     _STATS["instance_builds"] += 1
     instance.busy = True
     entry.instances.append(instance)
@@ -665,7 +563,6 @@ def _capture(model, fn, x):
 def _replay(instance: ProgramInstance, x: Tensor) -> Tensor:
     out_buffer = instance.run_forward(x.data)
     _STATS["replays"] += 1
-    _STATS["forward_replays"] += 1
     out = Tensor(out_buffer.copy(), dtype=out_buffer.dtype)
     instance.busy = False
     return out
@@ -719,20 +616,20 @@ def run_compiled(model, fn, x, *, graph=None, kind="forward"):
             shared = _STRUCTURES.get(fingerprint) if fingerprint else None
             if shared is not None and shared.shareable:
                 try:
-                    ProgramInstance(shared, model)  # validates binding
+                    built = ProgramInstance(shared, model)  # validates binding
+                except UntraceableError:
+                    pass
+                else:
                     entry.structure = shared
                     entry.status = "ready"
                     _STATS["structure_hits"] += 1
                     _STRUCTURES.move_to_end(fingerprint)
-                except UntraceableError:
-                    entry.structure = None
-        if entry.structure is not None:
+                    instance = _keep(entry, built)
+        if entry.structure is not None and instance is None:
             instance = _acquire(entry, model)
             if instance is None:
                 _STATS["eager_calls"] += 1
                 return fn(x)
-        else:
-            fingerprint = _fingerprint(model, key, graph)
 
     if instance is not None:
         # Replay OUTSIDE the global lock: replays are instance-exclusive

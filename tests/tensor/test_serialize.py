@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.config import TrainingConfig
+from repro.models.registry import build_model
 from repro.serve import Forecaster
-from repro.tensor import export_structures
+from repro.tensor import (
+    clear_program_cache,
+    export_structures,
+    install_structures,
+    program_cache_stats,
+    traced_execution,
+)
 from repro.tensor.serialize import dump_structures, load_structures
 
 
@@ -73,6 +80,38 @@ class TestRoundTrip:
             frozen.append(ro)
         loaded = load_structures(blob, frozen)
         assert len(loaded) == len(items)
+
+
+class TestRecurrentShipping:
+    """A recurrent model's structure (its cell recorded once per step) replays
+    from a dump/load round trip exactly as the eager forward computes."""
+
+    SHAPES = {"in_channels": 2, "input_steps": 12, "output_steps": 3, "out_channels": 1}
+
+    @pytest.mark.parametrize("name", ["dcrnn", "agcrn"])
+    def test_loaded_structure_replays_bit_identical(self, small_network, name):
+        clear_program_cache()
+        x = np.random.default_rng(0).standard_normal(
+            (2, self.SHAPES["input_steps"], small_network.num_nodes, self.SHAPES["in_channels"])
+        )
+        build_model(name, dict(self.SHAPES), small_network, rng=1).predict(x)
+        items = export_structures()
+        assert len(items) == 1
+        blob, table = dump_structures(items)
+
+        clear_program_cache()
+        assert install_structures(load_structures(blob, table)) == 1
+        model = build_model(name, dict(self.SHAPES), small_network, rng=2)
+        with traced_execution(False):
+            eager = model.predict(x)
+        try:
+            assert np.array_equal(model.predict(x), eager)
+            stats = program_cache_stats()
+            assert stats["structure_hits"] == 1
+            assert stats["captures"] == 0 and stats["untraceable"] == 0
+            assert np.array_equal(model.predict(x), eager)
+        finally:
+            clear_program_cache()
 
 
 class TestRejection:

@@ -20,6 +20,7 @@ from repro.models.registry import build_model
 from repro.nn.losses import mae_loss
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import Adam
+from repro.nn.rnn import GRU
 from repro.tensor import (
     Tensor,
     clear_program_cache,
@@ -29,8 +30,10 @@ from repro.tensor import (
     no_grad,
     program_cache_stats,
     run_compiled,
+    stack,
     traced_execution,
 )
+from repro.tensor import trace
 from repro.tensor.program import AUX, INPUT, INTER, ProgramInstance
 
 ZOO = ("graphwavenet", "dcrnn", "geoman", "stgcn", "mtgnn", "agcrn", "stgode")
@@ -277,6 +280,27 @@ class TestStructureSharing:
         assert stats["captures"] == 1
         assert stats["structure_hits"] == 1
 
+    def test_structure_hit_builds_one_instance(self, small_network, monkeypatch):
+        x = _inputs(small_network)
+        _build("stgcn", small_network, seed=1).predict(x)
+        second = _build("stgcn", small_network, seed=2)
+        eager = _eager_predict(second, x)
+        built = []
+
+        class CountingInstance(ProgramInstance):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(trace, "ProgramInstance", CountingInstance)
+        assert np.array_equal(second.predict(x), eager)  # a structure hit
+        stats = program_cache_stats()
+        assert stats["structure_hits"] == 1
+        assert len(built) == 1  # the validating build is the one kept
+        assert stats["bytes"] == built[0].arena_nbytes()
+        assert np.array_equal(second.predict(x), eager)
+        assert len(built) == 1 and program_cache_stats()["instance_builds"] == 1
+
     def test_cross_graph_models_never_share(self):
         n1 = grid_network(3, 3, rng=7)
         n2 = grid_network(3, 3, rng=99)
@@ -310,6 +334,77 @@ class TestArenaBytes:
         assert any(array.base is not None for array in arena)  # views own nothing
         assert instance.arena_nbytes() == sum(owned.values())
         assert program_cache_stats()["bytes"] == instance.arena_nbytes()
+
+    @pytest.mark.parametrize("name", ZOO)
+    def test_slot_reuse_covers_every_program(self, small_network, name):
+        model = _build(name, small_network)
+        model.predict(_inputs(small_network))
+        (structure,) = [structure for _, structure in export_structures()]
+        instance = ProgramInstance(structure, model)
+        pooled = [
+            (slot, array)
+            for slot, array in zip(structure.slots, instance.env)
+            if slot.kind == INTER and array.base is None
+        ]
+        owned = {id(array): array.nbytes for _, array in pooled}
+        assert sum(owned.values()) < sum(slot.nbytes for slot, _ in pooled)
+
+
+class _GRUHead(Module):
+    def __init__(self):
+        super().__init__()
+        self.gru = GRU(2, 5, rng=3)
+
+    def forward(self, x):
+        sequence, hidden = self.gru(x)
+        return sequence.sum(axis=1) + hidden
+
+
+class TestGRU:
+    """``nn.GRU`` has one forward: the eager loop, recorded per step."""
+
+    def test_gru_compiles_bit_identical(self):
+        model = _GRUHead().eval()
+        x = np.random.default_rng(4).standard_normal((3, 6, 4, 2))
+
+        def run():
+            with no_grad():
+                return run_compiled(model, model.forward, Tensor(x), kind="predict").data
+
+        with traced_execution(False):
+            eager = run()
+        captured, replayed = run(), run()
+        stats = program_cache_stats()
+        assert stats["untraceable"] == 0
+        assert stats["captures"] == 1 and stats["replays"] == 1
+        assert np.array_equal(captured, eager)
+        assert np.array_equal(replayed, eager)
+
+    def test_gru_training_step_bit_identical_to_reference_loop(self):
+        model = _GRUHead()
+        x = np.random.default_rng(5).standard_normal((2, 5, 3, 2))
+
+        def step(sequence, hidden):
+            loss = (sequence * sequence).sum() + hidden.sum()
+            model.zero_grad()
+            loss.backward()
+            return [p.grad.copy() for p in model.parameters()]
+
+        sequence, hidden = model.gru(Tensor(x))
+        values = (sequence.data.copy(), hidden.data.copy())
+        grads = step(sequence, hidden)
+
+        inputs, cell = Tensor(x), model.gru.cell
+        h = Tensor(np.zeros((2, 3, 5)))
+        outputs = []
+        for t in range(x.shape[1]):
+            h = cell(inputs[:, t, :, :], h)
+            outputs.append(h)
+        ref_sequence = stack(outputs, axis=1)
+        assert np.array_equal(values[0], ref_sequence.data)
+        assert np.array_equal(values[1], h.data)
+        for got, want in zip(grads, step(ref_sequence, h)):
+            assert np.array_equal(got, want)
 
 
 class _Affine(Module):
