@@ -29,14 +29,16 @@ test:
 # (CI runs one value per matrix job: `make test-parity BLAS_THREADS=2`).
 # test_trace.py adds replay == eager and the training step == the backward
 # that keeps the whole graph; test_serialize.py adds a dumped and reloaded
-# recurrent structure replaying == eager.
+# recurrent structure replaying == eager; test_op_table.py pins every op-table
+# entry's eager bits to its reference and its one-op replay, dumped and
+# reloaded, to eager.
 BLAS_THREADS ?= 1 2
 
 test-parity:
 	for threads in $(BLAS_THREADS); do \
 		OPENBLAS_NUM_THREADS=$$threads $(PYTHON) -m pytest \
 			tests/tensor/test_partition_kernels.py tests/tensor/test_trace.py \
-			tests/tensor/test_serialize.py \
+			tests/tensor/test_serialize.py tests/tensor/test_op_table.py \
 			tests/serve/test_partition_parity.py tests/serve/test_sharding.py \
 			tests/serve/test_engine.py \
 			-k "parity or identical or bit" -x -q || exit 1; \

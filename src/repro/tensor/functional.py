@@ -17,7 +17,6 @@ from .tensor import (
     as_tensor,
     concatenate,
     is_grad_enabled,
-    maximum,
     spmm,
     spmm_multi,
     stack,
@@ -97,11 +96,7 @@ def relu(x: Tensor) -> Tensor:
 def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     """Leaky ReLU with configurable negative slope."""
     x = as_tensor(x)
-    mask = x.data > 0
-    tape = _TAPE.tape
-    if tape is not None:
-        tape.register_cond(mask, "greater", x, 0)
-    return where(mask, x, x * negative_slope)
+    return where(Tensor._make("greater", x, 0), x, x * negative_slope)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -125,11 +120,7 @@ def softplus(x: Tensor) -> Tensor:
 def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
     """Exponential linear unit."""
     x = as_tensor(x)
-    mask = x.data > 0
-    tape = _TAPE.tape
-    if tape is not None:
-        tape.register_cond(mask, "greater", x, 0)
-    return where(mask, x, (x.exp() - 1.0) * alpha)
+    return where(Tensor._make("greater", x, 0), x, (x.exp() - 1.0) * alpha)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -142,11 +133,7 @@ def gelu(x: Tensor) -> Tensor:
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
     x = as_tensor(x)
-    amax = Tensor(x.data.max(axis=axis, keepdims=True))
-    tape = _TAPE.tape
-    if tape is not None:
-        tape.register_amax(amax, x, axis)
-    shifted = x - amax
+    shifted = x - x.detach().max(axis=axis, keepdims=True)
     exponentials = shifted.exp()
     return exponentials / exponentials.sum(axis=axis, keepdims=True)
 
@@ -154,11 +141,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Log-softmax along ``axis``."""
     x = as_tensor(x)
-    amax = Tensor(x.data.max(axis=axis, keepdims=True))
-    tape = _TAPE.tape
-    if tape is not None:
-        tape.register_amax(amax, x, axis)
-    shifted = x - amax
+    shifted = x - x.detach().max(axis=axis, keepdims=True)
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 

@@ -269,10 +269,6 @@ class HaloExchange:
         return out
 
 
-def _gather_backward(_grad):  # pragma: no cover - guarded by the grad check
-    raise PartitionError("halo_gather has no backward; partitioned forward is inference-only")
-
-
 class PartitionContext:
     """Per-shard view over a partition plan, installed thread-locally.
 
@@ -307,14 +303,7 @@ class PartitionContext:
 
     # ------------------------------------------------------------------ #
     def _gather(self, x: Tensor, spec: GatherSpec) -> Tensor:
-        data = self.exchange.gather(x.data, spec)
-        return Tensor._make(
-            data,
-            (x,),
-            (_gather_backward,),
-            op="halo_gather",
-            ctx={"exchange": self.exchange, "spec": spec},
-        )
+        return Tensor._make("halo_gather", x, exchange=self.exchange, spec=spec)
 
     def _specs_for(self, partitioned) -> GatherSpec:
         specs = partitioned.runtime.get("specs")

@@ -7,7 +7,11 @@ by the URCL framework (dense layers, temporal convolutions expressed as
 gathers + matmuls, graph convolutions, contrastive losses).
 
 The public entry point is :class:`Tensor`.  Gradients are accumulated into
-``Tensor.grad`` by calling :meth:`Tensor.backward` on a scalar output.
+``Tensor.grad`` by calling :meth:`Tensor.backward` on a scalar output.  Every
+operation is an entry of the op table at the end of this module
+(:data:`PRIMITIVES`): its forward kernel, its per-operand VJP makers and the
+params a capture records, defined once and run by both eager execution and
+compiled replay.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import contextlib
 import math
 import threading
 import weakref
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -561,43 +566,48 @@ class Tensor:
         self.grad = None
 
     # ------------------------------------------------------------------ #
-    # Graph construction helpers
+    # Graph construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def _make(
-        cls,
-        data: np.ndarray,
-        parents: Sequence["Tensor"],
-        vjps: Sequence[Callable[[np.ndarray], np.ndarray]],
-        op: str | None = None,
-        ctx: dict | None = None,
-    ) -> "Tensor":
-        """Create a result tensor wired into the autograd graph.
+    def _make(cls, op: str, *operands, **params) -> "Tensor":
+        """Apply the op-table primitive ``op`` and wire its result into the graph.
 
-        ``vjps[i]`` maps the result's gradient to ``parents[i]``'s share of it
-        (HIPS/autograd's vector-Jacobian product).  While recording, a result
-        with a parent that requires grad gets a :class:`_Node` holding those
-        parents' nodes and only their VJPs, so a VJP for an operand that needs
-        no gradient is never run and the arrays it closed over die now.  Each
-        VJP must close over exactly the arrays it reads (never a ``Tensor``):
-        that is what lets every other intermediate die with the forward.
+        Every op result is made here: the entry's kernel computes the data
+        (the very kernel a compiled replay runs into its arena), an active
+        capture tape records the op with the params the entry names, and a
+        non-tensor operand is coerced first — a Python scalar at the dtype of
+        the op's floating tensor operand, so it never promotes a float32
+        model.  The computed dtype is preserved (only *leaf* creation
+        consults the default dtype), so a model keeps its precision when the
+        global default changes afterwards.
 
-        The computed dtype is preserved (only *leaf* creation consults the
-        default dtype), so a model keeps its precision even when the global
-        default changes afterwards.  ``op``/``ctx`` describe the operation to
-        an active capture tape; a ``_make`` without metadata poisons the tape
-        (eager fallback) instead of replaying an op it cannot reproduce.
+        In grad mode, a result with an operand that requires grad gets a
+        :class:`_Node` holding those operands' nodes and one VJP each
+        (HIPS/autograd's vector-Jacobian product), made by the entry only for
+        such operands: each VJP closes over exactly the arrays it reads, so
+        every other intermediate dies with the forward.
         """
+        prim = PRIMITIVES[op]
+        for operand in operands:
+            if not isinstance(operand, Tensor):
+                operands = _coerce(operands)
+                break
+        arrays = [operand.data for operand in operands]
+        data = prim.kernel(*arrays, **params)
         out = cls(data, requires_grad=False, dtype=data.dtype)
-        if _GRAD_MODE.enabled:
-            pairs = [(p._node or p, vjp) for p, vjp in zip(parents, vjps) if p.requires_grad]
+        if _GRAD_MODE.enabled and prim.differentiable:
+            pairs = [
+                (operand._node or operand, prim.make_vjp(argnum, data, arrays, params))
+                for argnum, operand in enumerate(operands)
+                if operand.requires_grad
+            ]
             if pairs:
-                nodes, kept = zip(*pairs)
+                nodes, vjps = zip(*pairs)
                 out.requires_grad = True
-                out._node = _Node(nodes, kept, data.dtype)
+                out._node = _Node(nodes, vjps, data.dtype)
         tape = _TAPE.tape
         if tape is not None:
-            tape.record(out, parents, op, ctx)
+            tape.record(out, operands, prim, params)
         return out
 
     def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
@@ -682,55 +692,34 @@ class Tensor:
     # Elementwise arithmetic
     # ------------------------------------------------------------------ #
     def __add__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        data = self.data + other.data
-        a, b = self.shape, other.shape
-        vjps = (lambda g: _unbroadcast(g, a), lambda g: _unbroadcast(g, b))
-        return Tensor._make(data, (self, other), vjps, op="add")
+        return Tensor._make("add", self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        data = self.data - other.data
-        a, b = self.shape, other.shape
-        vjps = (lambda g: _unbroadcast(g, a), lambda g: _unbroadcast(-g, b))
-        return Tensor._make(data, (self, other), vjps, op="sub")
+        return Tensor._make("sub", self, other)
 
     def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other).__sub__(self)
+        return Tensor._make("sub", other, self)
 
     def __mul__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        x, y = self.data, other.data
-        a, b = x.shape, y.shape
-        vjps = (lambda g: _unbroadcast(g * y, a), lambda g: _unbroadcast(g * x, b))
-        return Tensor._make(x * y, (self, other), vjps, op="mul")
+        return Tensor._make("mul", self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        x, y = self.data, other.data
-        a, b = x.shape, y.shape
-        vjps = (
-            lambda g: _unbroadcast(g / y, a),
-            lambda g: _unbroadcast(-g * x / (y**2), b),
-        )
-        return Tensor._make(x / y, (self, other), vjps, op="div")
+        return Tensor._make("div", self, other)
 
     def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other).__truediv__(self)
+        return Tensor._make("div", other, self)
 
     def __neg__(self) -> "Tensor":
-        return Tensor._make(-self.data, (self,), (np.negative,), op="neg")
+        return Tensor._make("neg", self)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("Tensor.__pow__ only supports scalar exponents")
-        x = self.data
-        vjps = (lambda g: g * exponent * x ** (exponent - 1),)
-        return Tensor._make(x**exponent, (self,), vjps, op="pow", ctx={"exponent": exponent})
+        return Tensor._make("pow", self, exponent=exponent)
 
     # ------------------------------------------------------------------ #
     # Comparisons (non-differentiable, return plain arrays)
@@ -751,66 +740,34 @@ class Tensor:
     # Unary math
     # ------------------------------------------------------------------ #
     def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-        return Tensor._make(data, (self,), (lambda g: g * data,), op="exp")
+        return Tensor._make("exp", self)
 
     def log(self) -> "Tensor":
-        x = self.data
-        return Tensor._make(np.log(x), (self,), (lambda g: g / x,), op="log")
+        return Tensor._make("log", self)
 
     def sqrt(self) -> "Tensor":
-        data = np.sqrt(self.data)
-        vjps = (lambda g: g * 0.5 / np.maximum(data, 1e-12),)
-        return Tensor._make(data, (self,), vjps, op="sqrt")
+        return Tensor._make("sqrt", self)
 
     def abs(self) -> "Tensor":
-        x = self.data
-        return Tensor._make(np.abs(x), (self,), (lambda g: g * np.sign(x),), op="abs")
+        return Tensor._make("abs", self)
 
     def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-        return Tensor._make(data, (self,), (lambda g: g * (1.0 - data**2),), op="tanh")
+        return Tensor._make("tanh", self)
 
     def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
-        vjps = (lambda g: g * data * (1.0 - data),)
-        return Tensor._make(data, (self,), vjps, op="sigmoid")
+        return Tensor._make("sigmoid", self)
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-        data = self.data * mask
-        return Tensor._make(data, (self,), (lambda g: g * mask,), op="relu")
+        return Tensor._make("relu", self)
 
     def clip(self, minimum: float | None = None, maximum: float | None = None) -> "Tensor":
-        data = np.clip(self.data, minimum, maximum)
-        mask = np.ones_like(self.data)
-        if minimum is not None:
-            mask = mask * (self.data >= minimum)
-        if maximum is not None:
-            mask = mask * (self.data <= maximum)
-        return Tensor._make(
-            data,
-            (self,),
-            (lambda g: g * mask,),
-            op="clip",
-            ctx={"minimum": minimum, "maximum": maximum},
-        )
+        return Tensor._make("clip", self, minimum=minimum, maximum=maximum)
 
     # ------------------------------------------------------------------ #
     # Reductions
     # ------------------------------------------------------------------ #
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.sum(axis=axis, keepdims=keepdims)
-        shape = self.shape
-
-        def vjp(grad: np.ndarray) -> np.ndarray:
-            if axis is not None and not keepdims:
-                grad = np.expand_dims(grad, axis)
-            return np.broadcast_to(grad, shape).copy()
-
-        return Tensor._make(
-            data, (self,), (vjp,), op="sum", ctx={"axis": axis, "keepdims": keepdims}
-        )
+        return Tensor._make("sum", self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -827,22 +784,7 @@ class Tensor:
         return result
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        x = self.data
-        data = x.max(axis=axis, keepdims=keepdims)
-
-        def vjp(grad: np.ndarray) -> np.ndarray:
-            expanded_data = data
-            expanded_grad = grad
-            if axis is not None and not keepdims:
-                expanded_data = np.expand_dims(data, axis)
-                expanded_grad = np.expand_dims(grad, axis)
-            mask = x == expanded_data
-            counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            return expanded_grad * mask / counts
-
-        return Tensor._make(
-            data, (self,), (vjp,), op="max", ctx={"axis": axis, "keepdims": keepdims}
-        )
+        return Tensor._make("max", self, axis=axis, keepdims=keepdims)
 
     def min(self, axis=None, keepdims: bool = False) -> "Tensor":
         return -((-self).max(axis=axis, keepdims=keepdims))
@@ -858,20 +800,14 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        data = self.data.reshape(shape)
-        original = self.shape
-        vjps = (lambda g: g.reshape(original),)
-        return Tensor._make(data, (self,), vjps, op="reshape", ctx={"shape": shape})
+        return Tensor._make("reshape", self, shape=shape)
 
     def transpose(self, *axes) -> "Tensor":
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        data = self.data.transpose(axes)
-        inverse = np.argsort(axes)
-        vjps = (lambda g: g.transpose(inverse),)
-        return Tensor._make(data, (self,), vjps, op="transpose", ctx={"axes": axes})
+        return Tensor._make("transpose", self, axes=axes)
 
     def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
         axes = list(range(self.ndim))
@@ -879,81 +815,33 @@ class Tensor:
         return self.transpose(*axes)
 
     def expand_dims(self, axis: int) -> "Tensor":
-        data = np.expand_dims(self.data, axis)
-        vjps = (lambda g: np.squeeze(g, axis=axis),)
-        return Tensor._make(data, (self,), vjps, op="expand_dims", ctx={"axis": axis})
+        return Tensor._make("expand_dims", self, axis=axis)
 
     def squeeze(self, axis: int | None = None) -> "Tensor":
-        data = np.squeeze(self.data, axis=axis)
-        original = self.shape
-        vjps = (lambda g: g.reshape(original),)
-        return Tensor._make(data, (self,), vjps, op="squeeze", ctx={"axis": axis})
+        return Tensor._make("squeeze", self, axis=axis)
 
     def flatten(self) -> "Tensor":
         return self.reshape(-1)
 
     def pad(self, pad_width: Sequence[tuple[int, int]]) -> "Tensor":
-        """Zero-pad the tensor; ``pad_width`` follows ``np.pad`` conventions."""
-        data = np.pad(self.data, pad_width)
-        slices = tuple(
-            slice(before, before + dim) for (before, _), dim in zip(pad_width, self.shape)
-        )
-        vjps = (lambda g: g[slices],)
-        return Tensor._make(data, (self,), vjps, op="pad", ctx={"slices": slices})
+        """Zero-pad the tensor; ``pad_width`` holds one ``(before, after)``
+        pair per axis (``np.pad`` conventions)."""
+        pairs = list(zip(pad_width, self.shape))
+        shape = tuple(before + dim + after for (before, after), dim in pairs)
+        interior = tuple(slice(before, before + dim) for (before, _), dim in pairs)
+        return Tensor._make("pad", self, shape=shape, interior=interior)
 
     def __getitem__(self, index) -> "Tensor":
-        data = self.data[index]
-        original_shape = self.shape
-        dtype = self.data.dtype
-        basic = _is_basic_index(index)
-
-        def vjp(grad: np.ndarray) -> np.ndarray:
-            full = np.zeros(original_shape, dtype=dtype)
-            if basic:
-                # Basic (slice/int) indexing never selects the same element
-                # twice, so a plain assignment matches ``np.add.at`` while
-                # skipping its slow scatter machinery.
-                full[index] = grad
-            else:
-                np.add.at(full, index, grad)
-            return full
-
-        return Tensor._make(
-            data, (self,), (vjp,), op="getitem", ctx={"index": index, "basic": basic}
-        )
+        return Tensor._make("getitem", self, index=index)
 
     # ------------------------------------------------------------------ #
     # Linear algebra
     # ------------------------------------------------------------------ #
     def __matmul__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        x, y = self.data, other.data
-        a, b = x.shape, y.shape
-        if x.ndim == 1 and y.ndim == 1:
-            vjps = (lambda g: g * y, lambda g: g * x)
-        elif x.ndim == 1:
-            # (m,) @ (..., m, p) -> (..., p)
-            vjps = (
-                lambda g: _unbroadcast((g[..., None, :] * y).sum(axis=-1), a),
-                lambda g: _unbroadcast(x[..., :, None] * g[..., None, :], b),
-            )
-        elif y.ndim == 1:
-            # (..., n, m) @ (m,) -> (..., n)
-            vjps = (
-                lambda g: _unbroadcast(g[..., :, None] * y, a),
-                lambda g: _unbroadcast(
-                    (x * g[..., :, None]).sum(axis=tuple(range(x.ndim - 1))), b
-                ),
-            )
-        else:
-            vjps = (
-                lambda g: _unbroadcast(g @ np.swapaxes(y, -1, -2), a),
-                lambda g: _unbroadcast(np.swapaxes(x, -1, -2) @ g, b),
-            )
-        return Tensor._make(_matmul_execute(x, y), (self, other), vjps, op="matmul")
+        return Tensor._make("matmul", self, other)
 
     def __rmatmul__(self, other) -> "Tensor":
-        return as_tensor(other).__matmul__(self)
+        return Tensor._make("matmul", other, self)
 
     def dot(self, other) -> "Tensor":
         return self.__matmul__(other)
@@ -962,25 +850,38 @@ class Tensor:
 # ---------------------------------------------------------------------- #
 # Free functions over tensors
 # ---------------------------------------------------------------------- #
-def _spmm_leading(matrix, array: np.ndarray) -> np.ndarray:
+def _nodes_first(array: np.ndarray) -> np.ndarray:
+    """``np.moveaxis(array, -2, 0)`` as one transpose: the node axis leads."""
+    ndim = array.ndim
+    return array.transpose((ndim - 2, *range(ndim - 2), ndim - 1))
+
+
+def _spmm_leading(matrix, array: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply a sparse ``(N, N)`` matrix to the ``-2`` axis of ``array``.
 
     ``array`` has shape ``(..., N, C)``; all leading axes are flattened into
     the column dimension so the whole batch goes through a single CSR x
-    dense product, then restored.
+    dense product, then restored.  The result is an owned, contiguous buffer
+    (callers may treat it as fresh: the in-place gradient-accumulation
+    protocol), or ``out``.
     """
     if array.ndim == 1:
-        return matrix @ array
-    if array.ndim == 2:
-        return _spmm_product(matrix, array)
-    moved = np.moveaxis(array, -2, 0)  # (N, ..., C), a view
-    flat = moved.reshape(moved.shape[0], -1)  # copies iff non-contiguous
-    product = _spmm_product(matrix, flat)
-    # Rectangular matrices (partitioned row blocks) change the node extent.
-    out = np.moveaxis(product.reshape((matrix.shape[0],) + moved.shape[1:]), 0, -2)
-    # Materialise an owned, contiguous buffer so callers may treat the
-    # result as fresh (the in-place gradient-accumulation protocol).
-    return np.ascontiguousarray(out)
+        product = matrix @ array
+    elif array.ndim == 2:
+        product = _spmm_product(matrix, array)
+    else:
+        moved = _nodes_first(array)  # (N, ..., C), a view
+        flat = moved.reshape(moved.shape[0], -1)  # copies iff non-contiguous
+        # Rectangular matrices (partitioned row blocks) change the node extent.
+        shape = (matrix.shape[0],) + moved.shape[1:]
+        ndim = array.ndim  # (N', ..., C) -> (..., N', C)
+        product = _spmm_product(matrix, flat).reshape(shape).transpose(
+            (*range(1, ndim - 1), 0, ndim - 1)
+        )
+    if out is None:
+        return np.ascontiguousarray(product)
+    np.copyto(out, product)
+    return out
 
 
 def spmm(matrix, x, transpose=None) -> Tensor:
@@ -1009,10 +910,7 @@ def spmm(matrix, x, transpose=None) -> Tensor:
         or transpose.dtype != matrix.dtype
     ):
         transpose = None
-    data = _spmm_leading(matrix, x.data)
-    transposed = transpose if transpose is not None else matrix.T
-    vjps = (lambda g: _spmm_leading(transposed, g),)
-    return Tensor._make(data, (x,), vjps, op="spmm", ctx={"matrix": matrix})
+    return Tensor._make("spmm", x, matrix=matrix, transpose=transpose)
 
 
 def spmm_multi(stacked, x, count: int, transpose=None, rows: int | None = None) -> Tensor:
@@ -1059,17 +957,405 @@ def spmm_multi(stacked, x, count: int, transpose=None, rows: int | None = None) 
         transpose.shape != (size, count * rows) or transpose.dtype != stacked.dtype
     ):
         transpose = None
+    return Tensor._make(
+        "spmm_multi", x, stacked=stacked, count=count, rows=rows, transpose=transpose
+    )
 
-    array = x.data
-    moved = np.moveaxis(array, -2, 0)  # (N, ..., C), a view
+
+def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
+    """Concatenate tensors along ``axis`` (differentiable)."""
+    return Tensor._make("concatenate", *tensors, axis=axis)
+
+
+def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
+    """Stack tensors along a new ``axis`` (differentiable)."""
+    return Tensor._make("stack", *tensors, axis=axis)
+
+
+def where(condition, a, b) -> Tensor:
+    """Differentiable elementwise selection.
+
+    ``condition`` is a boolean array or a boolean tensor from a comparison
+    op (``maximum``/``minimum`` build theirs that way, so a compiled program
+    recomputes it on every replay).
+    """
+    if not isinstance(condition, Tensor):
+        condition = Tensor(np.asarray(condition, dtype=bool), dtype=bool)
+    return Tensor._make("where", condition, a, b)
+
+
+def maximum(a, b) -> Tensor:
+    """Differentiable elementwise maximum."""
+    a, b = _coerce((a, b))
+    return where(Tensor._make("greater_equal", a, b), a, b)
+
+
+def minimum(a, b) -> Tensor:
+    """Differentiable elementwise minimum."""
+    a, b = _coerce((a, b))
+    return where(Tensor._make("less_equal", a, b), a, b)
+
+
+def _coerce(operands) -> tuple:
+    """The operands as tensors.  A Python scalar wraps at the dtype of the
+    first floating tensor operand (so ``x * 0.5`` stays float32 under a
+    float64 default); anything else goes through :func:`as_tensor`."""
+    dtype = next(
+        (t.data.dtype for t in operands if isinstance(t, Tensor) and t.data.dtype.kind == "f"),
+        None,
+    )
+    return tuple(
+        t if isinstance(t, Tensor)
+        else Tensor(t, dtype=dtype) if dtype is not None and isinstance(t, (int, float))
+        else as_tensor(t)
+        for t in operands
+    )
+
+
+# ---------------------------------------------------------------------- #
+# The op table
+# ---------------------------------------------------------------------- #
+@dataclass(frozen=True, slots=True)
+class Primitive:
+    """One op-table entry: HIPS/autograd's ``primitive`` with its ``defvjp``.
+
+    ``kernel(*operand_arrays, out=None, **params)`` is the op's forward
+    arithmetic, written once: it allocates its result when ``out`` is
+    ``None`` and writes into ``out`` otherwise (a kernel without params also
+    takes ``out`` positionally, as ufuncs do).  Eager ops
+    (:meth:`Tensor._make`) call it on fresh arrays and a compiled
+    :class:`~repro.tensor.program.ProgramInstance` calls it into arena slots,
+    so replay == eager holds by construction.
+
+    ``vjps[i](ans, *operand_arrays, **params)`` makes operand ``i``'s VJP
+    (variadic ops give one ``vjp_argnum(i, ans, *operand_arrays, **params)``
+    instead).  Makers run only in grad mode, only for an operand that
+    requires grad, and each VJP closes over exactly the arrays it reads.  An
+    entry without VJPs is non-differentiable: its result never requires
+    grad.
+
+    ``record`` names the params a capture keeps in the program node: the
+    kernel's params, never a VJP-only one like a cached CSR transpose.
+    ``view`` marks ops whose kernel may return a view of the operand, and
+    ``shareable=False`` keeps any program using the op bound to the model
+    that captured it.
+    """
+
+    name: str
+    kernel: Callable
+    vjps: tuple
+    vjp_argnum: Callable | None
+    record: tuple
+    view: bool
+    shareable: bool
+    differentiable: bool
+
+    def make_vjp(self, argnum: int, ans, arrays, params) -> Callable:
+        if self.vjp_argnum is not None:
+            return self.vjp_argnum(argnum, ans, *arrays, **params)
+        return self.vjps[argnum](ans, *arrays, **params)
+
+
+PRIMITIVES: dict[str, Primitive] = {}
+
+
+def defprimitive(
+    name, kernel, *vjps, vjp_argnum=None, record=(), view=False, shareable=True
+) -> None:
+    """Register ``name`` in the op table (see :class:`Primitive`)."""
+    differentiable = bool(vjps) or vjp_argnum is not None
+    PRIMITIVES[name] = Primitive(
+        name, kernel, vjps, vjp_argnum, record, view, shareable, differentiable
+    )
+
+
+def _into(out: np.ndarray | None, result: np.ndarray) -> np.ndarray:
+    """``result`` itself, or copied into ``out`` when a buffer is given."""
+    if out is None:
+        return result
+    np.copyto(out, result)
+    return out
+
+
+def _unbroadcast_to(shape):
+    return lambda g: _unbroadcast(g, shape)
+
+
+def _restore_shape(ans, x, **params):
+    original = x.shape
+    return lambda g: g.reshape(original)
+
+
+# Elementwise arithmetic ------------------------------------------------ #
+def _sub_vjp_y(ans, x, y):
+    b = y.shape
+    return lambda g: _unbroadcast(-g, b)
+
+
+def _mul_vjp_x(ans, x, y):
+    a = x.shape
+    return lambda g: _unbroadcast(g * y, a)
+
+
+def _mul_vjp_y(ans, x, y):
+    b = y.shape
+    return lambda g: _unbroadcast(g * x, b)
+
+
+def _div_vjp_x(ans, x, y):
+    a = x.shape
+    return lambda g: _unbroadcast(g / y, a)
+
+
+def _div_vjp_y(ans, x, y):
+    b = y.shape
+    return lambda g: _unbroadcast(-g * x / (y**2), b)
+
+
+def _pow(x, out=None, *, exponent):
+    return np.power(x, exponent, out=out)
+
+
+def _pow_vjp(ans, x, *, exponent):
+    return lambda g: g * exponent * x ** (exponent - 1)
+
+
+defprimitive(
+    "add",
+    np.add,
+    lambda ans, x, y: _unbroadcast_to(x.shape),
+    lambda ans, x, y: _unbroadcast_to(y.shape),
+)
+defprimitive("sub", np.subtract, lambda ans, x, y: _unbroadcast_to(x.shape), _sub_vjp_y)
+defprimitive("mul", np.multiply, _mul_vjp_x, _mul_vjp_y)
+defprimitive("div", np.divide, _div_vjp_x, _div_vjp_y)
+defprimitive("neg", np.negative, lambda ans, x: np.negative)
+defprimitive("pow", _pow, _pow_vjp, record=("exponent",))
+
+
+# Unary math ------------------------------------------------------------ #
+def _sigmoid(x, out=None):
+    out = np.negative(x, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0, out, out=out)
+
+
+def _relu(x, out=None):
+    return np.multiply(x, x > 0, out=out)
+
+
+def _relu_vjp(ans, x):
+    mask = x > 0
+    return lambda g: g * mask
+
+
+def _clip(x, out=None, *, minimum, maximum):
+    return np.clip(x, minimum, maximum, out=out)
+
+
+def _clip_vjp(ans, x, *, minimum, maximum):
+    mask = np.ones_like(x)
+    if minimum is not None:
+        mask = mask * (x >= minimum)
+    if maximum is not None:
+        mask = mask * (x <= maximum)
+    return lambda g: g * mask
+
+
+defprimitive("exp", np.exp, lambda ans, x: lambda g: g * ans)
+defprimitive("log", np.log, lambda ans, x: lambda g: g / x)
+defprimitive("sqrt", np.sqrt, lambda ans, x: lambda g: g * 0.5 / np.maximum(ans, 1e-12))
+defprimitive("abs", np.absolute, lambda ans, x: lambda g: g * np.sign(x))
+defprimitive("tanh", np.tanh, lambda ans, x: lambda g: g * (1.0 - ans**2))
+defprimitive("sigmoid", _sigmoid, lambda ans, x: lambda g: g * ans * (1.0 - ans))
+defprimitive("relu", _relu, _relu_vjp)
+defprimitive("clip", _clip, _clip_vjp, record=("minimum", "maximum"))
+
+# Comparisons: boolean conditions for ``where``, recorded like any other op.
+defprimitive("greater", np.greater)
+defprimitive("greater_equal", np.greater_equal)
+defprimitive("less_equal", np.less_equal)
+
+
+# Reductions ------------------------------------------------------------ #
+def _sum(x, out=None, *, axis, keepdims):
+    return x.sum(axis=axis, keepdims=keepdims, out=out)
+
+
+def _sum_vjp(ans, x, *, axis, keepdims):
+    shape = x.shape
+
+    def vjp(grad: np.ndarray) -> np.ndarray:
+        if axis is not None and not keepdims:
+            grad = np.expand_dims(grad, axis)
+        return np.broadcast_to(grad, shape).copy()
+
+    return vjp
+
+
+def _max(x, out=None, *, axis, keepdims):
+    return x.max(axis=axis, keepdims=keepdims, out=out)
+
+
+def _max_vjp(ans, x, *, axis, keepdims):
+    data = ans
+
+    def vjp(grad: np.ndarray) -> np.ndarray:
+        expanded_data = data
+        expanded_grad = grad
+        if axis is not None and not keepdims:
+            expanded_data = np.expand_dims(data, axis)
+            expanded_grad = np.expand_dims(grad, axis)
+        mask = x == expanded_data
+        counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
+        return expanded_grad * mask / counts
+
+    return vjp
+
+
+defprimitive("sum", _sum, _sum_vjp, record=("axis", "keepdims"))
+defprimitive("max", _max, _max_vjp, record=("axis", "keepdims"))
+
+
+# Shape manipulation ---------------------------------------------------- #
+# View ops: a compiled instance calls the kernel once at build time on the
+# parent buffer; a view replays for free, a copy (a non-contiguous reshape,
+# an advanced index) re-copies into its slot on every replay.
+def _reshape(x, out=None, *, shape):
+    if out is None:
+        return x.reshape(shape)
+    np.copyto(out.reshape(x.shape), x)
+    return out
+
+
+def _transpose(x, out=None, *, axes):
+    return _into(out, x.transpose(axes))
+
+
+def _transpose_vjp(ans, x, *, axes):
+    inverse = np.argsort(axes)
+    return lambda g: g.transpose(inverse)
+
+
+def _expand_dims(x, out=None, *, axis):
+    return _into(out, np.expand_dims(x, axis))
+
+
+def _squeeze(x, out=None, *, axis):
+    return _into(out, np.squeeze(x, axis=axis))
+
+
+def _getitem(x, out=None, *, index):
+    return _into(out, x[index])
+
+
+def _getitem_vjp(ans, x, *, index):
+    original_shape = x.shape
+    dtype = x.dtype
+    basic = _is_basic_index(index)
+
+    def vjp(grad: np.ndarray) -> np.ndarray:
+        full = np.zeros(original_shape, dtype=dtype)
+        if basic:
+            # Basic (slice/int) indexing never selects the same element
+            # twice, so a plain assignment matches ``np.add.at`` while
+            # skipping its slow scatter machinery.
+            full[index] = grad
+        else:
+            np.add.at(full, index, grad)
+        return full
+
+    return vjp
+
+
+def _pad(x, out=None, *, shape, interior):
+    if out is None:
+        out = np.empty(shape, dtype=x.dtype)
+    out.fill(0)
+    out[interior] = x
+    return out
+
+
+def _pad_vjp(ans, x, *, shape, interior):
+    return lambda g: g[interior]
+
+
+defprimitive("reshape", _reshape, _restore_shape, record=("shape",), view=True)
+defprimitive("transpose", _transpose, _transpose_vjp, record=("axes",), view=True)
+defprimitive(
+    "expand_dims",
+    _expand_dims,
+    lambda ans, x, *, axis: lambda g: np.squeeze(g, axis=axis),
+    record=("axis",),
+    view=True,
+)
+defprimitive("squeeze", _squeeze, _restore_shape, record=("axis",), view=True)
+defprimitive("getitem", _getitem, _getitem_vjp, record=("index",), view=True)
+defprimitive("pad", _pad, _pad_vjp, record=("shape", "interior"))
+
+
+# Linear algebra -------------------------------------------------------- #
+def _matmul(a, b, out=None):
+    return _matmul_execute(a, b, out)
+
+
+def _matmul_vjp_a(ans, x, y):
+    a = x.shape
+    if x.ndim == 1 and y.ndim == 1:
+        return lambda g: g * y
+    if x.ndim == 1:
+        # (m,) @ (..., m, p) -> (..., p)
+        return lambda g: _unbroadcast((g[..., None, :] * y).sum(axis=-1), a)
+    if y.ndim == 1:
+        # (..., n, m) @ (m,) -> (..., n)
+        return lambda g: _unbroadcast(g[..., :, None] * y, a)
+    return lambda g: _unbroadcast(g @ np.swapaxes(y, -1, -2), a)
+
+
+def _matmul_vjp_b(ans, x, y):
+    b = y.shape
+    if x.ndim == 1 and y.ndim == 1:
+        return lambda g: g * x
+    if x.ndim == 1:
+        return lambda g: _unbroadcast(x[..., :, None] * g[..., None, :], b)
+    if y.ndim == 1:
+        return lambda g: _unbroadcast(
+            (x * g[..., :, None]).sum(axis=tuple(range(x.ndim - 1))), b
+        )
+    return lambda g: _unbroadcast(np.swapaxes(x, -1, -2) @ g, b)
+
+
+def _spmm(x, out=None, *, matrix, transpose=None):
+    return _spmm_leading(matrix, x, out)
+
+
+def _spmm_vjp(ans, x, *, matrix, transpose=None):
+    transposed = transpose if transpose is not None else matrix.T
+    return lambda g: _spmm_leading(transposed, g)
+
+
+def _spmm_multi(x, out=None, *, stacked, count, rows, transpose=None):
+    moved = _nodes_first(x)  # (N, ..., C), a view
     lead = moved.shape[1:]
-    flat = moved.reshape(size, -1)  # (N, L); copies iff non-contiguous
+    flat = moved.reshape(stacked.shape[1], -1)  # (N, L); copies iff non-contiguous
     product = _spmm_product(stacked, flat)  # (S*rows, L): the single fused traversal
-    # (S, rows, ..., C) -> (..., rows, S, C) -> (..., rows, S*C)
-    blocks = np.moveaxis(product.reshape(count, rows, *lead), (0, 1), (-2, -3))
-    channels = array.shape[-1]
-    out_shape = array.shape[:-2] + (rows, count * channels)
-    data = np.ascontiguousarray(blocks.reshape(out_shape))
+    # (S, rows, ..., C) -> (..., rows, S, C), written straight into the
+    # (..., rows, S*C) result.
+    ndim = x.ndim + 1
+    blocks = product.reshape(count, rows, *lead).transpose(
+        (*range(2, ndim - 1), 1, 0, ndim - 1)
+    )
+    if out is None:
+        out = np.empty(x.shape[:-2] + (rows, count * x.shape[-1]), dtype=product.dtype)
+    np.copyto(out.reshape(blocks.shape), blocks)
+    return out
+
+
+def _spmm_multi_vjp(ans, x, *, stacked, count, rows, transpose=None):
+    size = stacked.shape[1]
+    lead = x.shape[:-2] + x.shape[-1:]
+    channels = x.shape[-1]
     transposed = transpose if transpose is not None else stacked.T
 
     def vjp(grad: np.ndarray) -> np.ndarray:
@@ -1080,65 +1366,61 @@ def spmm_multi(stacked, x, count: int, transpose=None, rows: int | None = None) 
         x_grad = transposed @ g_flat  # (N, L): sum_s A_s^T grad_s, fused
         return np.ascontiguousarray(np.moveaxis(x_grad.reshape(size, *lead), 0, -2))
 
-    return Tensor._make(
-        data,
-        (x,),
-        (vjp,),
-        op="spmm_multi",
-        ctx={"stacked": stacked, "count": count, "rows": rows},
-    )
+    return vjp
 
 
-def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` (differentiable)."""
-    tensors = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
-    vjps = [
-        _take_along(axis, slice(start, stop)) for start, stop in zip(offsets[:-1], offsets[1:])
-    ]
-    return Tensor._make(data, tensors, vjps, op="concatenate", ctx={"axis": axis})
+def _halo_gather(x, out=None, *, exchange, spec):
+    return exchange.gather(x, spec, out=out)
 
 
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new ``axis`` (differentiable)."""
-    tensors = [as_tensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-    vjps = [_take_along(axis, position) for position in range(len(tensors))]
-    return Tensor._make(data, tensors, vjps, op="stack", ctx={"axis": axis})
+defprimitive("matmul", _matmul, _matmul_vjp_a, _matmul_vjp_b)
+defprimitive("spmm", _spmm, _spmm_vjp, record=("matrix",))
+defprimitive("spmm_multi", _spmm_multi, _spmm_multi_vjp, record=("stacked", "count", "rows"))
+# Inference-only (``PartitionContext`` refuses grad mode before gathering),
+# so it has no VJP.  The exchange and spec are bound to one forecaster's
+# shard threads and do not serialise: a program using it stays unshared.
+defprimitive("halo_gather", _halo_gather, record=("exchange", "spec"), shareable=False)
 
 
-def where(condition: np.ndarray, a, b) -> Tensor:
-    """Differentiable elementwise selection; ``condition`` is a boolean array."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    condition = np.asarray(condition, dtype=bool)
-    data = np.where(condition, a.data, b.data)
-    a_shape, b_shape = a.shape, b.shape
-    vjps = (
-        lambda g: _unbroadcast(g * condition, a_shape),
-        lambda g: _unbroadcast(g * ~condition, b_shape),
-    )
-    return Tensor._make(data, (a, b), vjps, op="where", ctx={"condition_array": condition})
+# Joining and selection ------------------------------------------------- #
+def _concatenate(*arrays, out=None, axis):
+    return np.concatenate(arrays, axis=axis, out=out)
 
 
-def maximum(a, b) -> Tensor:
-    """Differentiable elementwise maximum."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    condition = a.data >= b.data
-    tape = _TAPE.tape
-    if tape is not None:
-        tape.register_cond(condition, "greater_equal", a, b)
-    return where(condition, a, b)
+def _concatenate_vjp(argnum, ans, *arrays, axis):
+    start = sum(array.shape[axis] for array in arrays[:argnum])
+    return _take_along(axis, slice(start, start + arrays[argnum].shape[axis]))
 
 
-def minimum(a, b) -> Tensor:
-    """Differentiable elementwise minimum."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    condition = a.data <= b.data
-    tape = _TAPE.tape
-    if tape is not None:
-        tape.register_cond(condition, "less_equal", a, b)
-    return where(condition, a, b)
+def _stack(*arrays, out=None, axis):
+    return np.stack(arrays, axis=axis, out=out)
+
+
+def _where(condition, a, b, out=None):
+    if out is None:
+        shape = np.broadcast_shapes(condition.shape, a.shape, b.shape)
+        out = np.empty(shape, dtype=np.result_type(a, b))
+    np.copyto(out, b)
+    np.copyto(out, a, where=condition)
+    return out
+
+
+def _where_vjp_a(ans, condition, a, b):
+    a_shape = a.shape
+    return lambda g: _unbroadcast(g * condition, a_shape)
+
+
+def _where_vjp_b(ans, condition, a, b):
+    b_shape = b.shape
+    return lambda g: _unbroadcast(g * ~condition, b_shape)
+
+
+defprimitive("concatenate", _concatenate, vjp_argnum=_concatenate_vjp, record=("axis",))
+defprimitive(
+    "stack",
+    _stack,
+    vjp_argnum=lambda argnum, ans, *arrays, axis: _take_along(axis, argnum),
+    record=("axis",),
+)
+# The condition is an operand that never requires grad: it has no VJP.
+defprimitive("where", _where, None, _where_vjp_a, _where_vjp_b)

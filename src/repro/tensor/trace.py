@@ -2,10 +2,13 @@
 
 On the first call for a ``(model, kind, input-shape, dtype, graph, knobs)``
 key, :func:`run_compiled` runs the model eagerly under a thread-local
-:class:`Tape` that records every ``Tensor._make`` site into an explicit
-forward-only op-list :class:`~repro.tensor.program.ProgramStructure`.  The
-list is flat: recurrent models step through time in a plain Python loop
-(:func:`scan`), so their cell records once per time step.
+:class:`Tape`.  Every op result is made by ``Tensor._make`` from an op-table
+primitive, and the tape records each one — its operands' slots and the
+params its table entry names — into an explicit forward-only op-list
+:class:`~repro.tensor.program.ProgramStructure`.  That is the only
+recording channel: a ``where`` condition or a softmax shift is an ordinary
+recorded op.  The list is flat: recurrent models step through time in a
+plain Python loop (:func:`scan`), so their cell records once per time step.
 Subsequent calls replay the program through arena-bound kernels (see
 :mod:`repro.tensor.program`) — bit-identical to the untraced forward — and
 fall back to eager execution transparently on shape misses, unknown ops or
@@ -25,11 +28,8 @@ import threading
 import weakref
 from collections import OrderedDict
 
-import numpy as np
-
 from . import tensor as _T
 from .program import (
-    AUX,
     CONST,
     INPUT,
     INTER,
@@ -229,7 +229,6 @@ class Tape:
         # an entry counts only while its weakref still returns that object.
         self.tensor_slots: dict[int, tuple] = {}
         self.array_slots: dict[int, tuple] = {}
-        self.cond_slots: dict[int, tuple] = {}
         self.fresh: set[int] = set()
         self.declared: set[int] = set()
         self.keep: list = []  # strong refs: keeps ``declared`` ids stable
@@ -264,9 +263,6 @@ class Tape:
         index = self._new_slot(INPUT, tensor.shape, tensor.dtype)
         self.input_slot = index
         self._bind(tensor, index)
-
-    def new_aux(self, shape, dtype) -> int:
-        return self._new_slot(AUX, shape, dtype)
 
     # -------------------------------------------------------------- #
     def resolve(self, tensor: Tensor) -> int | None:
@@ -305,78 +301,22 @@ class Tape:
         return None
 
     # -------------------------------------------------------------- #
-    def record(self, out: Tensor, parents, op: str | None, ctx: dict | None) -> None:
+    def record(self, out: Tensor, operands, prim, params: dict) -> None:
+        """Append ``prim`` applied to ``operands`` as a node writing ``out``."""
         if not self.ok:
             return
-        if op is None:
-            self.poison("operation without trace metadata")
-            return
         ins = []
-        for parent in parents:
-            index = self.resolve(parent)
+        for operand in operands:
+            index = self.resolve(operand)
             if index is None:
                 return
             ins.append(index)
-        params = self._translate(op, ctx or {}, out)
-        if params is None:
-            return
+        if not prim.shareable:
+            self.shareable = False
         out_index = self._new_slot(INTER, out.shape, out.dtype)
         self._bind(out, out_index)
-        self.nodes.append(Node(op, ins, out_index, params=params))
-
-    def _translate(self, op: str, ctx: dict, out: Tensor) -> dict | None:
-        params = dict(ctx)
-        if op == "relu":
-            params["mask"] = self.new_aux(out.shape, bool)
-        elif op == "where":
-            condition = params.pop("condition_array")
-            index = self._lookup(self.cond_slots, condition)
-            if index is None:
-                self.poison("where() condition is not a traced mask")
-                return None
-            params["condition"] = index
-        elif op == "halo_gather":
-            # The exchange/spec objects are bound to one forecaster's shard
-            # threads (and are not serialisable), so the structure must never
-            # be shared across models or shipped to worker processes.
-            self.shareable = False
-        return params
-
-    # -------------------------------------------------------------- #
-    # Refresh hooks (data-dependent auxiliaries recomputed per replay)
-    # -------------------------------------------------------------- #
-    def register_cond(self, cond: np.ndarray, ufunc: str, a: Tensor, b=None) -> None:
-        """Register a boolean mask as ``ufunc(a[, b])``, refreshed on replay."""
-        if not self.ok:
-            return
-        a_slot = self.resolve(a)
-        if a_slot is None:
-            return
-        ins = [a_slot]
-        params = {"ufunc": ufunc}
-        if isinstance(b, Tensor):
-            b_slot = self.resolve(b)
-            if b_slot is None:
-                return
-            ins.append(b_slot)
-        else:
-            params["scalar"] = b
-        index = self.new_aux(cond.shape, bool)
-        self.cond_slots[id(cond)] = (index, weakref.ref(cond))
-        self.nodes.append(Node("refresh_cond", ins, index, params=params))
-
-    def register_amax(self, shift: Tensor, source: Tensor, axis) -> None:
-        """Register a detached ``max(source, axis, keepdims)`` shift tensor."""
-        if not self.ok:
-            return
-        src = self.resolve(source)
-        if src is None:
-            return
-        index = self.new_aux(shift.shape, shift.dtype)
-        self._bind(shift, index)
-        self.nodes.append(
-            Node("refresh_amax", (src,), index, params={"axis": axis})
-        )
+        recorded = {name: params[name] for name in prim.record}
+        self.nodes.append(Node(prim.name, ins, out_index, params=recorded))
 
     # -------------------------------------------------------------- #
     def finalize(self, out: Tensor, model) -> ProgramStructure | None:
@@ -401,10 +341,6 @@ class Tape:
 
 # Thread-local active-tape holder, installed into tensor.py's hook point.
 _TAPE = _T._TAPE
-
-
-def active_tape() -> Tape | None:
-    return _TAPE.tape
 
 
 def declare_const(tensor: Tensor) -> Tensor:

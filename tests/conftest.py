@@ -7,6 +7,8 @@ still exercising every code path of the library.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,25 @@ from repro.data.datasets import load_dataset
 from repro.data.streaming import build_streaming_scenario
 from repro.graph.generators import grid_network
 from repro.models.stencoder import STEncoderConfig
+
+
+# Per-test wall-time cap: a test whose call phase runs longer fails, so a
+# hang or a slowdown shows up as a named failure rather than a stalled job.
+# The slowest test takes about 11 s on a 2-core box.
+CALL_SECONDS_CAP = 60.0
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    start = time.perf_counter()
+    result = yield
+    elapsed = time.perf_counter() - start
+    if elapsed > CALL_SECONDS_CAP:
+        pytest.fail(
+            f"call took {elapsed:.1f} s; the per-test cap is {CALL_SECONDS_CAP:g} s",
+            pytrace=False,
+        )
+    return result
 
 
 @pytest.fixture

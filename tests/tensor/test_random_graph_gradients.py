@@ -25,6 +25,7 @@ from repro.tensor import (
     stack,
     where,
 )
+from repro.tensor.tensor import PRIMITIVES
 
 _CONST = Tensor(np.linspace(-1.0, 1.0, 12).reshape(3, 4))  # no-grad operand
 _ROW = Tensor(np.array([0.5, -1.0, 2.0, 0.25]))  # broadcasts over rows
@@ -111,3 +112,20 @@ def test_random_graph_gradients_match_central_differences(last, steps, operands,
         return sum((node * w).sum() for node, w in zip(pool[3:], weights))
 
     assert check_gradients(loss, leaves)
+
+
+def test_ops_exercise_every_differentiable_primitive(monkeypatch):
+    seen = set()
+    make = Tensor._make.__func__
+
+    def recording_make(cls, op, *operands, **params):
+        seen.add(op)
+        return make(cls, op, *operands, **params)
+
+    monkeypatch.setattr(Tensor, "_make", classmethod(recording_make))
+    rng = np.random.default_rng(0)
+    a, b, c = (Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(3))
+    for op in _OPS.values():
+        op(a, b, c)
+    differentiable = {name for name, prim in PRIMITIVES.items() if prim.differentiable}
+    assert differentiable <= seen, sorted(differentiable - seen)

@@ -34,7 +34,7 @@ from repro.tensor import (
     traced_execution,
 )
 from repro.tensor import trace
-from repro.tensor.program import AUX, INPUT, INTER, ProgramInstance
+from repro.tensor.program import INPUT, INTER, ProgramInstance
 
 ZOO = ("graphwavenet", "dcrnn", "geoman", "stgcn", "mtgnn", "agcrn", "stgode")
 URCL_BACKBONES = ("graphwavenet", "dcrnn", "geoman")
@@ -328,7 +328,7 @@ class TestArenaBytes:
         arena = [
             array
             for slot, array in zip(structure.slots, instance.env)
-            if slot.kind in (INPUT, INTER, AUX)
+            if slot.kind in (INPUT, INTER)
         ]
         owned = {id(array): array.nbytes for array in arena if array.base is None}
         assert any(array.base is not None for array in arena)  # views own nothing
