@@ -17,6 +17,7 @@ from .tensor import (
     as_tensor,
     concatenate,
     is_grad_enabled,
+    no_grad,
     spmm,
     spmm_multi,
     stack,
@@ -133,7 +134,9 @@ def gelu(x: Tensor) -> Tensor:
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
     x = as_tensor(x)
-    shifted = x - x.detach().max(axis=axis, keepdims=True)
+    with no_grad():
+        shift = x.max(axis=axis, keepdims=True)
+    shifted = x - shift
     exponentials = shifted.exp()
     return exponentials / exponentials.sum(axis=axis, keepdims=True)
 
@@ -141,7 +144,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Log-softmax along ``axis``."""
     x = as_tensor(x)
-    shifted = x - x.detach().max(axis=axis, keepdims=True)
+    with no_grad():
+        shift = x.max(axis=axis, keepdims=True)
+    shifted = x - shift
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 

@@ -223,8 +223,6 @@ class ProgramInstance:
             if pid is not None:
                 pool[pid] = buf
         self.env[node.out] = buf
-        if not node.params:  # ``out`` positionally: the cheapest call
-            return partial(prim.kernel, *ins, buf)
         return partial(prim.kernel, *ins, out=buf, **node.params)
 
     # ------------------------------------------------------------------ #

@@ -595,9 +595,9 @@ class Tensor:
         arrays = [operand.data for operand in operands]
         data = prim.kernel(*arrays, **params)
         out = cls(data, requires_grad=False, dtype=data.dtype)
-        if _GRAD_MODE.enabled and prim.differentiable:
+        if _GRAD_MODE.enabled and prim.vjp is not None:
             pairs = [
-                (operand._node or operand, prim.make_vjp(argnum, data, arrays, params))
+                (operand._node or operand, prim.vjp(argnum, data, *arrays, **params))
                 for argnum, operand in enumerate(operands)
                 if operand.requires_grad
             ]
@@ -850,12 +850,6 @@ class Tensor:
 # ---------------------------------------------------------------------- #
 # Free functions over tensors
 # ---------------------------------------------------------------------- #
-def _nodes_first(array: np.ndarray) -> np.ndarray:
-    """``np.moveaxis(array, -2, 0)`` as one transpose: the node axis leads."""
-    ndim = array.ndim
-    return array.transpose((ndim - 2, *range(ndim - 2), ndim - 1))
-
-
 def _spmm_leading(matrix, array: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply a sparse ``(N, N)`` matrix to the ``-2`` axis of ``array``.
 
@@ -870,14 +864,11 @@ def _spmm_leading(matrix, array: np.ndarray, out: np.ndarray | None = None) -> n
     elif array.ndim == 2:
         product = _spmm_product(matrix, array)
     else:
-        moved = _nodes_first(array)  # (N, ..., C), a view
+        moved = np.moveaxis(array, -2, 0)  # (N, ..., C), a view
         flat = moved.reshape(moved.shape[0], -1)  # copies iff non-contiguous
+        product = _spmm_product(matrix, flat)
         # Rectangular matrices (partitioned row blocks) change the node extent.
-        shape = (matrix.shape[0],) + moved.shape[1:]
-        ndim = array.ndim  # (N', ..., C) -> (..., N', C)
-        product = _spmm_product(matrix, flat).reshape(shape).transpose(
-            (*range(1, ndim - 1), 0, ndim - 1)
-        )
+        product = np.moveaxis(product.reshape((matrix.shape[0],) + moved.shape[1:]), 0, -2)
     if out is None:
         return np.ascontiguousarray(product)
     np.copyto(out, product)
@@ -1021,17 +1012,15 @@ class Primitive:
 
     ``kernel(*operand_arrays, out=None, **params)`` is the op's forward
     arithmetic, written once: it allocates its result when ``out`` is
-    ``None`` and writes into ``out`` otherwise (a kernel without params also
-    takes ``out`` positionally, as ufuncs do).  Eager ops
+    ``None`` and writes into ``out`` otherwise.  Eager ops
     (:meth:`Tensor._make`) call it on fresh arrays and a compiled
     :class:`~repro.tensor.program.ProgramInstance` calls it into arena slots,
     so replay == eager holds by construction.
 
-    ``vjps[i](ans, *operand_arrays, **params)`` makes operand ``i``'s VJP
-    (variadic ops give one ``vjp_argnum(i, ans, *operand_arrays, **params)``
-    instead).  Makers run only in grad mode, only for an operand that
-    requires grad, and each VJP closes over exactly the arrays it reads.  An
-    entry without VJPs is non-differentiable: its result never requires
+    ``vjp(i, ans, *operand_arrays, **params)`` makes operand ``i``'s VJP.
+    It runs only in grad mode, only for an operand that requires grad, and
+    each VJP closes over exactly the arrays it reads.  An entry whose
+    ``vjp`` is ``None`` is non-differentiable: its result never requires
     grad.
 
     ``record`` names the params a capture keeps in the program node: the
@@ -1043,30 +1032,27 @@ class Primitive:
 
     name: str
     kernel: Callable
-    vjps: tuple
-    vjp_argnum: Callable | None
+    vjp: Callable | None
     record: tuple
     view: bool
     shareable: bool
-    differentiable: bool
-
-    def make_vjp(self, argnum: int, ans, arrays, params) -> Callable:
-        if self.vjp_argnum is not None:
-            return self.vjp_argnum(argnum, ans, *arrays, **params)
-        return self.vjps[argnum](ans, *arrays, **params)
 
 
 PRIMITIVES: dict[str, Primitive] = {}
 
 
-def defprimitive(
-    name, kernel, *vjps, vjp_argnum=None, record=(), view=False, shareable=True
-) -> None:
-    """Register ``name`` in the op table (see :class:`Primitive`)."""
-    differentiable = bool(vjps) or vjp_argnum is not None
-    PRIMITIVES[name] = Primitive(
-        name, kernel, vjps, vjp_argnum, record, view, shareable, differentiable
-    )
+def defprimitive(name, kernel, *vjps, vjp=None, record=(), view=False, shareable=True) -> None:
+    """Register ``name`` in the op table (see :class:`Primitive`).
+
+    Per-operand makers ``vjps[i](ans, *operand_arrays, **params)`` become
+    the entry's one ``vjp``; a variadic op passes ``vjp`` itself.
+    """
+    if vjps:
+
+        def vjp(argnum, ans, *arrays, **params):
+            return vjps[argnum](ans, *arrays, **params)
+
+    PRIMITIVES[name] = Primitive(name, kernel, vjp, record, view, shareable)
 
 
 def _into(out: np.ndarray | None, result: np.ndarray) -> np.ndarray:
@@ -1336,16 +1322,13 @@ def _spmm_vjp(ans, x, *, matrix, transpose=None):
 
 
 def _spmm_multi(x, out=None, *, stacked, count, rows, transpose=None):
-    moved = _nodes_first(x)  # (N, ..., C), a view
+    moved = np.moveaxis(x, -2, 0)  # (N, ..., C), a view
     lead = moved.shape[1:]
     flat = moved.reshape(stacked.shape[1], -1)  # (N, L); copies iff non-contiguous
     product = _spmm_product(stacked, flat)  # (S*rows, L): the single fused traversal
     # (S, rows, ..., C) -> (..., rows, S, C), written straight into the
     # (..., rows, S*C) result.
-    ndim = x.ndim + 1
-    blocks = product.reshape(count, rows, *lead).transpose(
-        (*range(2, ndim - 1), 1, 0, ndim - 1)
-    )
+    blocks = np.moveaxis(product.reshape(count, rows, *lead), (0, 1), (-2, -3))
     if out is None:
         out = np.empty(x.shape[:-2] + (rows, count * x.shape[-1]), dtype=product.dtype)
     np.copyto(out.reshape(blocks.shape), blocks)
@@ -1415,11 +1398,11 @@ def _where_vjp_b(ans, condition, a, b):
     return lambda g: _unbroadcast(g * ~condition, b_shape)
 
 
-defprimitive("concatenate", _concatenate, vjp_argnum=_concatenate_vjp, record=("axis",))
+defprimitive("concatenate", _concatenate, vjp=_concatenate_vjp, record=("axis",))
 defprimitive(
     "stack",
     _stack,
-    vjp_argnum=lambda argnum, ans, *arrays, axis: _take_along(axis, argnum),
+    vjp=lambda argnum, ans, *arrays, axis: _take_along(axis, argnum),
     record=("axis",),
 )
 # The condition is an operand that never requires grad: it has no VJP.

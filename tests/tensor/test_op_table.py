@@ -544,6 +544,8 @@ FORWARD = {
         lambda m, x: x.max(axis=2),
         lambda m, x: F.softmax(x, axis=-1),
         lambda m, x: F.log_softmax(x, axis=1),
+        lambda m, x: x + F.softmax(m.w),  # the shift of a parameter
+        lambda m, x: x @ F.log_softmax(m.mix, axis=0),
     ],
     "reshape": [
         lambda m, x: x.reshape(2, 12, 5),  # a view of the input slot
