@@ -1,8 +1,9 @@
-"""Setuptools entry point.
+"""Setuptools entry point: the package's only build configuration.
 
-Kept alongside ``pyproject.toml`` so the package remains installable in
-offline environments whose setuptools/pip lack PEP 660 editable-wheel
-support (no ``wheel`` package available).
+A plain ``setup.py`` keeps the package installable in offline
+environments whose setuptools/pip lack PEP 660 editable-wheel support (no
+``wheel`` package available).  networkx is an optional extra, needed only
+by ``SensorNetwork.to_networkx``: ``pip install '.[networkx]'``.
 """
 
 from setuptools import find_packages, setup
@@ -17,5 +18,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.12", "networkx>=3.0"],
+    install_requires=["numpy>=1.24", "scipy>=1.12"],
+    extras_require={"networkx": ["networkx>=3.0"]},
 )

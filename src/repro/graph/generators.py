@@ -11,7 +11,10 @@ and ``1/distance`` edge weights (Eq. 20).
 
 from __future__ import annotations
 
-import networkx as nx
+import itertools
+import math
+import random
+
 import numpy as np
 
 from ..utils.random import get_rng
@@ -84,17 +87,54 @@ def corridor_network(num_nodes: int, spacing: float = 1.0, ramp_every: int = 5,
     return SensorNetwork(adjacency=adjacency, coordinates=coordinates, name=name)
 
 
+def _block_model_edges(sizes, p, seed) -> set[tuple[int, int]]:
+    """Edge set of ``networkx.stochastic_block_model(sizes, p, seed=seed)``.
+
+    Undirected, no self-loops, each edge as a sorted ``(u, v)`` pair.  The
+    draws replay networkx's sparse path one for one, so a seed gives the
+    same graph with or without networkx installed: a ``random.Random(seed)``
+    stream; blocks as ``set(range(a, b))`` (whose iteration order is not
+    sorted once the block straddles a hash-table boundary); one draw per
+    pair inside a block, plus the one networkx spends on the exhausted pair
+    iterator when ``0 < p < 1``; and a geometric skip between blocks.
+    """
+    draw = random.Random(seed).random
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    parts = [set(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    edges: set[tuple[int, int]] = set()
+    for i, j in itertools.combinations_with_replacement(range(len(sizes)), 2):
+        prob = p[i][j]
+        if i == j:
+            edges.update((min(e), max(e)) for e in itertools.combinations(parts[i], 2)
+                         if draw() < prob)
+            if 0 < prob < 1:
+                draw()
+        elif prob == 1:
+            edges.update(itertools.product(parts[i], parts[j]))
+        elif prob > 0:
+            pairs = itertools.product(parts[i], parts[j])
+            while True:
+                skip = math.floor(math.log(draw()) / math.log(1 - prob))
+                edge = next(itertools.islice(pairs, skip, None), None)
+                if edge is None:
+                    break
+                edges.add(edge)
+    return edges
+
+
 def community_network(num_nodes: int, num_communities: int = 4, intra_prob: float = 0.3,
                       inter_prob: float = 0.02, rng=None, name: str = "community") -> SensorNetwork:
     """Districts-of-a-city network: dense communities, sparse bridges."""
     if num_nodes < num_communities:
         raise ValueError("num_nodes must be >= num_communities")
+    if not (0 <= intra_prob <= 1 and 0 <= inter_prob <= 1):
+        raise ValueError("intra_prob and inter_prob must lie in [0, 1]")
     rng = get_rng(rng)
     sizes = [num_nodes // num_communities] * num_communities
     sizes[-1] += num_nodes - sum(sizes)
     probabilities = np.full((num_communities, num_communities), inter_prob)
     np.fill_diagonal(probabilities, intra_prob)
-    graph = nx.stochastic_block_model(sizes, probabilities.tolist(), seed=int(rng.integers(0, 2**31)))
+    edges = _block_model_edges(sizes, probabilities.tolist(), seed=int(rng.integers(0, 2**31)))
     # Assign community-clustered coordinates.
     centers = rng.uniform(0, 10, size=(num_communities, 2))
     coordinates = np.zeros((num_nodes, 2))
@@ -103,7 +143,7 @@ def community_network(num_nodes: int, num_communities: int = 4, intra_prob: floa
         coordinates[node : node + size] = centers[community] + rng.normal(0, 0.8, size=(size, 2))
         node += size
     adjacency = np.zeros((num_nodes, num_nodes))
-    for u, v in graph.edges():
+    for u, v in edges:
         distance = np.linalg.norm(coordinates[u] - coordinates[v])
         weight = 1.0 / max(distance, 1e-6)
         adjacency[u, v] = weight

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse as sp
-from scipy.sparse import csgraph
 
 from ..exceptions import GraphError
 from ..tensor import get_default_dtype
@@ -212,8 +211,12 @@ class Graph:
 
         Inherently ``O(N^2)`` output — only the AddEdge augmentation needs
         it; the other spatial augmentations stay strictly sparse.
+        ``scipy.sparse.csgraph`` (which loads ``scipy.sparse.linalg`` and
+        ``scipy.linalg``) is imported here, on first call, not with the package.
         """
         if self._hops is None:
+            from scipy.sparse import csgraph
+
             self._hops = csgraph.shortest_path(
                 self._csr, method="D", directed=self.directed, unweighted=True
             )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from ..exceptions import GraphError
@@ -43,7 +42,6 @@ class SensorNetwork:
     coordinates: np.ndarray | None = None
     name: str = "sensor-network"
     directed: bool = False
-    _hops: np.ndarray | None = field(default=None, repr=False, compare=False)
     _graph: "Graph | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -159,8 +157,11 @@ class SensorNetwork:
         return cls(adjacency=weights, coordinates=coordinates, name=name)
 
     @classmethod
-    def from_networkx(cls, graph: nx.Graph, name: str = "sensor-network") -> "SensorNetwork":
-        """Convert a NetworkX graph (edge attribute ``weight`` optional)."""
+    def from_networkx(cls, graph, name: str = "sensor-network") -> "SensorNetwork":
+        """Convert a NetworkX graph (edge attribute ``weight`` optional).
+
+        Only the graph's own methods are called, so this imports nothing.
+        """
         nodes = list(graph.nodes())
         index = {node: i for i, node in enumerate(nodes)}
         adjacency = np.zeros((len(nodes), len(nodes)))
@@ -179,8 +180,19 @@ class SensorNetwork:
             directed=graph.is_directed(),
         )
 
-    def to_networkx(self) -> nx.Graph:
-        """Return a NetworkX view (for algorithms like shortest paths)."""
+    def to_networkx(self):
+        """Return a NetworkX ``Graph`` (``DiGraph`` when directed) of this network.
+
+        networkx is an optional extra (``pip install 'repro[networkx]'``),
+        imported here rather than with the package.
+        """
+        try:
+            import networkx as nx
+        except ImportError as error:
+            raise ImportError(
+                "SensorNetwork.to_networkx needs networkx, an optional extra: "
+                "pip install 'repro[networkx]'"
+            ) from error
         graph = nx.DiGraph() if self.directed else nx.Graph()
         graph.add_nodes_from(range(self.num_nodes))
         for i, j, weight in self.edge_list:
@@ -191,27 +203,15 @@ class SensorNetwork:
     # Hop distances (used by the AddEdge augmentation: "distant node pairs")
     # ------------------------------------------------------------------ #
     def hop_matrix(self) -> np.ndarray:
-        """Return the pairwise unweighted hop-count matrix.
+        """Pairwise unweighted hop counts (``inf`` when unreachable; cached).
 
-        Unreachable pairs are encoded as ``np.inf``.  The result is cached
-        because the graph topology is immutable in practice.
+        See :meth:`repro.graph.Graph.hop_matrix`.
         """
-        if self._hops is not None:
-            return self._hops
-        graph = self.to_networkx()
-        hops = np.full((self.num_nodes, self.num_nodes), np.inf)
-        np.fill_diagonal(hops, 0.0)
-        for source, lengths in nx.all_pairs_shortest_path_length(graph):
-            for target, length in lengths.items():
-                hops[source, target] = length
-        self._hops = hops
-        return hops
+        return self.graph.hop_matrix()
 
     def distant_pairs(self, min_hops: int = 3) -> list[tuple[int, int]]:
-        """Node pairs at least ``min_hops`` apart (including unreachable ones)."""
-        hops = self.hop_matrix()
-        rows, cols = np.nonzero((hops > min_hops) | np.isinf(hops))
-        return [(int(i), int(j)) for i, j in zip(rows, cols) if i < j]
+        """Node pairs more than ``min_hops`` apart (including unreachable)."""
+        return self.graph.distant_pairs(min_hops)
 
     # ------------------------------------------------------------------ #
     # Sub-graphs

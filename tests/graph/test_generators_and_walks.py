@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.data.datasets import load_dataset
 from repro.exceptions import GraphError
+from repro.graph import generators
 from repro.graph import (
     community_network,
     corridor_network,
@@ -30,11 +32,9 @@ class TestGenerators:
             grid_network(0, 3)
 
     def test_corridor_network_is_connected_chain(self):
+        nx = pytest.importorskip("networkx")
         network = corridor_network(15, rng=0)
-        graph = network.to_networkx()
-        import networkx as nx
-
-        assert nx.is_connected(graph)
+        assert nx.is_connected(network.to_networkx())
 
     def test_corridor_rejects_single_node(self):
         with pytest.raises(ValueError):
@@ -49,6 +49,10 @@ class TestGenerators:
         with pytest.raises(ValueError):
             community_network(2, num_communities=4)
 
+    def test_community_rejects_bad_probability(self):
+        with pytest.raises(ValueError):
+            community_network(8, num_communities=2, intra_prob=1.5)
+
     def test_random_geometric_network(self):
         network = random_geometric_network(15, rng=0)
         assert network.num_nodes == 15
@@ -58,6 +62,42 @@ class TestGenerators:
         a = grid_network(3, 3, rng=42)
         b = grid_network(3, 3, rng=42)
         np.testing.assert_allclose(a.adjacency, b.adjacency)
+
+
+def _networkx_block_model_edges(sizes, p, seed):
+    nx = pytest.importorskip("networkx")
+    graph = nx.stochastic_block_model(sizes, p, seed=seed)
+    return {(min(u, v), max(u, v)) for u, v in graph.edges()}
+
+
+class TestBlockModelOracle:
+    """``_block_model_edges`` replays ``networkx.stochastic_block_model``'s draws."""
+
+    @pytest.mark.parametrize(
+        "sizes, p",
+        [
+            # set(range(28, 42)) iterates 32..41 before 28..31.
+            ([14, 14, 14, 14], [[0.3 if i == j else 0.02 for j in range(4)] for i in range(4)]),
+            ([5, 5, 5, 8], [[0.3 if i == j else 0.02 for j in range(4)] for i in range(4)]),
+            ([20], [[0.3]]),
+            ([6, 7, 8], [[1.0, 0.0, 0.3], [0.0, 0.5, 1.0], [0.3, 1.0, 0.0]]),
+        ],
+        ids=["unsorted-block", "uneven-last-block", "single-community", "zero-one-entries"],
+    )
+    def test_edges_match_networkx(self, sizes, p):
+        for seed in range(20):
+            assert generators._block_model_edges(sizes, p, seed) == _networkx_block_model_edges(
+                sizes, p, seed
+            ), seed
+
+    @pytest.mark.parametrize("name, num_nodes", [("pems08", None), ("pems08", 56),
+                                                 ("pems08", 96), ("pems04", None)])
+    def test_datasets_match_networkx_path(self, monkeypatch, name, num_nodes):
+        pytest.importorskip("networkx")
+        ours = load_dataset(name, num_days=1, num_nodes=num_nodes).network.adjacency
+        monkeypatch.setattr(generators, "_block_model_edges", _networkx_block_model_edges)
+        theirs = load_dataset(name, num_days=1, num_nodes=num_nodes).network.adjacency
+        np.testing.assert_array_equal(ours, theirs)
 
 
 class TestRandomWalks:

@@ -29,6 +29,16 @@ def graph(dense_adjacency):
     return Graph(dense_adjacency, name="test")
 
 
+def _networkx_hops(network: SensorNetwork) -> np.ndarray:
+    """All-pairs unweighted hop counts from networkx's BFS (``inf`` when unreachable)."""
+    nx = pytest.importorskip("networkx")
+    hops = np.full((network.num_nodes, network.num_nodes), np.inf)
+    for source, lengths in nx.all_pairs_shortest_path_length(network.to_networkx()):
+        for target, length in lengths.items():
+            hops[source, target] = length
+    return hops
+
+
 class TestConstruction:
     def test_roundtrip_dense(self, dense_adjacency, graph):
         np.testing.assert_array_equal(graph.to_dense(), dense_adjacency)
@@ -73,12 +83,24 @@ class TestConstruction:
         )
 
     def test_hop_matrix_matches_networkx(self, small_network):
-        np.testing.assert_array_equal(
-            small_network.graph.hop_matrix(), small_network.hop_matrix()
-        )
+        directed = np.zeros((5, 5))
+        directed[[0, 1, 2, 3], [1, 2, 3, 4]] = 1.0  # a one-way chain 0 -> 4
+        directed[4, 0] = 0.5
+        disconnected = np.zeros((6, 6))
+        disconnected[[0, 1, 3, 4], [1, 2, 4, 5]] = 1.0
+        disconnected = disconnected + disconnected.T  # two paths, no bridge
+        for network in (
+            small_network,
+            SensorNetwork(adjacency=directed, directed=True),
+            SensorNetwork(adjacency=disconnected),
+        ):
+            np.testing.assert_array_equal(network.graph.hop_matrix(), _networkx_hops(network))
 
-    def test_distant_pairs_match_sensor_network(self, small_network):
-        assert small_network.graph.distant_pairs(2) == small_network.distant_pairs(2)
+    def test_distant_pairs_match_networkx(self, small_network):
+        hops = _networkx_hops(small_network)
+        expected = [(i, j) for i, j in zip(*np.nonzero(hops > 2)) if i < j]
+        assert small_network.graph.distant_pairs(2) == expected
+        assert small_network.distant_pairs(2) == expected
 
 
 class TestSupports:

@@ -1,6 +1,7 @@
 """Tests for the SensorNetwork structure."""
 
-import networkx as nx
+import sys
+
 import numpy as np
 import pytest
 
@@ -58,10 +59,16 @@ class TestConstruction:
         assert (network.adjacency > 0).sum(axis=1).max() <= 10
 
     def test_networkx_roundtrip(self, triangle):
+        nx = pytest.importorskip("networkx")
         graph = triangle.to_networkx()
         assert isinstance(graph, nx.Graph)
         back = SensorNetwork.from_networkx(graph)
         np.testing.assert_allclose(back.adjacency, triangle.adjacency)
+
+    def test_to_networkx_names_the_extra_when_missing(self, triangle, monkeypatch):
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        with pytest.raises(ImportError, match=r"repro\[networkx\]"):
+            triangle.to_networkx()
 
 
 class TestQueries:
