@@ -27,11 +27,13 @@ test:
 # Bit-parity suites under one and two BLAS threads: threading changes how
 # OpenBLAS splits a gemm's rows, so the exactness envelope is checked at both
 # (CI runs one value per matrix job: `make test-parity BLAS_THREADS=2`).
-# test_trace.py adds replay == eager and the training step == the backward
-# that keeps the whole graph; test_serialize.py adds a dumped and reloaded
-# recurrent structure replaying == eager; test_op_table.py pins every op-table
-# entry's eager bits to its reference and its one-op replay, dumped and
-# reloaded, to eager.
+# test_trace.py adds replay == eager, a replay from a NaN-filled arena pool
+# == eager (TestArenaBytes::test_nan_filled_pool_replays_bit_identical) and
+# the training step == the backward that keeps the whole graph; the pool's
+# no-overlap and size tests are not BLAS-dependent and run in tier-1;
+# test_serialize.py adds a dumped and reloaded recurrent structure replaying
+# == eager; test_op_table.py pins every op-table entry's eager bits to its
+# reference and its one-op replay, dumped and reloaded, to eager.
 BLAS_THREADS ?= 1 2
 
 test-parity:

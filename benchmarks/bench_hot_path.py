@@ -99,7 +99,7 @@ def _cache_summary() -> dict:
         key: stats[key]
         for key in (
             "captures", "replays",
-            "eager_calls", "untraceable", "shape_misses",
+            "eager_calls", "untraceable", "shape_misses", "bytes",
         )
     }
 

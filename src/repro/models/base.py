@@ -106,7 +106,8 @@ class STModel(Module):
         does not take a graph override reject it.
         """
         was_training = self.training
-        self.eval()
+        if was_training:
+            self.eval()
         try:
             with no_grad():
                 x = Tensor(np.asarray(inputs, dtype=get_default_dtype()))
@@ -121,7 +122,8 @@ class STModel(Module):
                         kind="predict",
                     )
         finally:
-            self.train(was_training)
+            if was_training:
+                self.train(True)
         return outputs.data
 
 

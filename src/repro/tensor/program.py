@@ -9,17 +9,23 @@ arena) and pre-binds one closure per node, so a replay is a plain
 ``for kernel in kernels: kernel()`` with zero Tensor dispatch, zero graph
 construction and no per-step allocations for intermediates.
 
+Every non-view intermediate is a 64-byte-aligned byte range of one
+``uint8`` pool per instance.  :func:`_plan_arena` places the ranges once per
+structure so that slots whose lifetimes (writer to last reader) intersect
+never share bytes: the pool is about the most bytes live at once, whatever
+the shapes.
+
 Bit-parity contract
 -------------------
 A node's closure is the op-table kernel (:data:`repro.tensor.tensor.PRIMITIVES`)
 that computed the eager op, called with ``out=`` set to the node's arena
 slot.  Eager and replay run one kernel, so replayed values are bit-identical
-to the untraced forward by construction.
+to the untraced forward by construction; the arena plan moves only buffers.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -38,6 +44,8 @@ INPUT = "input"
 PARAM = "param"
 CONST = "const"
 INTER = "inter"
+
+_ALIGN = 64  # byte alignment of every pooled slot's offset
 
 
 class UntraceableError(RuntimeError):
@@ -88,6 +96,11 @@ class ProgramStructure:
         # (ModelPool tenants sharing one compiled program).
         self.shareable: bool = shareable
 
+    @cached_property
+    def arena_plan(self) -> tuple[int, dict[int, int]]:
+        """:func:`_plan_arena` of this structure, shared by its instances."""
+        return _plan_arena(self)
+
 
 def _primitive(op: str):
     prim = PRIMITIVES.get(op)
@@ -96,65 +109,58 @@ def _primitive(op: str):
     return prim
 
 
-def _plan_slot_reuse(structure: ProgramStructure):
-    """Time-share INTER buffers across disjoint-lifetime slots.
+def _plan_arena(structure: ProgramStructure) -> tuple[int, dict[int, int]]:
+    """Pack every non-view INTER slot into one byte pool by lifetime.
 
-    Every program is forward-only, and a forward never revisits an
-    intermediate once its last consumer has run, so one physical buffer can
-    serve many slots.  That shrinks the replay arena from one buffer per
-    node to roughly the live width of the graph — small enough to stay
-    cache-resident, which is where replay otherwise loses to eager (the
-    allocator hands eager freshly recycled, cache-hot arrays).
+    A slot lives over the closed interval of node indices from the node
+    that writes it to its last reader; the program output lives to
+    ``len(nodes)``, so a replay never overwrites its result.  Views alias
+    their parent's storage, so lifetimes are kept per storage root: a read
+    through any view extends the root's interval.  Two slots may share
+    bytes only when their intervals are disjoint, so a node's ``out`` never
+    overlaps one of its own inputs (matmul, copyto and reductions are not
+    overlap-safe).  Slots are placed largest first, each at the lowest
+    64-byte-aligned offset that no live-overlapping slot occupies.
 
-    Returns ``{slot_index: physical_id}`` for the INTER slots that draw
-    from the shared pool.  The op list is flat (a recurrent model records
-    its cell once per time step), so the plan covers every program.
+    Only buffer addresses follow from the plan: every node still runs the
+    same table kernel on the same values in the same order, and each out
+    slot is C-contiguous, so the replayed bits are those of eager.
+
+    Returns ``(pool_bytes, {slot_index: byte_offset})``.
     """
     nodes = structure.nodes
     slots = structure.slots
-    # Views alias their parent's storage, so lifetimes are tracked per
-    # storage root: a read through any view keeps the root's buffer live.
     root = list(range(len(slots)))
-    views = [_primitive(node.op).view for node in nodes]
-    for node, view in zip(nodes, views):
-        if view:
-            root[node.out] = root[node.ins[0]]
-    last_use = [-1] * len(slots)
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}  # a slot nobody reads dies where it is written
     for i, node in enumerate(nodes):
         for s in node.ins:
-            last_use[root[s]] = i
-    last_use[root[structure.out_slot]] = len(nodes)  # result: never reclaimed
+            if root[s] in last:
+                last[root[s]] = i
+        if _primitive(node.op).view:
+            root[node.out] = root[node.ins[0]]
+        elif slots[node.out].kind == INTER:
+            first[node.out] = last[node.out] = i
+    if root[structure.out_slot] in last:
+        last[root[structure.out_slot]] = len(nodes)
 
-    expire_at: dict[int, list[int]] = {}
-    for index, slot in enumerate(slots):
-        if slot.kind == INTER and root[index] == index:
-            expire_at.setdefault(last_use[index], []).append(index)
-
-    assign: dict[int, int] = {}
-    pid_of_root: dict[int, int] = {}
-    free: dict[tuple, list[int]] = {}
-    next_id = 0
-    for i, (node, view) in enumerate(zip(nodes, views)):
-        out = slots[node.out]
-        if out.kind == INTER and root[node.out] == node.out and not view:
-            key = (out.dtype, out.shape)
-            stack = free.get(key)
-            if stack:
-                pid = stack.pop()
-            else:
-                pid = next_id
-                next_id += 1
-            assign[node.out] = pid
-            pid_of_root[node.out] = pid
-        # Reclaim strictly *after* this node's own allocation, so an out
-        # buffer never aliases one of the node's inputs (matmul/copyto and
-        # reductions are not overlap-safe).
-        for expired in expire_at.get(i, ()):
-            pid = pid_of_root.pop(expired, None)
-            if pid is not None:
-                dead = slots[expired]
-                free.setdefault((dead.dtype, dead.shape), []).append(pid)
-    return assign
+    placed: list[tuple[int, int, int, int]] = []  # (start, stop, born, dies)
+    offsets: dict[int, int] = {}
+    pool_bytes = 0
+    for s in sorted(first, key=lambda s: (-slots[s].nbytes, first[s])):
+        size = -(-slots[s].nbytes // _ALIGN) * _ALIGN
+        lo, hi = first[s], last[s]
+        offset = 0
+        for start, stop in sorted(
+            (start, stop) for start, stop, born, dies in placed if born <= hi and lo <= dies
+        ):
+            if offset + size <= start:
+                break
+            offset = max(offset, stop)
+        offsets[s] = offset
+        placed.append((offset, offset + size, lo, hi))
+        pool_bytes = max(pool_bytes, offset + size)
+    return pool_bytes, offsets
 
 
 class ProgramInstance:
@@ -190,21 +196,22 @@ class ProgramInstance:
         self.env = env
         self.busy = False
 
-        plan = _plan_slot_reuse(structure)
-        pool: dict[int, np.ndarray] = {}
+        pool_bytes, offsets = structure.arena_plan
+        self.pool = np.empty(pool_bytes, dtype=np.uint8)
         self.forward_kernels: list = []
         for node in structure.nodes:
-            kernel = self._bind(node, plan, pool)
+            kernel = self._bind(node, offsets)
             if kernel is not None:
                 self.forward_kernels.append(kernel)
 
     # ------------------------------------------------------------------ #
-    def _bind(self, node: Node, plan: dict, pool: dict):
+    def _bind(self, node: Node, offsets: dict):
         """Materialise ``node``'s out slot and bind its table kernel to it.
 
-        A view op's kernel runs once here on the parent buffer: when it
-        returns a view, the slot *is* that view and the node replays for
-        free; otherwise the kernel copies into the slot on every replay.
+        A planned slot is its byte range of the pool.  A view op's kernel
+        runs once here on the parent buffer: when it returns a view, the
+        slot *is* that view and the node replays for free; otherwise the
+        kernel copies into a slot of its own on every replay.
         """
         prim = _primitive(node.op)
         out = self.structure.slots[node.out]
@@ -216,12 +223,11 @@ class ProgramInstance:
             if np.may_share_memory(view, ins[0]):
                 self.env[node.out] = view
                 return None
-        pid = plan.get(node.out)
-        buf = pool.get(pid) if pid is not None else None
-        if buf is None:
+        offset = offsets.get(node.out)
+        if offset is None:
             buf = np.empty(out.shape, dtype=out.dtype)
-            if pid is not None:
-                pool[pid] = buf
+        else:
+            buf = self.pool[offset:offset + out.nbytes].view(out.dtype).reshape(out.shape)
         self.env[node.out] = buf
         return partial(prim.kernel, *ins, out=buf, **node.params)
 
@@ -233,11 +239,12 @@ class ProgramInstance:
         return self.env[self.structure.out_slot]
 
     def arena_nbytes(self) -> int:
-        """Bytes of the buffers this instance owns, each counted once: pooled
-        slots share one buffer, and a view-derived slot owns none."""
+        """Bytes this instance owns: the pool plus the INPUT slot and the
+        private buffers of view ops that copy.  A pooled or view-derived
+        slot owns none."""
         owned = {
             id(array): array.nbytes
             for slot, array in zip(self.structure.slots, self.env)
             if slot.kind in (INPUT, INTER) and array is not None and array.base is None
         }
-        return sum(owned.values())
+        return self.pool.nbytes + sum(owned.values())

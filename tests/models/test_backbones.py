@@ -13,6 +13,7 @@ from repro.models import (
     STSimSiam,
 )
 from repro.nn.losses import mae_loss
+from repro.nn.module import Module
 from repro.nn.optim import Adam
 from repro.tensor import Tensor
 
@@ -59,6 +60,34 @@ class TestBackboneContract:
         model = backbone_cls(rng=0, **kwargs)
         out = model.predict(rng.normal(size=(2, 12, backbone_kwargs["network"].num_nodes, 2)))
         assert isinstance(out, np.ndarray)
+
+    def test_predict_walks_modes_only_for_a_training_model(
+        self, backbone_cls, backbone_kwargs, tiny_encoder_config, rng, monkeypatch
+    ):
+        kwargs = dict(backbone_kwargs)
+        if backbone_cls is GraphWaveNetBackbone:
+            kwargs["encoder_config"] = tiny_encoder_config
+        else:
+            kwargs.update(hidden_dim=8, latent_dim=8, decoder_hidden=8)
+        model = backbone_cls(rng=0, **kwargs)
+        x = rng.normal(size=(2, 12, backbone_kwargs["network"].num_nodes, 2))
+        calls = []
+        train = Module.train
+
+        def spy(self, mode=True):
+            calls.append(mode)
+            return train(self, mode)
+
+        monkeypatch.setattr(Module, "train", spy)
+        model.eval()
+        calls.clear()
+        served = model.predict(x)
+        assert calls == [] and not model.training
+        model.train()
+        assert np.array_equal(model.predict(x), served)
+        assert model.training
+        assert all(module.training for module in model.modules())
+        assert False in calls  # the eval walk ran, then the restore
 
     def test_rejects_wrong_node_count(self, backbone_cls, backbone_kwargs, tiny_encoder_config, rng):
         kwargs = dict(backbone_kwargs)

@@ -34,7 +34,7 @@ from repro.tensor import (
     traced_execution,
 )
 from repro.tensor import trace
-from repro.tensor.program import INPUT, INTER, ProgramInstance
+from repro.tensor.program import INPUT, INTER, ProgramInstance, _primitive
 
 ZOO = ("graphwavenet", "dcrnn", "geoman", "stgcn", "mtgnn", "agcrn", "stgode")
 URCL_BACKBONES = ("graphwavenet", "dcrnn", "geoman")
@@ -316,38 +316,163 @@ class TestStructureSharing:
         assert stats["structure_hits"] == 0
 
 
+# The exact-shape planner the byte pool replaced, copied verbatim: the
+# reference the pool's size is held to.
+def _plan_slot_reuse(structure):
+    """Time-share INTER buffers across disjoint-lifetime slots.
+
+    Every program is forward-only, and a forward never revisits an
+    intermediate once its last consumer has run, so one physical buffer can
+    serve many slots.  That shrinks the replay arena from one buffer per
+    node to roughly the live width of the graph — small enough to stay
+    cache-resident, which is where replay otherwise loses to eager (the
+    allocator hands eager freshly recycled, cache-hot arrays).
+
+    Returns ``{slot_index: physical_id}`` for the INTER slots that draw
+    from the shared pool.  The op list is flat (a recurrent model records
+    its cell once per time step), so the plan covers every program.
+    """
+    nodes = structure.nodes
+    slots = structure.slots
+    # Views alias their parent's storage, so lifetimes are tracked per
+    # storage root: a read through any view keeps the root's buffer live.
+    root = list(range(len(slots)))
+    views = [_primitive(node.op).view for node in nodes]
+    for node, view in zip(nodes, views):
+        if view:
+            root[node.out] = root[node.ins[0]]
+    last_use = [-1] * len(slots)
+    for i, node in enumerate(nodes):
+        for s in node.ins:
+            last_use[root[s]] = i
+    last_use[root[structure.out_slot]] = len(nodes)  # result: never reclaimed
+
+    expire_at: dict[int, list[int]] = {}
+    for index, slot in enumerate(slots):
+        if slot.kind == INTER and root[index] == index:
+            expire_at.setdefault(last_use[index], []).append(index)
+
+    assign: dict[int, int] = {}
+    pid_of_root: dict[int, int] = {}
+    free: dict[tuple, list[int]] = {}
+    next_id = 0
+    for i, (node, view) in enumerate(zip(nodes, views)):
+        out = slots[node.out]
+        if out.kind == INTER and root[node.out] == node.out and not view:
+            key = (out.dtype, out.shape)
+            stack = free.get(key)
+            if stack:
+                pid = stack.pop()
+            else:
+                pid = next_id
+                next_id += 1
+            assign[node.out] = pid
+            pid_of_root[node.out] = pid
+        # Reclaim strictly *after* this node's own allocation, so an out
+        # buffer never aliases one of the node's inputs (matmul/copyto and
+        # reductions are not overlap-safe).
+        for expired in expire_at.get(i, ()):
+            pid = pid_of_root.pop(expired, None)
+            if pid is not None:
+                dead = slots[expired]
+                free.setdefault((dead.dtype, dead.shape), []).append(pid)
+    return assign
+
+
+def _compiled(name, network, batch=2):
+    """A ZOO model, its captured predict structure and a fresh instance."""
+    model = _build(name, network)
+    model.predict(_inputs(network, batch=batch))
+    (structure,) = [structure for _, structure in export_structures()]
+    return model, structure, ProgramInstance(structure, model)
+
+
+def _lifetimes(structure):
+    """``{root slot: (writer, last reader)}`` for every non-view INTER slot,
+    recomputed from the node list: a read through a view counts for the
+    view's storage root, and the program output lives past the last node."""
+    root = list(range(len(structure.slots)))
+    life = {}
+    for i, node in enumerate(structure.nodes):
+        if _primitive(node.op).view:
+            root[node.out] = root[node.ins[0]]
+        else:
+            life[node.out] = [i, i]
+        for s in node.ins:
+            if root[s] in life:
+                life[root[s]][1] = i
+    life[root[structure.out_slot]][1] = len(structure.nodes)
+    return life
+
+
 class TestArenaBytes:
     @pytest.mark.parametrize("name", ZOO)
-    def test_counts_each_owned_buffer_once(self, small_network, name):
+    def test_counts_pool_plus_owned_buffers(self, small_network, name):
         model = _build(name, small_network)
         x = _inputs(small_network)
         model.predict(x)
         model.predict(x)  # the replay builds the one instance
         (structure,) = [structure for _, structure in export_structures()]
         instance = ProgramInstance(structure, model)
+        pool_bytes, offsets = structure.arena_plan
+        assert instance.pool.nbytes == pool_bytes
         arena = [
-            array
+            (slot, array)
             for slot, array in zip(structure.slots, instance.env)
             if slot.kind in (INPUT, INTER)
         ]
-        owned = {id(array): array.nbytes for array in arena if array.base is None}
-        assert any(array.base is not None for array in arena)  # views own nothing
-        assert instance.arena_nbytes() == sum(owned.values())
+        owned = {}
+        for slot, array in arena:
+            if slot.index in offsets:  # pooled: a view into the pool
+                assert array.base is instance.pool and array.flags.c_contiguous
+            elif array.base is None:
+                owned[id(array)] = array.nbytes
+        assert any(array.base is not None for _, array in arena)  # views own nothing
+        assert instance.arena_nbytes() == pool_bytes + sum(owned.values())
         assert program_cache_stats()["bytes"] == instance.arena_nbytes()
 
     @pytest.mark.parametrize("name", ZOO)
-    def test_slot_reuse_covers_every_program(self, small_network, name):
-        model = _build(name, small_network)
-        model.predict(_inputs(small_network))
-        (structure,) = [structure for _, structure in export_structures()]
-        instance = ProgramInstance(structure, model)
-        pooled = [
-            (slot, array)
-            for slot, array in zip(structure.slots, instance.env)
-            if slot.kind == INTER and array.base is None
-        ]
-        owned = {id(array): array.nbytes for _, array in pooled}
-        assert sum(owned.values()) < sum(slot.nbytes for slot, _ in pooled)
+    def test_pool_no_larger_than_exact_shape_arena(self, small_network, name):
+        _, structure, _ = _compiled(name, small_network, batch=16)
+        pool_bytes, offsets = structure.arena_plan
+        reference = _plan_slot_reuse(structure)
+        exact = {pid: structure.slots[index].nbytes for index, pid in reference.items()}
+        assert set(offsets) == set(reference)
+        assert pool_bytes <= sum(exact.values())
+        if name in ("graphwavenet", "geoman"):  # shapes change layer by layer
+            assert pool_bytes < sum(exact.values())
+        # No packing can beat the most bytes live at once.
+        live = [0] * (len(structure.nodes) + 1)
+        for index, (first, last) in _lifetimes(structure).items():
+            for i in range(first, last + 1):
+                live[i] += structure.slots[index].nbytes
+        assert pool_bytes >= max(live)
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize("name", ZOO)
+    def test_overlapping_lifetimes_never_share_bytes(self, small_network, name, batch):
+        _, structure, instance = _compiled(name, small_network, batch=batch)
+        env = instance.env
+        life = sorted(_lifetimes(structure).items(), key=lambda item: item[1])
+        for k, (a, (_, last_a)) in enumerate(life):
+            for b, (first_b, _) in life[k + 1:]:
+                if first_b > last_a:
+                    break
+                assert not np.shares_memory(env[a], env[b]), (a, b)
+        for node in structure.nodes:
+            if not _primitive(node.op).view:
+                for s in node.ins:
+                    assert not np.shares_memory(env[node.out], env[s]), node.op
+
+    @pytest.mark.parametrize("name", ZOO)
+    def test_nan_filled_pool_replays_bit_identical(self, small_network, name):
+        model, structure, instance = _compiled(name, small_network)
+        for seed in (0, 1):
+            x = _inputs(small_network, seed=seed)
+            instance.pool.fill(0xFF)  # NaN in every float width
+            with no_grad():  # as run_compiled replays
+                replayed = instance.run_forward(x).copy()
+            assert np.array_equal(replayed, _eager_predict(model, x))
 
 
 class _GRUHead(Module):
