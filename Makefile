@@ -33,7 +33,10 @@ test:
 # no-overlap and size tests are not BLAS-dependent and run in tier-1;
 # test_serialize.py adds a dumped and reloaded recurrent structure replaying
 # == eager; test_op_table.py pins every op-table entry's eager bits to its
-# reference and its one-op replay, dumped and reloaded, to eager.
+# reference and its one-op replay, dumped and reloaded, to eager;
+# test_engine_conformance.py adds served == direct on both transports before
+# and after an update is published (the thread engine's serving replica and
+# the process engine's worker models each replay against the trained model).
 BLAS_THREADS ?= 1 2
 
 test-parity:
@@ -42,7 +45,7 @@ test-parity:
 			tests/tensor/test_partition_kernels.py tests/tensor/test_trace.py \
 			tests/tensor/test_serialize.py tests/tensor/test_op_table.py \
 			tests/serve/test_partition_parity.py tests/serve/test_sharding.py \
-			tests/serve/test_engine.py \
+			tests/serve/test_engine.py tests/serve/test_engine_conformance.py \
 			-k "parity or identical or bit" -x -q || exit 1; \
 	done
 

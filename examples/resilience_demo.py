@@ -82,7 +82,8 @@ def main() -> None:
                 f"(budget {exc.deadline_ms:.0f} ms, tenant {exc.tenant!r})"
             )
 
-    # 3. Circuit breaker + fallback: poison the model so every batch fails.
+    # 3. Circuit breaker + fallback: poison the model and publish it to
+    #    serving, so every batch fails.
     #    After `breaker_failures` consecutive failures the breaker opens and
     #    requests are answered by the historical-average baseline; healing
     #    the model lets half-open probes close the breaker again.
@@ -92,6 +93,7 @@ def main() -> None:
         saved = forecaster.snapshot_state()
         for parameter in forecaster.model.parameters():
             parameter.data[...] = np.nan  # the model is now sick
+        engine.publish(tenant)  # serving reads published weights only
         # Sequential requests, so each is its own micro-batch = one breaker
         # event; the 5th onwards hits an already-open breaker (fast fail ->
         # fallback) instead of touching the sick model at all.
@@ -108,6 +110,7 @@ def main() -> None:
         assert breaker["state"] != "closed"
         assert np.isfinite(answers).all()
         forecaster.restore_state(saved)  # the model heals
+        engine.publish(tenant)
         import time
         time.sleep(config.breaker_reset_s * 1.5)  # let the breaker half-open
         healed = engine.predict(windows[0], tenant=tenant, timeout=60)

@@ -59,9 +59,13 @@ processes over shared memory.  What they share:
   :class:`~repro.serve.sharding.ShardedForecaster`, whose memory-sharded
   partitioned forward is bit-exact against the unsharded one.
 * **Online updates** go through a serialized update lane
-  (:meth:`~EngineCore.update`): one update at a time engine-wide, a
-  per-tenant readers/writer lock keeps in-flight predicts from observing
-  half-stepped parameters, and a failed step rolls the model and
+  (:meth:`~EngineCore.update`): one update at a time engine-wide.  Predicts
+  never run on the model being trained: the step runs on the tenant's
+  forecaster with no lock held while serving reads a copy, and only a
+  step that succeeded is *published* into that copy (:meth:`~EngineCore.publish`
+  — a replica copy under the tenant's write lock on the thread transport,
+  a seqlocked shared-memory flip on the process one), before ``update``
+  returns.  A failed step publishes nothing and rolls the model and
   optimizer back to their pre-step state (``update_rollback``).
 
 One parent-side thread per worker pulls flushed batches off a FIFO queue,
@@ -101,7 +105,8 @@ from .faults import FaultInjector, FaultPlan
 from .forecaster import Forecaster, impute_missing
 from .metrics import EngineMetrics
 from .sharding import ShardedForecaster
-from .tenancy import CircuitBreaker, ModelPool, PoolEntry, TokenBucket, historical_average
+from .tenancy import (CircuitBreaker, ModelPool, PoolEntry, TokenBucket,
+                      historical_average, replica_of)
 
 __all__ = ["EngineConfig", "ServingEngine"]
 
@@ -395,8 +400,10 @@ class EngineCore:
         """``{"alive": ..., "wedged": ...}`` plus transport extras."""
         raise NotImplementedError
 
-    def _on_updated(self, tenant: str, entry: PoolEntry) -> None:
-        """A successful update of ``tenant`` is in the parent's model."""
+    def _publish(self, tenant: str, entry: PoolEntry) -> None:
+        """Make ``entry.forecaster``'s weights the ones ``tenant`` is served
+        with; callers hold ``_update_lock``."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------ #
     # Request path
@@ -606,43 +613,66 @@ class EngineCore:
                tenant: str | None = None, set_name: str = "online"):
         """One replay-augmented online step on ``tenant``'s model.
 
-        Serialized engine-wide (one update at a time) and exclusive with
-        that tenant's predicts via the per-tenant write lock; the model is
-        returned to eval mode before readers resume.  When
-        ``update_rollback`` is on (default), a step that raises restores
-        the model and optimizer to their pre-step state bit-for-bit, so a
-        poisoned online batch can never leave half-stepped weights
-        serving traffic.
+        Serialized engine-wide (one update at a time).  The step trains the
+        tenant's forecaster with no lock held — predicts keep running on
+        the serving copy meanwhile — and the model is returned to eval mode
+        afterwards.  A step that succeeded is then published
+        (:meth:`publish`) before this returns, so a predict submitted after
+        ``update`` returns sees the new weights.  A step that raises
+        publishes nothing and, when ``update_rollback`` is on (default),
+        restores the model and optimizer to their pre-step state
+        bit-for-bit, so a poisoned online batch never reaches serving.
         """
-        if self._closed:
-            raise EngineClosed("engine is closed", tenant=tenant)
-        tenant = DEFAULT_TENANT if tenant is None else str(tenant)
-        self._validate(tenant)
+        tenant = self._writable(tenant)
         with self._update_lock:
             # Writer-pinned (and latched dirty) before the mutation so a
             # concurrent eviction can't select this entry mid-step.
             with self.pool.updating(tenant) as entry:
-                with entry.lock.write():
-                    snapshot = (
-                        entry.forecaster.snapshot_state()
-                        if self.config.update_rollback else None
-                    )
-                    try:
-                        step = entry.forecaster.update(inputs, targets, set_name=set_name)
-                    except BaseException:
-                        if snapshot is not None:
-                            entry.forecaster.restore_state(snapshot)
-                            self.metrics.record_rollback()
-                        raise
-                    finally:
-                        # Forecaster.update leaves the model in train mode;
-                        # concurrent predicts must only ever see eval.
-                        if hasattr(entry.forecaster.model, "eval"):
-                            entry.forecaster.model.eval()
+                snapshot = (
+                    entry.forecaster.snapshot_state()
+                    if self.config.update_rollback else None
+                )
+                try:
+                    step = entry.forecaster.update(inputs, targets, set_name=set_name)
+                except BaseException:
+                    if snapshot is not None:
+                        entry.forecaster.restore_state(snapshot)
+                        self.metrics.record_rollback()
+                    raise
+                finally:
+                    # Forecaster.update leaves the model in train mode; it
+                    # rests in eval like every model the pool holds.
+                    if hasattr(entry.forecaster.model, "eval"):
+                        entry.forecaster.model.eval()
                 entry.refresh_nbytes()
-                self._on_updated(tenant, entry)
+                self._timed_publish(tenant, entry)
             self.metrics.record_update()
         return step
+
+    def publish(self, tenant: str | None = None) -> None:
+        """Serve ``tenant`` from its forecaster's current weights.
+
+        :meth:`update` publishes every step it completes; call this after
+        changing ``pool.forecaster(tenant)``'s parameters directly (a
+        restored snapshot, hand-set weights), which serving does not see
+        until published.  Serialized with the update lane.
+        """
+        tenant = self._writable(tenant)
+        with self._update_lock:
+            with self.pool.updating(tenant, mark_dirty=False) as entry:
+                self._timed_publish(tenant, entry)
+
+    def _writable(self, tenant: str | None) -> str:
+        if self._closed:
+            raise EngineClosed("engine is closed", tenant=tenant)
+        tenant = DEFAULT_TENANT if tenant is None else str(tenant)
+        self._validate(tenant)
+        return tenant
+
+    def _timed_publish(self, tenant: str, entry: PoolEntry) -> None:
+        started = time.perf_counter()
+        self._publish(tenant, entry)
+        self.metrics.record_publish(time.perf_counter() - started)
 
     # ------------------------------------------------------------------ #
     # One batch: queue -> admission -> worker -> settlement
@@ -1012,29 +1042,25 @@ class ServingEngine(EngineCore):
     """Async serving loop over one forecaster or a multi-tenant pool, the
     fused forwards running on worker threads of this process.
 
-    Takes :class:`EngineCore`'s parameters.  Each worker thread pulls a
-    flushed batch, runs ``Forecaster.predict`` under the tenant's read lock
-    and resolves the requests' futures; with ``shards > 1`` tenants are
-    served through :class:`~repro.serve.sharding.ShardedForecaster` views
-    attached to the pool.
+    Takes :class:`EngineCore`'s parameters.  Every tenant is served from a
+    replica (:func:`~repro.serve.tenancy.replica_of`) attached to the pool
+    as its serving view — wrapped in a
+    :class:`~repro.serve.sharding.ShardedForecaster` when ``shards > 1`` —
+    so training never touches what predicts read.  Each worker thread pulls
+    a flushed batch, runs the replica's ``predict`` under the tenant's read
+    lock and resolves the requests' futures; :meth:`publish` copies trained
+    weights into the replica in place under the write lock.  Engines
+    sharing a pool with equal ``shards`` share its replicas.
     """
 
     def __init__(self, source, config: EngineConfig | None = None, faults=None):
         super().__init__(source, config, faults)
-        if self.config.shards > 1:
-            if self.pool._decorate is not None:
-                raise ConfigurationError(
-                    "the pool already decorates tenants; configure sharding in "
-                    "one place (EngineConfig.shards or the pool decorator)"
-                )
-            shards = self.config.shards
-            self.pool._decorate = lambda f: ShardedForecaster(f, shards)
-            # Already-resident tenants (put() before the engine existed)
-            # get their serving view retrofitted.
-            for tenant in self.pool.resident:
-                entry = self.pool.get(tenant)
-                if entry.served is entry.forecaster:
-                    entry.served = ShardedForecaster(entry.forecaster, shards)
+        shards = self.config.shards
+        self.pool.attach_views(
+            (lambda f: ShardedForecaster(replica_of(f), shards)) if shards > 1
+            else replica_of,
+            key=("replica", shards),
+        )
         self._workers_lock = threading.Lock()
         self._worker_seq = itertools.count()
         self._workers: list[_Worker] = []
@@ -1075,6 +1101,14 @@ class ServingEngine(EngineCore):
             if worker.abandoned.is_set():
                 return
             self._batch_done()
+
+    def _publish(self, tenant: str, entry: PoolEntry) -> None:
+        # Parameters change in place: compiled replay instances bound the
+        # replica's arrays when they were built.
+        pairs = zip(entry.replica.model.parameters(), entry.forecaster.model.parameters())
+        with entry.lock.write():
+            for served, trained in pairs:
+                np.copyto(served.data, trained.data)
 
     def _carry(self, worker, batch: MicroBatch, ticket=None) -> None:
         tenant = batch.tenant
@@ -1156,9 +1190,9 @@ class ServingEngine(EngineCore):
                 if batch is not None:
                     self._carry(None, batch)
             unserved = []
-        if self.config.shards > 1 and not self._owns_pool:
-            # The sharding decorator was ours; hand the caller's pool
-            # back undecorated (and shut the shard executors down).
+        if not self._owns_pool:
+            # Hand the caller's pool back (undecorated once no other engine
+            # serves it), shutting our shard executors down.
             self.pool.reset_views()
         return unserved
 

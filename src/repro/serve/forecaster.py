@@ -339,8 +339,8 @@ class Forecaster:
     def snapshot_state(self) -> dict:
         """Copy the mutable learned state (parameters + optimizer slots).
 
-        Taken by the serving engine under the tenant's write lock before
-        every online update, so a crash mid-step can roll back with
+        Taken by the serving engine's update lane before every online
+        update, so a crash mid-step can roll back with
         :meth:`restore_state` and never publish half-stepped Adam moments.
         Deliberately excludes the replay buffer: extra buffered windows
         after a failed step are harmless, while torn weights are not.

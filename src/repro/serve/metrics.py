@@ -9,7 +9,8 @@ for JSON dumps (the serving benchmark records exactly this).
 Latency percentiles are computed over a bounded window of the most recent
 observations (:data:`LATENCY_WINDOW` requests) so a long-lived engine keeps
 constant memory; throughput and counters are cumulative since start (or the
-last :meth:`reset`).
+last :meth:`reset`).  The same bounded window holds the time each online
+update took to publish its weights to serving (``publish_ms``).
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ class EngineMetrics:
         # engine contributes ``"workers"``, merged from its worker shards).
         self.sections: dict = {}
         self._latencies: deque[float] = deque(maxlen=int(latency_window))
+        self._publishes: deque[float] = deque(maxlen=int(latency_window))
         self.reset()
 
     # ------------------------------------------------------------------ #
@@ -100,6 +102,12 @@ class EngineMetrics:
     def record_update(self) -> None:
         with self._lock:
             self.updates += 1
+
+    def record_publish(self, seconds: float) -> None:
+        """One publish of trained weights to serving: the replica copy on
+        the thread transport, the shared-memory flip on the process one."""
+        with self._lock:
+            self._publishes.append(float(seconds))
 
     def record_flush(self, size: int, reason: str) -> None:
         """One batch of ``size`` left the batcher; ``reason`` is ``"size"``,
@@ -195,6 +203,7 @@ class EngineMetrics:
             # Copied under the lock, ranked outside it: percentiles over a
             # full window would otherwise stall every submit for the scrape.
             window = list(self._latencies)
+            publishes = list(self._publishes)
         resolved = snapshot["completed"] + snapshot["failed"] + snapshot["cancelled"]
         snapshot.update({
             "pending": snapshot["submitted"] - resolved,
@@ -202,6 +211,10 @@ class EngineMetrics:
             if snapshot["batches"]
             else float("nan"),
             "latency_ms": {k: v * 1e3 for k, v in percentiles(window).items()},
+            "publish_ms": {
+                "p50": float(np.median(publishes)) * 1e3 if publishes else float("nan"),
+                "max": max(publishes) * 1e3 if publishes else float("nan"),
+            },
             "throughput_rps": snapshot["completed"] / elapsed if elapsed > 0 else 0.0,
             "elapsed_seconds": elapsed,
         })
@@ -216,6 +229,7 @@ class EngineMetrics:
         """Zero every counter and restart the throughput clock."""
         with self._lock:
             self._latencies.clear()
+            self._publishes.clear()
             self._started = time.perf_counter()
             for name in COUNTERS:
                 setattr(self, name, 0)

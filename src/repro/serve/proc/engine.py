@@ -17,9 +17,9 @@ The data path never pickles an array:
   memcpy's a stacked micro-batch straight into a preallocated slot, the
   worker memcpy's predictions back.
 * ``update()`` runs the shared serialized, rollback-protected update lane
-  on the parent's model, then flips the tenant's shared weight block behind
-  its seqlock — workers pick the new generation up on their next batch
-  without ever blocking a predict.
+  on the parent's model, then publishes by flipping the tenant's shared
+  weight block behind its seqlock — workers pick the new generation up on
+  their next batch without ever blocking a predict.
 
 Parent-side threads are thin coordinators (batcher flusher, one dispatcher
 + one settler per worker, a supervisor that replaces dead or wedged worker
@@ -343,7 +343,7 @@ class ProcessServingEngine(EngineCore):
                 "running process engine)"
             )
 
-    def _on_updated(self, tenant: str, entry) -> None:
+    def _publish(self, tenant: str, entry) -> None:
         # Flip the new weights into the tenant's shared segment behind its
         # seqlock: workers notice the generation bump on their next batch
         # and refresh without blocking — predicts in flight keep serving

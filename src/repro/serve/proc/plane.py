@@ -32,14 +32,14 @@ import numpy as np
 from ...exceptions import ConfigurationError
 from ...graph import sparse as sparse_knobs
 from ...graph.sensor_network import SensorNetwork
-from ...models.registry import build_model, model_name_of
+from ...models.registry import model_name_of
 from ...tensor import (
     export_structures,
     get_default_dtype,
     install_structures,
 )
 from ...tensor.serialize import dump_structures, load_structures
-from ..forecaster import Forecaster
+from ..tenancy import build_replica
 from . import shm as shmlib
 
 __all__ = ["ModelPlane", "PlaneView", "bucket_sizes", "pad_to_bucket"]
@@ -376,13 +376,14 @@ class PlaneView:
         return install_structures(load_structures(blob, table))
 
     def build_forecaster(self, tenant: str, network: SensorNetwork) -> tuple:
-        """Rebuild one tenant zero-copy: returns ``(forecaster, generation)``."""
+        """Rebuild one tenant zero-copy: returns ``(forecaster, generation)``.
+
+        The forecaster is a :func:`~repro.serve.tenancy.build_replica`
+        whose parameters are read-only views of the active weight block.
+        """
         from ...data.scalers import build_scaler
 
         entry = self.meta["models"][tenant]
-        model = build_model(entry["model"], entry["config"], network=network, rng=0)
-        model.eval()
-        generation = self.bind_weights(tenant, model)
         scaler_meta = entry["scaler"]
         scaler = None
         if scaler_meta["type"] is not None:
@@ -392,10 +393,10 @@ class PlaneView:
             for key in scaler_meta["array_keys"]:
                 params[key] = np.array(self._views[f"scaler/{tenant}/{key}"])
             scaler = build_scaler(scaler_meta["type"], params)
-        forecaster = Forecaster(
-            model, scaler=scaler, target_channel=entry["target_channel"]
+        forecaster = build_replica(
+            entry["model"], entry["config"], network, scaler, entry["target_channel"]
         )
-        return forecaster, generation
+        return forecaster, self.bind_weights(tenant, forecaster.model)
 
     # -------------------------------------------------------------- #
     # Seqlock readers

@@ -429,10 +429,6 @@ class ShardedForecaster:
         return predictions[0] if single else predictions
 
     # ------------------------------------------------------------------ #
-    def update(self, inputs, targets, **kwargs):
-        """Online updates pass straight through to the wrapped forecaster."""
-        return self.forecaster.update(inputs, targets, **kwargs)
-
     def close(self) -> None:
         self._executor.shutdown(wait=True)
 

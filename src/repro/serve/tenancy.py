@@ -11,7 +11,8 @@ every tenant checkpoint against one shared :class:`~repro.graph.sensor_network.S
 tenants are added, which the tests pin.
 
 Residency is byte-bounded: each loaded forecaster is measured
-(:func:`forecaster_nbytes` — parameters + optimizer slots + replay buffer)
+(:func:`forecaster_nbytes` — parameters + optimizer slots + replay buffer,
+plus the parameters of its serving replica when an engine attached one)
 and least-recently-used tenants are evicted once the total exceeds
 ``max_bytes``.  Evicted tenants reload transparently from their registered
 checkpoint path on the next request (a cold start, surfaced in
@@ -29,9 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from ..exceptions import ConfigurationError
+from ..models.registry import build_model, model_name_of
 from .forecaster import Forecaster
 
 __all__ = [
+    "build_replica",
+    "replica_of",
     "forecaster_nbytes",
     "PoolEntry",
     "ModelPool",
@@ -39,6 +43,36 @@ __all__ = [
     "TokenBucket",
     "historical_average",
 ]
+
+
+def build_replica(name: str, config: dict, network, scaler,
+                  target_channel: int) -> Forecaster:
+    """A serving copy of a registered model, rebuilt through the registry.
+
+    What both engines' predicts run: worker processes bind its weights to
+    shared memory, the threaded engine copies the trained ones in
+    (:func:`replica_of`).  It shares ``network`` and ``scaler``, is in eval
+    mode and has no optimizer and an empty replay buffer.  Its parameters
+    are named and shaped like the original's, so it replays the same shared
+    compiled structures and, once bound, predicts the same bits.
+    """
+    model = build_model(name, config, network=network, rng=0)
+    model.eval()
+    return Forecaster(model, scaler=scaler, target_channel=target_channel)
+
+
+def replica_of(forecaster: Forecaster) -> Forecaster:
+    """A :func:`build_replica` of ``forecaster`` holding a private copy of
+    its current weights (each parameter keeps its dtype)."""
+    model = forecaster.model
+    replica = build_replica(
+        model_name_of(model), model.to_config(), forecaster.network,
+        forecaster.scaler, forecaster.target_channel,
+    )
+    trained = dict(model.named_parameters())
+    for name, parameter in replica.model.named_parameters():
+        parameter.data = trained[name].data.copy()
+    return replica
 
 
 def forecaster_nbytes(forecaster) -> int:
@@ -238,13 +272,14 @@ class CircuitBreaker:
 
 
 class _ReadWriteLock:
-    """Writer-preferring readers/writer lock for one tenant's model.
+    """Writer-preferring readers/writer lock for one tenant's serving weights.
 
-    Any number of predict workers share the read side; the serialized
-    update lane takes the write side, so an in-flight predict never
-    observes half-stepped parameters (the optimizer steps in place).
-    A waiting writer blocks *new* readers, which keeps a continuous
-    predict stream from starving online updates.
+    Any number of predict workers share the read side; the update lane
+    takes the write side only to publish — to copy the weights it trained
+    into the serving replica — so an in-flight predict never observes a
+    half-copied replica.  The training step itself runs on the tenant's
+    forecaster with no lock held.  A waiting writer blocks *new* readers,
+    which keeps a continuous predict stream from starving publishes.
     """
 
     def __init__(self):
@@ -302,16 +337,27 @@ class _ReadWriteLock:
 
 
 class PoolEntry:
-    """One resident tenant: forecaster, serving view, lock, byte size."""
+    """One resident tenant: forecaster, serving view, lock, byte size.
 
-    __slots__ = ("tenant", "forecaster", "served", "lock", "nbytes", "dirty", "pins")
+    ``forecaster`` is what online updates train; ``served`` is what
+    predicts run — the forecaster itself, or a view an engine attached
+    (:meth:`ModelPool.attach_views`): a serving replica, possibly wrapped
+    in a :class:`~repro.serve.sharding.ShardedForecaster`.
+    """
+
+    __slots__ = ("tenant", "forecaster", "served", "lock", "writer", "nbytes", "dirty",
+                 "pins")
 
     def __init__(self, tenant: str, forecaster: Forecaster, served=None):
         self.tenant = tenant
         self.forecaster = forecaster
         self.served = served if served is not None else forecaster
         self.lock = _ReadWriteLock()
-        self.nbytes = forecaster_nbytes(forecaster)
+        # One writer of ``forecaster`` at a time, whichever engine it is
+        # (engines sharing the pool share its entries); see ``updating``.
+        self.writer = threading.Lock()
+        self.nbytes = 0
+        self.refresh_nbytes()
         # Online updates mutate in-memory state the checkpoint on disk does
         # not have; a dirty entry is pinned against eviction (reloading it
         # would silently discard accepted learning).
@@ -322,9 +368,19 @@ class PoolEntry:
         # longer serves and be silently discarded on reload).
         self.pins = 0
 
+    @property
+    def replica(self) -> Forecaster | None:
+        """The forecaster ``served`` runs when it is not ``forecaster``
+        (looking through a shard wrapper), else ``None``."""
+        inner = getattr(self.served, "forecaster", self.served)
+        return None if inner is self.forecaster else inner
+
     def refresh_nbytes(self) -> int:
         """Re-measure after an online update (the replay buffer grows)."""
-        self.nbytes = forecaster_nbytes(self.forecaster)
+        replica = self.replica
+        self.nbytes = forecaster_nbytes(self.forecaster) + (
+            0 if replica is None else forecaster_nbytes(replica)
+        )
         return self.nbytes
 
     def mark_dirty(self) -> None:
@@ -348,19 +404,18 @@ class ModelPool:
         every later checkpoint must match it (same adjacency bytes) and is
         rebuilt *against* it, so all tenants share one ``Graph`` and its
         cached supports.
-    decorate:
-        Optional ``forecaster -> serving view`` hook applied on activation
-        (the engine wraps tenants in :class:`~repro.serve.sharding.ShardedForecaster`
-        through this).
     """
 
-    def __init__(self, max_bytes: int | None = None, network=None, decorate=None,
-                 load_hook=None):
+    def __init__(self, max_bytes: int | None = None, network=None, load_hook=None):
         if max_bytes is not None and max_bytes <= 0:
             raise ConfigurationError(f"max_bytes must be positive, got {max_bytes}")
         self.max_bytes = max_bytes
         self._network = network
-        self._decorate = decorate
+        # The ``forecaster -> serving view`` hook applied on activation, the
+        # key it was attached under and how many engines share it.
+        self._decorate = None
+        self._view_key = None
+        self._view_users = 0
         # Called as ``load_hook(tenant, path)`` before every checkpoint
         # load; raising aborts the load.  The fault injector plugs in here.
         self._load_hook = load_hook
@@ -501,21 +556,6 @@ class ModelPool:
         with self._lock:
             return self._fallbacks.get(str(tenant))
 
-    def get_for_update(self, tenant: str) -> PoolEntry:
-        """Like :meth:`get`, but pin the entry dirty *before* returning.
-
-        The caller is about to mutate the tenant's in-memory state; marking
-        it dirty under the pool lock closes the window where a concurrent
-        eviction could select the still-clean entry and then the mutation
-        would land on an orphan (silently losing the update on reload).
-        Prefer :meth:`updating`, which additionally holds a writer pin for
-        the duration of the step.
-        """
-        with self._lock:
-            entry = self.get(tenant)
-            entry.mark_dirty()
-            return entry
-
     @contextlib.contextmanager
     def updating(self, tenant: str, mark_dirty: bool = True):
         """Writer-pinned access to ``tenant`` for one online update.
@@ -525,7 +565,8 @@ class ModelPool:
         releases the pin afterwards.  While pinned the entry cannot be
         selected by LRU eviction, so an update can never land on an object
         the pool no longer serves; unlike the dirty latch the pin is
-        transient, covering exactly the in-flight step.
+        transient, covering exactly the in-flight step.  Writers of one
+        tenant take turns on its ``writer`` lock.
         """
         with self._lock:
             entry = self.get(tenant)
@@ -533,7 +574,8 @@ class ModelPool:
             if mark_dirty:
                 entry.mark_dirty()
         try:
-            yield entry
+            with entry.writer:
+                yield entry
         finally:
             with self._lock:
                 entry.pins -= 1
@@ -543,10 +585,32 @@ class ModelPool:
         return self.get(tenant).forecaster
 
     # ------------------------------------------------------------------ #
+    def attach_views(self, decorate, key) -> None:
+        """Serve every tenant through ``decorate(forecaster)``.
+
+        Resident tenants get their view now, tenants put or reloaded later
+        on activation.  Engines attaching an equal ``key`` share one set of
+        views, and each releases them with :meth:`reset_views`.  Attaching
+        a different ``key`` meanwhile is a
+        :class:`~repro.exceptions.ConfigurationError`.
+        """
+        with self._lock:
+            if not self._view_users:
+                self._decorate, self._view_key = decorate, key
+                for entry in self._entries.values():
+                    entry.served = decorate(entry.forecaster)
+                    entry.refresh_nbytes()
+            elif key != self._view_key:
+                raise ConfigurationError(
+                    f"the pool already serves its tenants through {self._view_key!r} "
+                    f"views; an engine asking for {key!r} needs a pool of its own"
+                )
+            self._view_users += 1
+
     def _activate(self, tenant: str, forecaster: Forecaster) -> PoolEntry:
-        # Served models live in eval mode: every predict's save/restore of
-        # the mode is then idempotent under concurrency, and the update
-        # lane restores eval before releasing its write lock.
+        # Trained models rest in eval mode (the update lane restores it
+        # after every step): a forecaster serving its own predicts then
+        # saves and restores the mode idempotently under concurrency.
         if hasattr(forecaster.model, "eval"):
             forecaster.model.eval()
         served = self._decorate(forecaster) if self._decorate is not None else None
@@ -611,20 +675,22 @@ class ModelPool:
             }
 
     def reset_views(self) -> None:
-        """Close decorated serving views; tenants stay resident, undecorated.
-
-        Used by a closing engine that attached its own decorator (sharding)
-        to a caller-owned pool: the pool survives for the next engine, the
-        shard executors do not.
+        """Release one :meth:`attach_views`.  The last release closes the
+        serving views: tenants stay resident, undecorated, for the next
+        engine; their replicas and shard executors do not survive.
         """
         with self._lock:
-            self._decorate = None
+            self._view_users = max(self._view_users - 1, 0)
+            if self._view_users:
+                return
+            self._decorate = self._view_key = None
             for entry in self._entries.values():
                 if entry.served is not entry.forecaster:
                     close = getattr(entry.served, "close", None)
                     if close is not None:
                         close()
                     entry.served = entry.forecaster
+                    entry.refresh_nbytes()
 
     def close(self) -> None:
         with self._lock:

@@ -160,7 +160,7 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     x = as_tensor(x)
     keep = 1.0 - rate
     mask = (rng.random(x.shape) < keep).astype(x.data.dtype) / keep
-    return x * Tensor(mask)
+    return x * Tensor(mask, dtype=mask.dtype)
 
 
 def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:

@@ -29,7 +29,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .tensor import PRIMITIVES
+from .tensor import _GRAD_MODE, PRIMITIVES
 
 __all__ = [
     "Slot",
@@ -233,9 +233,21 @@ class ProgramInstance:
 
     # ------------------------------------------------------------------ #
     def run_forward(self, input_array: np.ndarray) -> np.ndarray:
-        np.copyto(self.env[self.structure.input_slot], input_array)
-        for kernel in self.forward_kernels:
-            kernel()
+        """Replay the program on ``input_array``; returns the out slot.
+
+        Runs with gradient recording off, as the captured forward did: the
+        matmul kernel picks its gemm from the grad mode, so a replay from a
+        grad-enabled caller would otherwise differ from eager in the last
+        bits.
+        """
+        previous = _GRAD_MODE.enabled
+        _GRAD_MODE.enabled = False
+        try:
+            np.copyto(self.env[self.structure.input_slot], input_array)
+            for kernel in self.forward_kernels:
+                kernel()
+        finally:
+            _GRAD_MODE.enabled = previous
         return self.env[self.structure.out_slot]
 
     def arena_nbytes(self) -> int:

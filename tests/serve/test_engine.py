@@ -9,7 +9,7 @@ import pytest
 from repro.core.config import TrainingConfig
 from repro.exceptions import ConfigurationError, EngineClosed, QueueFull, ShapeError
 from repro.graph.sparse import spatial_mode
-from repro.serve import EngineConfig, Forecaster, ModelPool, ServingEngine
+from repro.serve import EngineConfig, Forecaster, ModelPool, ServingEngine, forecaster_nbytes
 
 
 @pytest.fixture
@@ -311,6 +311,26 @@ class TestUpdateLane:
             assert any(np.array_equal(sample, version) for version in versions), (
                 "a concurrent predict observed parameters matching no update boundary"
             )
+
+
+class TestServingReplica:
+    def test_engines_share_the_pools_replicas_and_hand_it_back(self, forecaster):
+        pool = ModelPool()
+        entry = pool.put("alpha", forecaster)
+        bare = entry.nbytes
+        with ServingEngine(pool):
+            replica = entry.replica
+            assert replica is not None and replica.model is not forecaster.model
+            assert replica.network is forecaster.network
+            assert replica.scaler is forecaster.scaler
+            assert replica._optimizer is None
+            assert entry.nbytes == bare + forecaster_nbytes(replica)
+            with ServingEngine(pool):  # equal shards: the same replicas
+                assert entry.replica is replica
+            with pytest.raises(ConfigurationError):
+                ServingEngine(pool, EngineConfig(shards=2))
+            assert entry.replica is replica  # the first engine still serves it
+        assert entry.served is forecaster and entry.nbytes == bare
 
 
 class TestStats:

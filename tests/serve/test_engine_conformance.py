@@ -99,9 +99,7 @@ class Harness:
                 parameter.data[...] = np.nan
         else:
             self.forecaster.restore_state(state)
-        plane = getattr(engine, "plane", None)
-        if plane is not None:  # worker processes serve the published weights
-            plane.publish_weights(TENANT, self.forecaster.model)
+        engine.publish(TENANT)  # serving reads the published weights
         return saved
 
     def finish(self):
@@ -382,6 +380,37 @@ class TestUpdateLane:
         assert not np.array_equal(expected, harness.direct)
         assert np.array_equal(harness.serve_all(engine), expected)
 
+    def test_update_in_flight_blocks_no_predict_and_publishes_bit_exact(self, harness):
+        engine = harness.engine()
+        train, stepped, release = harness.forecaster.update, threading.Event(), threading.Event()
+
+        def held_update(*args, **kwargs):
+            step = train(*args, **kwargs)
+            stepped.set()  # the optimizer stepped; nothing is published yet
+            release.wait(timeout=60)
+            return step
+
+        harness.forecaster.update = held_update
+        updater = threading.Thread(
+            target=engine.update, args=self.update_batch(harness),
+            kwargs={"tenant": TENANT},
+        )
+        updater.start()
+        try:
+            assert stepped.wait(timeout=60)
+            during = np.stack([
+                harness.submit(engine, index).result(timeout=10)
+                for index in range(len(harness.windows))
+            ])
+        finally:
+            release.set()
+            updater.join(timeout=60)
+        assert np.array_equal(during, harness.direct)
+        assert engine.metrics.updates == 1
+        expected = harness.forecaster.predict(harness.windows)
+        assert not np.array_equal(expected, harness.direct)
+        assert np.array_equal(harness.serve_all(engine), expected)
+
     def test_raising_step_rolls_back_bit_exactly(self, harness):
         # The horizon is one step short: the step raises mid-update.
         inputs, bad_targets = self.update_batch(harness, horizon_shortfall=1)
@@ -395,6 +424,14 @@ class TestUpdateLane:
 
 
 class TestMetricsAccessor:
+    def test_publish_time_is_reported_after_an_update(self, harness):
+        engine = harness.engine()
+        assert np.isnan(engine.metrics()["publish_ms"]["p50"])
+        engine.update(*TestUpdateLane.update_batch(harness), tenant=TENANT)
+        publish_ms = engine.metrics()["publish_ms"]
+        assert np.isfinite(publish_ms["p50"]) and np.isfinite(publish_ms["max"])
+        assert 0.0 <= publish_ms["p50"] <= publish_ms["max"]
+
     def test_both_spellings_work_on_both_engines(self, harness):
         engine = harness.engine()
         harness.submit(engine, 0).result(timeout=60)

@@ -213,6 +213,7 @@ class TestBreakerAndDegradation:
                              max_retries=0, fallback="none")
         with ServingEngine(forecaster, config) as engine:
             poison(engine.pool.forecaster(engine.pool.resident[0]))
+            engine.publish()
             for _ in range(3):  # sequential => one breaker event per batch
                 with pytest.raises(ServingError):
                     engine.predict(raw_windows[0], timeout=60)
@@ -237,6 +238,7 @@ class TestBreakerAndDegradation:
             direct = forecaster.predict(raw_windows[0])
             assert np.array_equal(engine.predict(raw_windows[0], timeout=60), direct)
             saved = poison(engine.pool.forecaster(tenant))
+            engine.publish(tenant)
             degraded = np.stack([
                 engine.predict(window, timeout=60) for window in raw_windows[:4]
             ])
@@ -245,6 +247,7 @@ class TestBreakerAndDegradation:
             assert engine.health()["breakers"][tenant]["state"] != "closed"
             # Heal, wait out the reset window: a half-open probe closes it.
             engine.pool.forecaster(tenant).restore_state(saved)
+            engine.publish(tenant)
             time.sleep(config.breaker_reset_s * 1.5)
             healed = engine.predict(raw_windows[0], timeout=60)
             assert np.array_equal(healed, direct)
@@ -267,6 +270,7 @@ class TestBreakerAndDegradation:
                              max_retries=0, fallback="ha")
         with ServingEngine(pool, config) as engine:
             poison(primary)
+            engine.publish("alpha")
             answers = np.stack([
                 engine.predict(window, tenant="alpha", timeout=60)
                 for window in raw_windows[:3]

@@ -1,5 +1,7 @@
 """Multi-tenant model pool: shared graph, byte-bounded LRU, lazy loads."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,24 @@ class TestLRUEviction:
         assert bounded.stats()["write_pinned"] == 0
         bounded.get("tenant-1")
         assert "tenant-0" not in bounded.resident
+
+    def test_writers_of_one_tenant_take_turns(self, tiny_scenario, tiny_urcl_config):
+        # Engines sharing a pool share its entries: each engine serializes
+        # its own updates, the entry serializes the engines.
+        pool = ModelPool()
+        pool.put("alpha", make_forecaster(tiny_scenario, tiny_urcl_config, 0))
+        second_in = threading.Event()
+
+        def second_writer():
+            with pool.updating("alpha"):
+                second_in.set()
+
+        with pool.updating("alpha"):
+            thread = threading.Thread(target=second_writer)
+            thread.start()
+            assert not second_in.wait(0.2)
+        assert second_in.wait(30)
+        thread.join(timeout=30)
 
     def test_put_only_tenant_is_never_evicted(self, tiny_scenario, tiny_urcl_config,
                                               tenant_dirs):

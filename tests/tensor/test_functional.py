@@ -74,6 +74,12 @@ class TestDropout:
         with pytest.raises(ValueError):
             F.dropout(Tensor([1.0]), 1.5, training=True)
 
+    def test_float32_input_stays_float32_under_the_float64_default(self):
+        x = Tensor(np.ones((50, 50), dtype=np.float32), dtype=np.float32)
+        out = F.dropout(x, 0.5, training=True, rng=np.random.default_rng(0))
+        assert out.data.dtype == np.float32
+        assert set(np.unique(out.data)) == {0.0, 2.0}
+
 
 class TestSimilarityHelpers:
     def test_l2_normalize_unit_norm(self):

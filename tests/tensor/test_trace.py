@@ -27,6 +27,7 @@ from repro.tensor import (
     declare_const,
     default_dtype,
     export_structures,
+    is_grad_enabled,
     no_grad,
     program_cache_stats,
     run_compiled,
@@ -470,9 +471,17 @@ class TestArenaBytes:
         for seed in (0, 1):
             x = _inputs(small_network, seed=seed)
             instance.pool.fill(0xFF)  # NaN in every float width
-            with no_grad():  # as run_compiled replays
-                replayed = instance.run_forward(x).copy()
+            replayed = instance.run_forward(x).copy()
             assert np.array_equal(replayed, _eager_predict(model, x))
+
+    @pytest.mark.parametrize("name", ZOO)
+    def test_replay_bits_do_not_depend_on_the_callers_grad_mode(self, small_network, name):
+        model, _, instance = _compiled(name, small_network)
+        x = _inputs(small_network, seed=2)
+        assert is_grad_enabled()
+        replayed = instance.run_forward(x).copy()
+        assert is_grad_enabled()  # the replay restores the caller's mode
+        assert np.array_equal(replayed, _eager_predict(model, x))
 
 
 class _GRUHead(Module):
