@@ -7,7 +7,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 	bench-serving bench-serving-smoke bench-serving-proc-smoke \
 	bench-sharding bench-sharding-smoke \
 	bench-resilience bench-resilience-smoke examples-smoke \
-	bench-e2e-smoke bench-check
+	bench-e2e-smoke bench-check src-lines
 
 # Tier-1 gate: full unit suite, ~10-second smokes of the Fig. 7 efficiency
 # benchmark, the traced-vs-eager hot path, the spatial kernel, the serving
@@ -16,13 +16,17 @@ export PYTHONPATH := src:$(PYTHONPATH)
 # PR), plus the runnable examples (quickstart, online forecasting, serving
 # demo, compiled execution, resilience demo) as end-to-end smokes of the
 # public API surface, and the repo benchmark (benchmarks/e2e) at 1/10 size
-# with its correctness checks.
-ci: test bench-smoke bench-hot-path-smoke bench-spatial-smoke \
+# with its correctness checks.  It starts by printing the src/ line count.
+ci: src-lines test bench-smoke bench-hot-path-smoke bench-spatial-smoke \
 	bench-serving-smoke bench-serving-proc-smoke bench-sharding-smoke \
 	bench-resilience-smoke examples-smoke bench-e2e-smoke
 
 test:
 	$(PYTHON) -m pytest tests -x -q
+
+# Total lines of library Python under src/, the size metric ROADMAP tracks.
+src-lines:
+	@printf 'src/**/*.py lines: %s\n' "$$(find src -name '*.py' -exec cat {} + | wc -l)"
 
 # Bit-parity suites under one and two BLAS threads: threading changes how
 # OpenBLAS splits a gemm's rows, so the exactness envelope is checked at both

@@ -1,8 +1,8 @@
 """Serving-engine benchmark: dynamic batching x tenants x node shards.
 
-A closed-loop load generator (``repro.serve.loadgen``) drives the
-:class:`~repro.serve.ServingEngine` over a synthetic multi-tenant scenario
-and sweeps the three serving axes:
+Closed-loop clients drive the :class:`~repro.serve.ServingEngine` over a
+synthetic multi-tenant scenario, and the bench sweeps the three serving
+axes (each point is :func:`sweep_point`):
 
 * **batching** — one-request-at-a-time (``max_batch_size=1``) versus the
   deadline-based dynamic micro-batcher, at fixed concurrency;
@@ -53,8 +53,8 @@ from repro.serve import (
     ServingEngine,
     build_synthetic_tenants,
     forecaster_nbytes,
+    run_closed_loop,
 )
-from repro.serve.loadgen import serving_sweep_point
 from repro.serve.tenancy import ModelPool
 
 from records import append_record
@@ -197,10 +197,40 @@ def process_sweep(pool, windows, tenants, worker_counts, concurrency: int,
 def sweep_point(pool, windows, tenants, shards: int, batching: bool,
                 concurrency: int, total_requests: int,
                 num_workers: int = 2, engine_kind: str = "thread") -> dict:
-    result = serving_sweep_point(
-        pool, windows, tenants, shards=shards, batching=batching,
-        concurrency=concurrency, total_requests=total_requests,
-        num_workers=num_workers, engine_kind=engine_kind,
+    """One point of the batching x tenants x shards sweep.
+
+    Spins up a fresh engine over ``pool``, drives it closed-loop and returns
+    the loadgen result with the sweep coordinates and the engine's batching
+    counters.  With ``batching`` on, the flush size is each tenant's share of
+    the concurrency halved — buckets are per tenant, and a full bucket
+    flushes synchronously while an oversized one waits for a worker to finish
+    its batch (``max_delay_ms`` at the longest).  ``engine_kind`` is
+    ``"thread"`` or ``"process"`` (``num_workers`` then counts processes).
+    """
+    tenants = list(tenants)
+    config = EngineConfig(
+        max_batch_size=max(concurrency // (2 * len(tenants)), 2) if batching else 1,
+        max_delay_ms=2.0 if batching else 0.0,
+        num_workers=num_workers,
+        shards=shards,
+    )
+    if engine_kind == "process":
+        engine = ProcessServingEngine(pool, config, sample_windows=windows[:1])
+    else:
+        engine = ServingEngine(pool, config)
+    with engine:
+        result = run_closed_loop(
+            engine, windows, concurrency=concurrency,
+            total_requests=total_requests, tenants=tenants,
+        )
+        metrics = engine.metrics.snapshot()
+    result.update(
+        engine=engine_kind, batching=batching, shards=shards,
+        tenants=len(tenants), num_workers=num_workers,
+        mean_batch_size=metrics["mean_batch_size"],
+        size_flushes=metrics["size_flushes"],
+        deadline_flushes=metrics["deadline_flushes"],
+        idle_flushes=metrics["idle_flushes"],
     )
     if result["failed"]:
         raise AssertionError(f"{result['failed']} requests failed during the sweep")

@@ -31,9 +31,7 @@ from .utils.serialization import save_json
 
 __all__ = ["build_parser", "build_serve_parser", "main"]
 
-_SERVE_COMMANDS = (
-    "train", "resume", "predict", "serve", "bench-serving", "bench-resilience",
-)
+_SERVE_COMMANDS = ("train", "resume", "predict", "serve")
 
 
 def _add_dtype_flag(parser: argparse.ArgumentParser) -> None:
@@ -152,10 +150,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "(default: REPRO_PROC_START_METHOD or fork)",
     )
     serve.add_argument(
-        "--rate", type=float, default=None,
-        help="open-loop offered rate in req/s (default: closed loop at --concurrency)",
-    )
-    serve.add_argument(
         "--duration", type=float, default=None,
         help="sustained run: keep issuing for this many seconds instead of "
         "stopping at --requests",
@@ -165,39 +159,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="distinct request windows replayed from the checkpoint's stream",
     )
     serve.add_argument("--output", default=None, help="optional JSON dump of the serving stats")
-
-    bench = commands.add_parser(
-        "bench-serving",
-        help="sweep batching x tenants x shards on a synthetic multi-tenant scenario",
-    )
-    bench.add_argument("--tenants", type=int, default=2, help="synthetic tenants")
-    bench.add_argument("--shards", type=int, default=2, help="max node shards in the sweep")
-    bench.add_argument("--concurrency", type=int, default=32, help="closed-loop clients")
-    bench.add_argument("--requests", type=int, default=256, help="requests per sweep point")
-    bench.add_argument("--nodes", type=int, default=12, help="synthetic sensor count")
-    bench.add_argument("--seed", type=int, default=0, help="random seed")
-    bench.add_argument(
-        "--engine", choices=("thread", "process"), default="thread",
-        help="worker plane to sweep (process = shared-memory worker processes)",
-    )
-    bench.add_argument(
-        "--start-method", choices=("fork", "spawn", "forkserver"), default=None,
-        help="multiprocessing start method for --engine process",
-    )
-    bench.add_argument("--output", default=None, help="optional JSON dump of the sweep")
-    _add_dtype_flag(bench)
-
-    chaos = commands.add_parser(
-        "bench-resilience",
-        help="drive a seeded fault storm through the engine and measure recovery",
-    )
-    chaos.add_argument("--tenants", type=int, default=2, help="synthetic tenants")
-    chaos.add_argument("--concurrency", type=int, default=8, help="closed-loop clients")
-    chaos.add_argument("--requests", type=int, default=128, help="requests per phase")
-    chaos.add_argument("--nodes", type=int, default=12, help="synthetic sensor count")
-    chaos.add_argument("--seed", type=int, default=0, help="fault plan + fixture seed")
-    chaos.add_argument("--output", default=None, help="optional JSON dump of the record")
-    _add_dtype_flag(chaos)
     return parser
 
 
@@ -336,15 +297,6 @@ def _windows_from_checkpoint(checkpoint, forecaster, num_windows: int):
     )
 
 
-def _print_serving_stats(label: str, result: dict) -> None:
-    latency = result["latency_ms"]
-    print(
-        f"{label}: {result['completed']}/{result['total_requests']} ok, "
-        f"{result['throughput_rps']:8.1f} req/s | latency ms "
-        f"p50 {latency['p50']:7.2f}  p95 {latency['p95']:7.2f}  p99 {latency['p99']:7.2f}"
-    )
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import (
         EngineConfig,
@@ -352,7 +304,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ProcessServingEngine,
         ServingEngine,
         run_closed_loop,
-        run_open_loop,
     )
     from .utils.checkpoint import Checkpoint
 
@@ -377,26 +328,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         engine = ServingEngine(forecaster, config)
     with engine:
-        if args.rate is not None:
-            result = run_open_loop(
-                engine, windows, rate_rps=args.rate,
-                duration_s=args.duration,
-                total_requests=None if args.duration is not None else args.requests,
-            )
-        else:
-            result = run_closed_loop(
-                engine,
-                windows,
-                concurrency=args.concurrency,
-                total_requests=None if args.duration is not None else args.requests,
-                duration_s=args.duration,
-            )
+        result = run_closed_loop(
+            engine,
+            windows,
+            concurrency=args.concurrency,
+            total_requests=None if args.duration is not None else args.requests,
+            duration_s=args.duration,
+        )
         stats = engine.stats()
     label = f"serve[{args.engine}]"
-    if result.get("mode") == "open":
-        print(f"{label}: offered {result['offered_rps']:.0f} req/s, completed "
-              f"{result['completed']}/{result['issued']} "
-              f"({result['rejected']} rejected by backpressure)")
     completed_of = result["total_requests"] if result["total_requests"] is not None else result["completed"]
     print(
         f"{label}: {result['completed']}/{completed_of} ok, "
@@ -414,81 +354,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_serving(args: argparse.Namespace) -> int:
-    _apply_dtype(args.dtype)
-    from .serve import build_synthetic_tenants
-    from .serve.loadgen import serving_sweep_point
-
-    pool, windows, _ = build_synthetic_tenants(
-        num_tenants=args.tenants, num_nodes=args.nodes, seed=args.seed,
-        request_windows=min(args.requests, 64),
-    )
-    tenants = pool.resident
-    shard_counts = sorted({1, max(int(args.shards), 1)})
-    sweep = []
-    for shards in shard_counts:
-        for batching in (False, True):
-            result = serving_sweep_point(
-                pool, windows, tenants, shards=shards, batching=batching,
-                concurrency=args.concurrency, total_requests=args.requests,
-                engine_kind=args.engine, start_method=args.start_method,
-            )
-            _print_serving_stats(
-                f"{args.engine} shards={shards} batching={'on ' if batching else 'off'}",
-                result,
-            )
-            sweep.append(result)
-    unbatched = next(r for r in sweep if r["shards"] == 1 and not r["batching"])
-    batched = next(r for r in sweep if r["shards"] == 1 and r["batching"])
-    speedup = batched["throughput_rps"] / max(unbatched["throughput_rps"], 1e-9)
-    print(f"dynamic batching speedup at concurrency {args.concurrency}: {speedup:.2f}x")
-    if args.output:
-        path = save_json(args.output, {"sweep": sweep, "batching_speedup": speedup})
-        print(f"sweep written to {path}")
-    return 0
-
-
-def _cmd_bench_resilience(args: argparse.Namespace) -> int:
-    _apply_dtype(args.dtype)
-    from .serve import FaultPlan, build_synthetic_tenants
-    from .serve.loadgen import run_fault_storm
-
-    pool, windows, _ = build_synthetic_tenants(
-        num_tenants=args.tenants, num_nodes=args.nodes, seed=args.seed,
-        request_windows=min(args.requests, 64),
-    )
-    record = run_fault_storm(
-        pool, windows, tenants=pool.resident,
-        plan=FaultPlan.storm(seed=args.seed),
-        concurrency=args.concurrency, total_requests=args.requests,
-    )
-    for phase in ("clean", "storm", "post_recovery"):
-        _print_serving_stats(phase, record[phase])
-    faults = record["faults"]
-    print(
-        f"injected: {faults.get('crashes', 0)} crashes, "
-        f"{faults.get('stalls', 0)} stalls, "
-        f"{faults.get('corrupted_windows', 0)} corrupted windows, "
-        f"{faults.get('dropped_node_windows', 0)} node dropouts"
-    )
-    print(
-        f"recovery: {record['metrics']['worker_restarts']} worker restarts, "
-        f"{record['metrics']['retried']} retried, "
-        f"time-to-recover {record['recovery']['time_to_recover_seconds'] * 1e3:.0f} ms, "
-        f"post-recovery throughput {record['recovered_throughput_ratio']:.2f}x clean"
-    )
-    if args.output:
-        path = save_json(args.output, record)
-        print(f"resilience record written to {path}")
-    if record["lost_requests"] != 0:
-        print(f"{record['lost_requests']} futures never resolved", file=sys.stderr)
-        return 1
-    if not record["recovery"]["recovered"]:
-        print("engine did not recover after the storm was disarmed", file=sys.stderr)
-        return 1
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -499,8 +364,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             "resume": _cmd_resume,
             "predict": _cmd_predict,
             "serve": _cmd_serve,
-            "bench-serving": _cmd_bench_serving,
-            "bench-resilience": _cmd_bench_resilience,
         }
         return handler[args.command](args)
 

@@ -38,12 +38,7 @@ from .batching import DynamicBatcher, MicroBatch, PendingRequest
 from .engine import EngineConfig, ServingEngine
 from .faults import FaultInjector, FaultPlan
 from .forecaster import Forecaster, impute_missing
-from .loadgen import (
-    build_synthetic_tenants,
-    run_closed_loop,
-    run_fault_storm,
-    run_open_loop,
-)
+from .loadgen import build_synthetic_tenants, run_closed_loop, run_fault_storm
 from .metrics import EngineMetrics
 from .sharding import Shard, ShardedForecaster, ShardPlan, ShardPlanner
 from .tenancy import (
@@ -83,7 +78,6 @@ __all__ = [
     "ShardPlanner",
     "ShardedForecaster",
     "run_closed_loop",
-    "run_open_loop",
     "build_synthetic_tenants",
     "run_fault_storm",
 ]

@@ -1,25 +1,29 @@
-"""Closed-loop load generation for the serving engine.
+"""Closed-loop load, the synthetic tenant fixture and the fault-storm harness.
 
 A *closed loop* keeps a fixed number of concurrent clients, each issuing
 its next request only after the previous one resolved — the standard way
 to measure a serving system's latency/throughput trade-off at a given
-concurrency (an open loop with a fixed arrival rate would need a target
-rate to be known up front).  :func:`run_closed_loop` drives any
-:class:`~repro.serve.engine.ServingEngine` with windows and tenants
-assigned round-robin and reports client-observed latencies (submit →
-future resolution), throughput and rejection counts.
+concurrency.  :func:`run_closed_loop` drives any engine with windows and
+tenants assigned round-robin and reports client-observed latencies
+(submit → future resolution), throughput, and failure, rejection and
+lost-future counts.  It is the load behind ``repro serve``.  Open-loop
+measurement at a fixed offered rate lives in the repo benchmark
+(``benchmarks/e2e``), whose generator charges latency from each
+request's due time.
 
 :func:`build_synthetic_tenants` manufactures the multi-tenant fixture the
-benchmark and the CLI smoke share: one synthetic scenario, ``T``
-independently initialised forecasters over its single shared graph, and a
-stack of raw request windows drawn from the stream.
+tests and benchmarks share: one synthetic scenario, ``T`` independently
+initialised forecasters over its single shared graph, and a stack of raw
+request windows drawn from the stream.
 
-:func:`run_fault_storm` is the resilience harness: the same closed loop
-driven three times over one pool — clean baseline, under a seeded
-:class:`~repro.serve.faults.FaultPlan` storm, and again after the storm is
-disarmed — with the time from disarm to sustained healthy service measured
-in between.  Zero lost futures (a future that never resolves) is the
-harness's core invariant; the count is in the returned record.
+:func:`run_fault_storm` is the resilience harness shared by the chaos
+tests and ``benchmarks/bench_resilience.py``: the same closed loop driven
+three times over one pool — clean baseline, under a seeded
+:class:`~repro.serve.faults.FaultPlan` storm (engine settings from
+:func:`resilience_config`), and again after the storm is disarmed — with
+the time from disarm to sustained healthy service measured in between.
+Zero lost futures (a future that never resolves) is the harness's core
+invariant; the count is in the returned record.
 """
 
 from __future__ import annotations
@@ -46,8 +50,6 @@ from .tenancy import ModelPool
 
 __all__ = [
     "run_closed_loop",
-    "run_open_loop",
-    "serving_sweep_point",
     "build_synthetic_tenants",
     "resilience_config",
     "run_fault_storm",
@@ -72,7 +74,9 @@ def run_closed_loop(
     Requests rejected with :class:`~repro.exceptions.QueueFull` (including
     :class:`~repro.exceptions.RateLimited`) are counted and retried after
     a short backoff — a closed loop must not lose its clients to
-    backpressure.  ``deadline_ms`` is attached to every request when set.
+    backpressure.  Any other error, raised by ``submit`` or by the future,
+    counts the request as failed and the client moves on to the next one.
+    ``deadline_ms`` is attached to every request when set.
 
     ``duration_s`` switches to sustained (time-bounded) mode: clients keep
     issuing until the wall clock runs out instead of until a request count
@@ -97,8 +101,18 @@ def run_closed_loop(
     lost = 0
     stop_at = None if duration_s is None else time.perf_counter() + duration_s
 
+    def submit(window, tenant):
+        nonlocal rejected
+        while True:
+            try:
+                return engine.submit(window, tenant=tenant, deadline_ms=deadline_ms)
+            except QueueFull:
+                with lock:
+                    rejected += 1
+                time.sleep(engine.config.max_delay_ms / 1e3 or 1e-3)
+
     def client() -> None:
-        nonlocal rejected, failed, lost
+        nonlocal failed, lost
         while True:
             index = next(ticket)
             if total_requests is not None and index >= total_requests:
@@ -108,18 +122,8 @@ def run_closed_loop(
             window = windows[index % len(windows)]
             tenant = tenant_cycle[index % len(tenant_cycle)]
             issued = time.perf_counter()
-            while True:
-                try:
-                    future = engine.submit(window, tenant=tenant,
-                                           deadline_ms=deadline_ms)
-                except QueueFull:
-                    with lock:
-                        rejected += 1
-                    time.sleep(engine.config.max_delay_ms / 1e3 or 1e-3)
-                    continue
-                break
             try:
-                future.result(timeout=timeout)
+                submit(window, tenant).result(timeout=timeout)
             except FutureTimeoutError:
                 # The future never resolved: a dropped request, the one
                 # failure mode the engine promises can't happen.
@@ -127,6 +131,8 @@ def run_closed_loop(
                     lost += 1
                 continue
             except Exception as exc:
+                # Refused at admission (bad window, unknown tenant, closed
+                # engine) or failed in service: the client moves on.
                 with lock:
                     failed += 1
                     name = type(exc).__name__
@@ -161,187 +167,6 @@ def run_closed_loop(
             key: value * 1e3 for key, value in percentiles(latencies).items()
         },
     }
-
-
-def run_open_loop(
-    engine,
-    windows: np.ndarray,
-    rate_rps: float,
-    duration_s: float | None = None,
-    total_requests: int | None = None,
-    tenants=None,
-    timeout: float = 120.0,
-    deadline_ms: float | None = None,
-) -> dict:
-    """Drive ``engine`` open-loop at a fixed *offered* rate.
-
-    Unlike the closed loop (whose arrival rate adapts to service latency),
-    an open loop submits on a fixed schedule regardless of how the engine
-    keeps up — the honest way to measure behaviour at a known offered load,
-    including overload.  The schedule is drift-corrected (request ``i`` is
-    due at ``start + i/rate``, not ``last + 1/rate``), requests rejected by
-    backpressure (:class:`~repro.exceptions.QueueFull`, including rate
-    limits) are *counted, not retried*, and completions are collected via
-    future callbacks so a sustained multi-minute run holds no per-request
-    state beyond its latency sample.
-
-    Stop by ``duration_s``, ``total_requests``, or whichever of the two
-    comes first.  Returns offered vs achieved rates, completion/failure/
-    rejection counts, an error breakdown and latency percentiles.
-    """
-    if rate_rps <= 0:
-        raise ValueError(f"rate_rps must be positive, got {rate_rps}")
-    if duration_s is None and total_requests is None:
-        raise ValueError("set duration_s and/or total_requests")
-    tenant_cycle = list(tenants) if tenants else [None]
-    interval = 1.0 / float(rate_rps)
-    lock = threading.Lock()
-    latencies: list[float] = []
-    errors: dict[str, int] = {}
-    rejected = 0
-    failed = 0
-    inflight = 0
-    all_done = threading.Event()
-
-    def make_callback(issued_at: float):
-        def callback(future) -> None:
-            nonlocal failed, inflight
-            try:
-                result = future.exception()
-            except Exception:  # pragma: no cover - cancelled future
-                result = future
-            with lock:
-                if result is None:
-                    latencies.append(time.perf_counter() - issued_at)
-                else:
-                    failed += 1
-                    name = type(result).__name__
-                    errors[name] = errors.get(name, 0) + 1
-                inflight -= 1
-                if inflight == 0:
-                    all_done.set()
-        return callback
-
-    start = time.perf_counter()
-    issued = 0
-    while True:
-        if total_requests is not None and issued >= total_requests:
-            break
-        due = start + issued * interval
-        now = time.perf_counter()
-        if duration_s is not None and max(due, now) - start >= duration_s:
-            break
-        if due > now:
-            time.sleep(due - now)
-        window = windows[issued % len(windows)]
-        tenant = tenant_cycle[issued % len(tenant_cycle)]
-        issued += 1
-        issued_at = time.perf_counter()
-        try:
-            future = engine.submit(window, tenant=tenant, deadline_ms=deadline_ms)
-        except QueueFull:
-            with lock:
-                rejected += 1
-            continue
-        with lock:
-            inflight += 1
-            all_done.clear()
-        future.add_done_callback(make_callback(issued_at))
-    issue_duration = time.perf_counter() - start
-    with lock:
-        drained = inflight == 0
-    if not drained:
-        all_done.wait(timeout)
-    duration = time.perf_counter() - start
-    with lock:
-        lost = inflight
-        completed = len(latencies)
-    return {
-        "mode": "open",
-        "offered_rps": float(rate_rps),
-        "achieved_offer_rps": issued / issue_duration if issue_duration > 0 else 0.0,
-        "issued": issued,
-        "total_requests": None if total_requests is None else int(total_requests),
-        "duration_s": duration_s,
-        "completed": completed,
-        "failed": failed,
-        "lost": lost,
-        "errors": errors,
-        "rejected": rejected,
-        "duration_seconds": duration,
-        "throughput_rps": completed / duration if duration > 0 else 0.0,
-        "latency_ms": {
-            key: value * 1e3 for key, value in percentiles(latencies).items()
-        },
-    }
-
-
-def serving_sweep_point(
-    pool: ModelPool,
-    windows: np.ndarray,
-    tenants,
-    shards: int = 1,
-    batching: bool = True,
-    concurrency: int = 32,
-    total_requests: int = 256,
-    num_workers: int = 2,
-    engine_kind: str = "thread",
-    start_method: str | None = None,
-) -> dict:
-    """One point of the batching x tenants x shards serving sweep.
-
-    Spins up a fresh engine over ``pool``, drives it closed-loop and
-    returns the loadgen result augmented with the sweep coordinates and
-    the engine's batching-efficiency counters.  With ``batching`` on, the
-    flush size is each tenant's share of the concurrency halved — buckets
-    are per tenant, and a full bucket flushes synchronously while an
-    oversized one waits for a worker to finish its batch (``max_delay_ms``
-    at the longest).
-
-    ``engine_kind`` selects the threaded :class:`ServingEngine`
-    (``"thread"``, default) or the shared-memory
-    :class:`~repro.serve.proc.ProcessServingEngine` (``"process"``, where
-    ``num_workers`` counts worker processes).
-    """
-    tenants = list(tenants)
-    config = EngineConfig(
-        max_batch_size=max(concurrency // (2 * len(tenants)), 2) if batching else 1,
-        max_delay_ms=2.0 if batching else 0.0,
-        num_workers=num_workers,
-        shards=shards,
-    )
-    if engine_kind == "process":
-        from .proc import ProcessServingEngine
-
-        engine = ProcessServingEngine(
-            pool, config, sample_windows=windows[:1], start_method=start_method
-        )
-    elif engine_kind == "thread":
-        engine = ServingEngine(pool, config)
-    else:
-        raise ValueError(f"engine_kind must be 'thread' or 'process', got {engine_kind!r}")
-    with engine:
-        result = run_closed_loop(
-            engine, windows,
-            concurrency=concurrency,
-            total_requests=total_requests,
-            tenants=tenants,
-        )
-        metrics = engine.metrics.snapshot()
-    result.update(
-        {
-            "engine": engine_kind,
-            "batching": batching,
-            "shards": shards,
-            "tenants": len(tenants),
-            "num_workers": num_workers,
-            "mean_batch_size": metrics["mean_batch_size"],
-            "size_flushes": metrics["size_flushes"],
-            "deadline_flushes": metrics["deadline_flushes"],
-            "idle_flushes": metrics["idle_flushes"],
-        }
-    )
-    return result
 
 
 def resilience_config(num_workers: int = 2, **overrides) -> EngineConfig:

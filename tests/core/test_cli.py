@@ -140,22 +140,37 @@ class TestServeWorkflow:
 
 
 class TestServingCommands:
+    @pytest.fixture(scope="class")
+    def trained_checkpoint(self, tmp_path_factory):
+        ckpt = tmp_path_factory.mktemp("serve") / "ckpt"
+        assert main(["train", "--dataset", "pems08", "--scale", "smoke",
+                     "--checkpoint-dir", str(ckpt), "--sets", "1"]) == 0
+        return ckpt
+
     def test_serve_parser_defaults(self):
         from repro.cli import build_serve_parser
 
         args = build_serve_parser().parse_args(["serve", "--checkpoint-dir", "d"])
         assert args.command == "serve"
         assert args.shards == 1 and args.workers == 2
-        bench = build_serve_parser().parse_args(["bench-serving"])
-        assert bench.tenants == 2 and bench.shards == 2
+        assert args.requests == 128 and args.duration is None
 
-    def test_serve_over_a_trained_checkpoint(self, tmp_path, capsys):
-        ckpt = tmp_path / "ckpt"
-        assert main(["train", "--dataset", "pems08", "--scale", "smoke",
-                     "--checkpoint-dir", str(ckpt), "--sets", "1"]) == 0
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--checkpoint-dir", "d", "--rate", "5"],
+        ["bench-serving"],
+        ["bench-resilience"],
+    ])
+    def test_load_generation_commands_are_gone(self, argv, capsys):
+        from repro.cli import build_serve_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_serve_parser().parse_args(argv)
+        assert excinfo.value.code == 2
         capsys.readouterr()
+
+    def test_serve_over_a_trained_checkpoint(self, trained_checkpoint, tmp_path, capsys):
         stats = tmp_path / "serve.json"
-        assert main(["serve", "--checkpoint-dir", str(ckpt),
+        assert main(["serve", "--checkpoint-dir", str(trained_checkpoint),
                      "--requests", "24", "--concurrency", "4",
                      "--max-batch-size", "4", "--shards", "2",
                      "--num-windows", "6", "--output", str(stats)]) == 0
@@ -166,13 +181,14 @@ class TestServingCommands:
         assert payload["loadgen"]["failed"] == 0
         assert payload["engine"]["config"]["shards"] == 2
 
-    def test_bench_serving_records_sweep(self, tmp_path, capsys):
-        out_path = tmp_path / "sweep.json"
-        assert main(["bench-serving", "--tenants", "2", "--shards", "2",
-                     "--concurrency", "4", "--requests", "16",
-                     "--output", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "batching speedup" in out
-        payload = json.loads(out_path.read_text())
-        assert len(payload["sweep"]) == 4  # shards {1,2} x batching {off,on}
-        assert payload["batching_speedup"] > 0
+    def test_serve_for_a_duration(self, trained_checkpoint, tmp_path, capsys):
+        stats = tmp_path / "serve.json"
+        assert main(["serve", "--checkpoint-dir", str(trained_checkpoint),
+                     "--concurrency", "2", "--num-windows", "4",
+                     "--duration", "0.5", "--output", str(stats)]) == 0
+        capsys.readouterr()
+        loadgen = json.loads(stats.read_text())["loadgen"]
+        assert loadgen["total_requests"] is None
+        assert loadgen["duration_s"] == 0.5
+        assert loadgen["failed"] == 0
+        assert loadgen["completed"] > 0
