@@ -40,7 +40,9 @@ src-lines:
 # reference and its one-op replay, dumped and reloaded, to eager;
 # test_engine_conformance.py adds served == direct on both transports before
 # and after an update is published (the thread engine's serving replica and
-# the process engine's worker models each replay against the trained model).
+# the process engine's worker models each replay against the trained model);
+# test_metrics_and_evaluation.py adds evaluation metrics (eager forward) ==
+# the metrics of the compiled predict on the same windows.
 BLAS_THREADS ?= 1 2
 
 test-parity:
@@ -50,6 +52,7 @@ test-parity:
 			tests/tensor/test_serialize.py tests/tensor/test_op_table.py \
 			tests/serve/test_partition_parity.py tests/serve/test_sharding.py \
 			tests/serve/test_engine.py tests/serve/test_engine_conformance.py \
+			tests/core/test_metrics_and_evaluation.py \
 			-k "parity or identical or bit" -x -q || exit 1; \
 	done
 

@@ -9,10 +9,11 @@ granularities:
 * **hot loop**: the backbone train step (forward, backward, clip, Adam) and
   the serving-shaped single-window predict.
 
-Only eval-mode ``no_grad`` forwards compile, so training runs on the
-autograd tape in both modes: ``traced_speedup`` compares the two forwards
-that do compile, batched evaluation (``eval``) and single-window
-``predict``.  Training rates stay in the tables as context.
+Only serving compiles (``STModel.predict``, an eval-mode ``no_grad``
+forward): training runs on the autograd tape and batched evaluation runs
+the eager forward in both modes, so ``traced_speedup`` compares the one
+forward that does compile, single-window ``predict``.  Training rates and
+eval windows/s stay in the tables as context.
 
 Timing methodology: shared-host CPU speed drifts minute to minute, so each
 dtype's eager and traced runs are split into *interleaved rounds* (eager
@@ -405,10 +406,6 @@ def main(argv=None) -> dict:
         )
         full, loop = record["timings"][dtype], record["hot_loop"][dtype]
         record["traced_speedup"][dtype] = {
-            "eval": (
-                full["traced"]["eval_windows_per_sec"]
-                / full["eager"]["eval_windows_per_sec"]
-            ),
             "predict": (
                 loop["traced"]["predict_windows_per_sec"]
                 / loop["eager"]["predict_windows_per_sec"]
@@ -446,7 +443,7 @@ def main(argv=None) -> dict:
     for dtype in DTYPES:
         s = record["traced_speedup"][dtype]
         print(
-            f"{dtype} traced speedup: {s['eval']:.2f}x eval, {s['predict']:.2f}x predict "
+            f"{dtype} traced speedup: {s['predict']:.2f}x predict "
             f"(bit-parity {'ok' if s['loss_bitwise_equal'] else 'FAILED'})"
         )
     for dtype in DTYPES:

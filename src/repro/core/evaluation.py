@@ -9,6 +9,7 @@ from ..data.loader import DataLoader
 from ..data.scalers import Scaler
 from ..models.base import STModel
 from ..models.baselines.classical import ClassicalForecaster
+from ..tensor import Tensor, get_default_dtype, no_grad
 from .metrics import PredictionMetrics, compute_metrics
 
 __all__ = [
@@ -34,20 +35,37 @@ def collect_predictions(
     batch_size: int = 64,
     max_windows: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run the model over ``dataset`` and return stacked (predictions, targets)."""
+    """Run the model over ``dataset`` and return stacked (predictions, targets).
+
+    At most ``max_windows`` windows are scored (the last batch is cut at the
+    cap).  Each batch runs the eager ``no_grad`` forward in evaluation mode,
+    not the compiled :meth:`STModel.predict`: a replay equals that forward
+    bit for bit, but a run replays each evaluation shape only a few times, so
+    compiling buys no time while the program's arena stays resident for the
+    rest of the run.  The model's previous mode is restored afterwards.
+    """
+    if max_windows is not None and max_windows < 1:
+        raise ValueError(f"max_windows must be >= 1 or None, got {max_windows}")
+    was_training = model.training
     model.eval()
+    dtype = get_default_dtype()
     predictions = []
     targets = []
     seen = 0
-    loader = DataLoader(dataset, batch_size=batch_size, shuffle=False)
-    for batch in loader:
-        outputs = model.predict(batch.inputs)
-        predictions.append(outputs)
-        targets.append(batch.targets)
-        seen += len(batch)
-        if max_windows is not None and seen >= max_windows:
-            break
-    model.train()
+    try:
+        with no_grad():
+            for batch in DataLoader(dataset, batch_size=batch_size, shuffle=False):
+                take = len(batch)
+                if max_windows is not None:
+                    take = min(take, max_windows - seen)
+                if take <= 0:
+                    break
+                inputs = np.asarray(batch.inputs[:take], dtype=dtype)
+                predictions.append(model(Tensor(inputs)).data)
+                targets.append(batch.targets[:take])
+                seen += take
+    finally:
+        model.train(was_training)
     return np.concatenate(predictions, axis=0), np.concatenate(targets, axis=0)
 
 

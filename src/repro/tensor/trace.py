@@ -508,10 +508,11 @@ def run_compiled(model, fn, x, *, graph=None, kind="forward"):
     """Execute ``fn(x)``, replaying a compiled program where one applies.
 
     Only the forward of an eval-mode model under ``no_grad`` compiles: what
-    :meth:`repro.models.base.STModel.predict` runs for serving and
-    evaluation.  Every other call — a grad-mode training forward, or a
-    training-mode ``no_grad`` forward such as RMIR scoring — runs ``fn(x)``
-    on the autograd tape.  Training call sites still route through here
+    :meth:`repro.models.base.STModel.predict` runs for serving (evaluation
+    calls the eager forward directly, so it leaves no program resident).
+    Every other call — a grad-mode training forward, or a training-mode
+    ``no_grad`` forward such as RMIR scoring — runs ``fn(x)`` on the
+    autograd tape.  Training call sites still route through here
     with their ``kind``, so every model forward has one named seam.
 
     A compiled call is transparent: eager on the first call per key

@@ -1,6 +1,10 @@
 """Tests for the experiment command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,22 @@ class TestMain:
 
         with pytest.raises(ConfigurationError):
             main(["table42", "--scale", "smoke"])
+
+    def test_module_entry_point_reports_unknown_experiment(self):
+        # ``python -m repro <unknown>`` exits 2 with the usage and the
+        # experiment list on stderr, not a traceback.
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "table42", "--scale", "smoke"],
+            capture_output=True, text=True, env=env, timeout=50,
+        )
+        assert result.returncode == 2
+        assert "usage: repro" in result.stderr
+        assert "'table42'" in result.stderr and "table2" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
 
 
 class TestServeParser:

@@ -18,6 +18,7 @@ from repro.data import MinMaxScaler, STDataset
 from repro.exceptions import ShapeError
 from repro.models.baselines import HistoricalAverageForecaster
 from repro.models.graphwavenet import GraphWaveNetBackbone
+from repro.tensor import program_cache_stats, traced_execution
 
 
 class TestMetrics:
@@ -91,6 +92,55 @@ class TestEvaluation:
     def test_collect_predictions_respects_max_windows(self, model, dataset):
         predictions, _ = collect_predictions(model, dataset, batch_size=8, max_windows=8)
         assert predictions.shape[0] <= 16  # at most one extra batch
+
+    def test_collect_predictions_cuts_last_batch_at_cap(self, model, small_network, rng):
+        # 100 windows in batches of 64: a cap of 96 scores exactly the first
+        # 96, not the whole second batch.
+        series = rng.normal(size=(100 + 12, small_network.num_nodes, 2))
+        windows = STDataset(series, input_steps=12, output_steps=1, target_channels=(0,))
+        assert len(windows) == 100
+        capped, capped_targets = collect_predictions(
+            model, windows, batch_size=64, max_windows=96
+        )
+        full, full_targets = collect_predictions(model, windows, batch_size=64)
+        assert capped.shape[0] == capped_targets.shape[0] == 96
+        np.testing.assert_array_equal(capped, full[:96])
+        np.testing.assert_array_equal(capped_targets, full_targets[:96])
+
+    def test_collect_predictions_rejects_empty_cap(self, model, dataset):
+        with pytest.raises(ValueError):
+            collect_predictions(model, dataset, max_windows=0)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_collect_predictions_restores_mode(self, model, dataset, training):
+        model.train(training)
+        collect_predictions(model, dataset, batch_size=16)
+        assert model.training is training
+        assert all(module.training is training for module in model.modules())
+
+    def test_evaluation_metrics_bit_identical_to_compiled_predict(self, model, dataset):
+        # Evaluation runs the eager forward; the compiled predict replays the
+        # same windows (batches of 16 and a last batch of 4) bit for bit.
+        scaler = MinMaxScaler().fit(dataset.series)
+        evaluated = evaluate_model(
+            model, dataset, batch_size=16, scaler=scaler, target_channel=0, max_windows=52
+        )
+        inputs, targets = dataset.arrays()
+        inputs, targets = inputs[:52], targets[:52]
+        model.eval()
+        with traced_execution(True):
+            for start in range(0, 52, 16):  # capture both batch shapes
+                model.predict(inputs[start : start + 16])
+            before = program_cache_stats()["replays"]
+            compiled = np.concatenate(
+                [model.predict(inputs[start : start + 16]) for start in range(0, 52, 16)]
+            )
+            assert program_cache_stats()["replays"] - before == 4
+        reference = compute_metrics(
+            scaler.inverse_transform_channel(compiled, 0),
+            scaler.inverse_transform_channel(targets, 0),
+        )
+        assert evaluated.as_dict() == reference.as_dict()
 
     def test_evaluate_model_returns_metrics(self, model, dataset):
         metrics = evaluate_model(model, dataset, batch_size=16)

@@ -16,6 +16,7 @@ from repro.core.urcl import URCLModel
 from repro.core.metrics import PredictionMetrics
 from repro.models.baselines import ARIMAForecaster
 from repro.models.graphwavenet import GraphWaveNetBackbone
+from repro.tensor import program_cache_stats, traced_execution
 
 
 @pytest.fixture
@@ -80,6 +81,17 @@ class TestContinualTrainer:
         assert [entry.name for entry in result.sets] == tiny_scenario.set_names
         assert all(np.isfinite(entry.metrics.mae) for entry in result.sets)
         assert all(entry.epochs >= 1 for entry in result.sets)
+
+    def test_run_compiles_no_program(self, urcl, tiny_scenario, tiny_training_config):
+        # Training forwards run on the tape and evaluation runs the eager
+        # forward, so a training run leaves no program arena resident.
+        with traced_execution(True):
+            before = program_cache_stats()
+            ContinualTrainer(urcl, tiny_training_config).run(tiny_scenario)
+            after = program_cache_stats()
+        assert after["captures"] == before["captures"]
+        assert after["entries"] == before["entries"]
+        assert after["bytes"] == before["bytes"]
 
     def test_loss_history_recorded(self, urcl, tiny_scenario, tiny_training_config):
         result = ContinualTrainer(urcl, tiny_training_config).run(tiny_scenario)
