@@ -34,7 +34,8 @@ import numpy as np
 from repro.augmentation import DropEdge, DropNodes, SubGraph
 from repro.graph import Graph, sparse as graph_sparse
 from repro.models.gcn import DiffusionGraphConv
-from repro.tensor import Tensor
+from repro.tensor import Tensor, concatenate
+from repro.tensor import functional as F
 from repro.experiments.reporting import format_table
 
 from records import append_record
@@ -57,15 +58,17 @@ def make_adjacency(num_nodes: int, density: float, rng: np.random.Generator) -> 
     return np.where(mask, rng.random((num_nodes, num_nodes)), 0.0)
 
 
-def time_forward_backward(conv: DiffusionGraphConv, x_data: np.ndarray, reps: int) -> tuple[float, np.ndarray]:
-    """Median seconds for one forward+backward, plus the forward output."""
+def time_forward_backward(fn, x_data: np.ndarray, reps: int) -> tuple[float, np.ndarray]:
+    """Median seconds for one forward+backward of ``fn`` (a module or any
+    callable on one tensor), plus the forward output."""
     timings = []
     output = None
     for _ in range(reps + 1):  # first iteration is warmup
         x = Tensor(x_data, requires_grad=True)
-        conv.zero_grad()
+        if hasattr(fn, "zero_grad"):
+            fn.zero_grad()
         start = time.perf_counter()
-        out = conv(x)
+        out = fn(x)
         out.sum().backward()
         timings.append(time.perf_counter() - start)
         output = out.data
@@ -112,23 +115,31 @@ def bench_config(num_nodes: int, graph_density: float, batch: int, steps: int,
 
 def bench_fused(num_nodes: int, graph_density: float, batch: int, steps: int,
                 channels: int, reps: int, seed: int) -> dict:
-    """Fused multi-support spmm vs the per-support loop (both forced CSR)."""
+    """Fused multi-support spmm vs the per-support loop (both forced CSR).
+
+    Times the spatial mix itself, forward + backward: ``F.spatial_mix`` once
+    per support, concatenated along channels, against one
+    ``F.spatial_mix_multi`` traversal of the fused stack.
+    """
     rng = np.random.default_rng(seed)
     adjacency = make_adjacency(num_nodes, graph_density, rng)
     x_data = rng.normal(size=(batch, steps, num_nodes, channels))
-    outputs = {}
-    timings = {}
     with graph_sparse.spatial_mode("sparse"):
         graph = Graph(adjacency, name="bench-fused")
-        conv = DiffusionGraphConv(channels, channels, adjacency=graph, rng=seed)
-        for label, enabled in (("loop", False), ("fused", True)):
-            graph_sparse.set_fused_spmm(enabled)
-            try:
-                seconds, out = time_forward_backward(conv, x_data, reps)
-            finally:
-                graph_sparse.set_fused_spmm(True)
-            timings[label] = seconds
-            outputs[label] = out
+        supports = graph.conv_supports(2)
+        transposes = graph.support_transposes(2)
+        fused = graph.fused_conv_supports(2)
+
+    def loop(x):
+        return concatenate(
+            [F.spatial_mix(s, x, transpose=t) for s, t in zip(supports, transposes)],
+            axis=-1,
+        )
+
+    outputs = {}
+    timings = {}
+    for label, mix in (("loop", loop), ("fused", lambda x: F.spatial_mix_multi(fused, x))):
+        timings[label], outputs[label] = time_forward_backward(mix, x_data, reps)
     max_abs_diff = float(np.max(np.abs(outputs["loop"] - outputs["fused"])))
     scale = float(np.max(np.abs(outputs["loop"]))) or 1.0
     if max_abs_diff > 1e-5 * scale:

@@ -62,10 +62,9 @@ Spatial mixing runs on a sparse-native kernel: diffusion supports are built
 as ``scipy.sparse`` CSR matrices (:mod:`repro.graph.sparse`), multiplied
 against activations through the differentiable :func:`repro.tensor.spmm`
 op, and memoised in a content-keyed cache so repeated adjacencies never
-rebuild the power series.  Supports auto-densify above a configurable
-density threshold (``repro.graph.sparse.set_density_threshold``) because
-dense BLAS wins on small or dense graphs; ``set_spatial_mode`` can force
-either path.  See ``benchmarks/bench_spatial.py`` for the measured
+rebuild the power series.  Supports auto-densify above a density
+(nnz/size) of 0.1 because dense BLAS wins on small or dense graphs;
+``repro.graph.sparse.set_spatial_mode`` can force either path.  See ``benchmarks/bench_spatial.py`` for the measured
 crossover.
 """
 

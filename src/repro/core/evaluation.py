@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from ..data.dataset import STDataset
 from ..data.loader import DataLoader
 from ..data.scalers import Scaler
+from ..data.streaming import StreamingScenario
 from ..models.base import STModel
 from ..models.baselines.classical import ClassicalForecaster
 from ..tensor import Tensor, get_default_dtype, no_grad
+from .config import TrainingConfig
 from .metrics import PredictionMetrics, compute_metrics
 
 __all__ = [
@@ -17,6 +21,7 @@ __all__ = [
     "evaluate_model_on_sets",
     "evaluate_classical",
     "evaluate_classical_on_sets",
+    "evaluate_after_set",
     "collect_predictions",
 ]
 
@@ -168,3 +173,54 @@ def evaluate_classical_on_sets(
     predictions = _maybe_inverse(predictions, scaler, scaler_channel)
     targets = _maybe_inverse(targets, scaler, scaler_channel)
     return compute_metrics(predictions, targets)
+
+
+def evaluate_after_set(
+    model: STModel | ClassicalForecaster,
+    scenario: StreamingScenario,
+    set_index: int,
+    training: TrainingConfig,
+    score=evaluate_model_on_sets,
+) -> tuple[PredictionMetrics, float]:
+    """Score ``model`` after it has seen the ``set_index``-th stream period.
+
+    Under the ``cumulative`` protocol the test splits of every period seen
+    so far are pooled (knowledge retention); ``current`` uses only the
+    latest period's split.  At most ``training.eval_max_windows`` windows of
+    each split are scored.  Returns ``(metrics, seconds_per_window)``, the
+    time divided by the windows actually scored.
+
+    A neural model is scored by ``score`` (:func:`evaluate_model_on_sets`
+    unless a caller hands in its own reference to it, as
+    :class:`~repro.core.trainer.ContinualTrainer` does so that a wrapper on
+    ``repro.core.trainer.evaluate_model_on_sets`` times the call); a
+    :class:`ClassicalForecaster` by :func:`evaluate_classical_on_sets`.
+    """
+    if training.eval_protocol == "cumulative":
+        test_sets = [s.test for s in scenario.sets[: set_index + 1]]
+    else:
+        test_sets = [scenario.sets[set_index].test]
+    cap = training.eval_max_windows
+    start = time.perf_counter()
+    if isinstance(model, ClassicalForecaster):
+        channel = scenario.spec.target_channel if scenario.spec else 0
+        metrics = evaluate_classical_on_sets(
+            model,
+            test_sets,
+            target_channel=channel,
+            scaler=scenario.scaler,
+            scaler_channel=channel,
+            max_windows_per_set=cap,
+        )
+    else:
+        metrics = score(
+            model,
+            test_sets,
+            batch_size=training.eval_batch_size,
+            scaler=scenario.scaler,
+            target_channel=scenario.spec.target_channel if scenario.spec else None,
+            max_windows_per_set=cap,
+        )
+    elapsed = time.perf_counter() - start
+    windows = sum(min(len(dataset), cap or len(dataset)) for dataset in test_sets)
+    return metrics, elapsed / max(windows, 1)

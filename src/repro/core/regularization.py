@@ -25,6 +25,7 @@ from ..tensor import Tensor
 from ..utils.logging import get_logger
 from .config import TrainingConfig
 from .results import ContinualResult, SetResult
+from .evaluation import evaluate_after_set
 from .strategies import StreamingStrategy
 
 __all__ = ["EWCStrategy"]
@@ -140,7 +141,7 @@ class EWCStrategy(StreamingStrategy):
                 model, stream_set.train, epochs, optimizer
             )
             self._estimate_fisher(model, stream_set.train)
-            metrics, inference = self._evaluate(model, scenario, set_index)
+            metrics, inference = evaluate_after_set(model, scenario, set_index, self.training)
             _LOGGER.info("%s | %s | %s", self.name, dataset_name, stream_set.name)
             result.add(
                 SetResult(

@@ -29,7 +29,7 @@ from ..nn.optim import Adam, Optimizer, clip_grad_norm
 from ..tensor import Tensor
 from ..utils.logging import get_logger
 from .config import TrainingConfig
-from .evaluation import evaluate_classical_on_sets, evaluate_model_on_sets
+from .evaluation import evaluate_after_set
 from .results import ContinualResult, SetResult
 
 __all__ = [
@@ -94,35 +94,6 @@ class StreamingStrategy:
     def __init__(self, training: TrainingConfig | None = None):
         self.training = training or TrainingConfig()
 
-    # ------------------------------------------------------------------ #
-    def _test_sets(self, scenario: StreamingScenario, set_index: int) -> list:
-        """Test splits used to score the ``set_index``-th period (see
-        :class:`TrainingConfig.eval_protocol`)."""
-        if self.training.eval_protocol == "cumulative":
-            return [s.test for s in scenario.sets[: set_index + 1]]
-        return [scenario.sets[set_index].test]
-
-    def _evaluate(
-        self, model: STModel, scenario: StreamingScenario, set_index: int
-    ) -> tuple:
-        target_channel = scenario.spec.target_channel if scenario.spec else None
-        test_sets = self._test_sets(scenario, set_index)
-        start = time.perf_counter()
-        metrics = evaluate_model_on_sets(
-            model,
-            test_sets,
-            batch_size=self.training.eval_batch_size,
-            scaler=scenario.scaler,
-            target_channel=target_channel,
-            max_windows_per_set=self.training.eval_max_windows,
-        )
-        elapsed = time.perf_counter() - start
-        windows = sum(
-            min(len(dataset), self.training.eval_max_windows or len(dataset))
-            for dataset in test_sets
-        )
-        return metrics, elapsed / max(windows, 1)
-
     def run(self, scenario: StreamingScenario, model: STModel, graph=None) -> ContinualResult:
         raise NotImplementedError
 
@@ -147,7 +118,7 @@ class OneFitAllStrategy(StreamingStrategy):
             graph=graph,
         )
         for set_index, stream_set in enumerate(scenario.sets):
-            metrics, inference = self._evaluate(model, scenario, set_index)
+            metrics, inference = evaluate_after_set(model, scenario, set_index, self.training)
             result.add(
                 SetResult(
                     name=stream_set.name,
@@ -183,7 +154,7 @@ class FinetuneSTStrategy(StreamingStrategy):
                 max_batches_per_epoch=self.training.max_batches_per_epoch,
                 graph=graph,
             )
-            metrics, inference = self._evaluate(model, scenario, set_index)
+            metrics, inference = evaluate_after_set(model, scenario, set_index, self.training)
             _LOGGER.info("%s | %s | %s", self.name, dataset_name, stream_set.name)
             result.add(
                 SetResult(
@@ -213,18 +184,7 @@ class ClassicalRefitStrategy(StreamingStrategy):
             start = time.perf_counter()
             model.fit(stream_set.train.series[..., target_channel])
             seconds = time.perf_counter() - start
-            eval_start = time.perf_counter()
-            test_sets = self._test_sets(scenario, set_index)
-            metrics = evaluate_classical_on_sets(
-                model,
-                test_sets,
-                target_channel=target_channel,
-                scaler=scenario.scaler,
-                scaler_channel=target_channel,
-                max_windows_per_set=self.training.eval_max_windows,
-            )
-            windows = sum(len(dataset) for dataset in test_sets)
-            inference = (time.perf_counter() - eval_start) / max(windows, 1)
+            metrics, inference = evaluate_after_set(model, scenario, set_index, self.training)
             result.add(
                 SetResult(
                     name=stream_set.name,

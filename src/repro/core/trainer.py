@@ -16,7 +16,7 @@ from ..utils.logging import get_logger
 from ..utils.random import get_rng
 from . import checkpoint as ckpt
 from .config import TrainingConfig
-from .evaluation import evaluate_model_on_sets
+from .evaluation import evaluate_after_set, evaluate_model_on_sets
 from .results import ContinualResult, SetResult
 from .urcl import URCLModel
 
@@ -166,35 +166,6 @@ class ContinualTrainer:
         self._mid_set = None
         return history, elapsed, epochs
 
-    def evaluate_after_set(self, scenario: StreamingScenario, set_index: int) -> tuple:
-        """Evaluate the model after training on the ``set_index``-th period.
-
-        Under the default ``cumulative`` protocol the test splits of every
-        period seen so far are pooled (knowledge retention); the ``current``
-        protocol uses only the latest period's test split.  Returns
-        ``(metrics, seconds_per_window)``.
-        """
-        target_channel = scenario.spec.target_channel if scenario.spec else None
-        if self.training.eval_protocol == "cumulative":
-            test_sets = [s.test for s in scenario.sets[: set_index + 1]]
-        else:
-            test_sets = [scenario.sets[set_index].test]
-        start = time.perf_counter()
-        metrics = evaluate_model_on_sets(
-            self.model.backbone,
-            test_sets,
-            batch_size=self.training.eval_batch_size,
-            scaler=scenario.scaler,
-            target_channel=target_channel,
-            max_windows_per_set=self.training.eval_max_windows,
-        )
-        elapsed = time.perf_counter() - start
-        windows = sum(
-            min(len(dataset), self.training.eval_max_windows or len(dataset))
-            for dataset in test_sets
-        )
-        return metrics, elapsed / max(windows, 1)
-
     # ------------------------------------------------------------------ #
     def run(
         self,
@@ -274,7 +245,12 @@ class ContinualTrainer:
             history, seconds, epochs = self.train_on_set(
                 stream_set, set_index, mid_state=mid_state, checkpoint_fn=checkpoint_fn
             )
-            metrics, inference = self.evaluate_after_set(scenario, set_index)
+            # Passed by this module's name: benchmarks/e2e/trace.py times
+            # evaluation by wrapping ``repro.core.trainer.evaluate_model_on_sets``.
+            metrics, inference = evaluate_after_set(
+                self.model.backbone, scenario, set_index, self.training,
+                score=evaluate_model_on_sets,
+            )
             _LOGGER.info(
                 "%s | %s | %s | train %.1fs", method_name, dataset_name, stream_set.name, seconds
             )

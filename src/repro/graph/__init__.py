@@ -23,8 +23,6 @@ from .sparse import (
     cached_diffusion_supports,
     clear_support_cache,
     fuse_supports,
-    set_density_threshold,
-    set_fused_spmm,
     set_spatial_mode,
     spatial_mode,
     support_cache_stats,
@@ -47,8 +45,6 @@ __all__ = [
     "cached_diffusion_supports",
     "clear_support_cache",
     "fuse_supports",
-    "set_density_threshold",
-    "set_fused_spmm",
     "set_spatial_mode",
     "spatial_mode",
     "support_cache_stats",

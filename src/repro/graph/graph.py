@@ -6,8 +6,8 @@ array, node metadata (coordinates, name, directedness) rides along, and all
 derived spatial state — diffusion supports, their CSR transposes (for the
 ``spmm`` backward) and the fused multi-support stacks — is built lazily and
 cached per instance, keyed by every global knob that shapes it (order,
-direction, library dtype, spatial mode, density threshold) so a knob change
-transparently invalidates.
+direction, library dtype, spatial mode) so a knob change transparently
+invalidates.
 
 :class:`GraphDelta` describes a structural perturbation — drop edges by
 mask, isolate nodes, add/reweight edges — without materialising anything
@@ -269,7 +269,6 @@ class Graph:
             bool(directed),
             np.dtype(get_default_dtype()).str,
             spk.get_spatial_mode(),
-            spk.get_density_threshold(),
         )
 
     def _support_entry_nbytes(self, key) -> int:
@@ -292,7 +291,7 @@ class Graph:
     def supports(self, order: int, directed: bool | None = None) -> tuple:
         """``[I, P, ..]`` diffusion supports, stored per the spatial mode.
 
-        Built once per ``(order, directed, dtype, mode, threshold)`` and
+        Built once per ``(order, directed, dtype, mode)`` and
         reused on every later call — the per-instance analogue of the global
         content-keyed cache, with no hashing at all.  Under
         ``spatial_mode("dense")`` construction runs the dense seed algebra

@@ -6,16 +6,14 @@ dense ``N x N`` array and paid ``O(N^2)`` per spatial mix.  This module is
 the sparse-native counterpart of :mod:`repro.graph.adjacency`: every
 normalisation and the truncated power series operate directly on
 ``scipy.sparse`` CSR matrices and **auto-densify** any support whose
-density rises above a configurable threshold (dense BLAS wins on dense
-matrices, CSR wins on sparse ones).
+density (nnz/size) rises above 0.1 (dense BLAS wins on dense matrices, CSR
+wins on sparse ones).
 
-Three global knobs control the behaviour:
+Two global knobs control the behaviour:
 
 * :func:`set_spatial_mode` — ``"auto"`` (default, pick per-support by
   density), ``"dense"`` (seed behaviour, always dense) or ``"sparse"``
   (force CSR; used by the equivalence tests).
-* :func:`set_density_threshold` — the nnz/size ratio above which a support
-  is stored dense under ``"auto"`` (default 0.1).
 * the library default dtype (:func:`repro.tensor.set_default_dtype`) —
   supports are built at the configured precision so a float32 run never
   silently upcasts to float64.
@@ -43,12 +41,10 @@ from . import adjacency as dense_ops
 
 __all__ = [
     "get_density_threshold",
-    "set_density_threshold",
     "get_spatial_mode",
     "set_spatial_mode",
     "spatial_mode",
     "get_fused_spmm",
-    "set_fused_spmm",
     "density",
     "to_csr",
     "as_support",
@@ -83,16 +79,6 @@ def get_density_threshold() -> float:
     return _DENSITY_THRESHOLD
 
 
-def set_density_threshold(threshold: float) -> float:
-    """Set the auto-densify threshold (0 forces dense, 1 keeps everything CSR)."""
-    global _DENSITY_THRESHOLD
-    threshold = float(threshold)
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"density threshold must be in [0, 1], got {threshold}")
-    _DENSITY_THRESHOLD = threshold
-    return threshold
-
-
 def get_spatial_mode() -> str:
     """Return the current spatial-kernel mode (``auto``/``dense``/``sparse``)."""
     return _SPATIAL_MODE
@@ -118,19 +104,9 @@ def spatial_mode(mode: str):
         set_spatial_mode(previous)
 
 
-_FUSED_SPMM = True
-
-
 def get_fused_spmm() -> bool:
-    """Whether all-CSR support sets are mixed through one fused spmm."""
-    return _FUSED_SPMM
-
-
-def set_fused_spmm(enabled: bool) -> bool:
-    """Enable/disable the fused multi-support spmm (escape hatch + benches)."""
-    global _FUSED_SPMM
-    _FUSED_SPMM = bool(enabled)
-    return _FUSED_SPMM
+    """Whether all-CSR support sets are mixed through one fused spmm (always)."""
+    return True
 
 
 # ---------------------------------------------------------------------- #
@@ -167,7 +143,7 @@ def to_csr(matrix, dtype=None) -> sp.csr_array:
 
 
 def as_support(matrix):
-    """Return ``matrix`` in the storage the current mode/threshold selects.
+    """Return ``matrix`` in the storage the current mode and its density select.
 
     CSR when sparse enough (or forced), a plain ``ndarray`` otherwise —
     always at the library default dtype.
@@ -399,7 +375,6 @@ def _content_key(adjacency, order: int, directed: bool) -> tuple:
         bool(directed),
         np.dtype(get_default_dtype()).str,
         _SPATIAL_MODE,
-        _DENSITY_THRESHOLD,
     )
 
 
@@ -517,12 +492,10 @@ def fuse_supports(supports, skip_first: bool = False):
     ``supports`` must be a stable (cached/long-lived) sequence: results are
     memoised by its identity.  ``skip_first=True`` fuses ``supports[1:]``
     (callers that treat the leading identity support implicitly).  Returns a
-    :class:`FusedSupports` or ``None`` when fusing is disabled, fewer than
-    two supports remain, or any member is stored dense.
+    :class:`FusedSupports` or ``None`` when fewer than two supports remain
+    or any member is stored dense.
     """
     global _fuse_bytes
-    if not _FUSED_SPMM:
-        return None
     key = (id(supports), bool(skip_first))
     entry = _fuse_cache.get(key)
     if entry is not None and entry[0] is supports:
@@ -718,7 +691,7 @@ def _register_graph(graph) -> None:
 # every stored set also registers here under ``(id(graph), key)``; when the
 # combined footprint crosses the budget the coldest set — on *any* live
 # graph — is dropped from its owner, exactly like the content-keyed digest
-# cache evicts.  Long-lived graphs under dtype/mode/threshold sweeps no
+# cache evicts.  Long-lived graphs under dtype/mode sweeps no
 # longer accumulate one support set per knob combination forever.
 _GRAPH_SUPPORT_MAX_ENTRIES = 256
 _GRAPH_SUPPORT_MAX_BYTES = 256 * 1024 * 1024

@@ -66,7 +66,7 @@ processes over shared memory.  What they share:
   — a replica copy under the tenant's write lock on the thread transport,
   a seqlocked shared-memory flip on the process one), before ``update``
   returns.  A failed step publishes nothing and rolls the model and
-  optimizer back to their pre-step state (``update_rollback``).
+  optimizer back to their pre-step state.
 
 One parent-side thread per worker pulls flushed batches off a FIFO queue,
 gates them (deadline, cancellation, breaker) and carries them to its worker;
@@ -131,9 +131,6 @@ class EngineConfig:
         :class:`~repro.exceptions.QueueFull`.
     num_workers:
         Worker threads running fused forwards.
-    predict_batch_size:
-        Micro-batch size *inside* ``Forecaster.predict`` (one flushed batch
-        can be larger than this; the forecaster then chunks it).
     shards:
         Node shards per tenant (1 disables sharding); each shard runs only
         its own node rows, bit-identical to the unsharded forward.
@@ -156,30 +153,28 @@ class EngineConfig:
     tenant_rate_limit / tenant_burst:
         Per-tenant token-bucket admission (requests/second and burst);
         ``None`` disables.
-    breaker_failures / breaker_reset_s / breaker_probes:
-        Per-tenant circuit breaker: consecutive batch failures to trip,
-        open hold time, half-open probe count.  ``breaker_failures=None``
-        disables breakers entirely.
+    breaker_failures / breaker_reset_s:
+        Per-tenant circuit breaker: consecutive batch failures to trip and
+        open hold time (half-open then admits one probe).
+        ``breaker_failures=None`` disables breakers entirely.
     nan_policy:
         Non-finite inbound windows: ``"impute"`` (mask-and-impute per
         node/channel), ``"reject"`` (:class:`~repro.exceptions.DataError`
-        at submit) or ``"propagate"`` (serve as-is).
-    nonfinite_output:
-        ``"fail"`` treats non-finite model outputs as a batch failure
-        (breaker event + fallback/error); ``"return"`` hands them back.
+        at submit) or ``"propagate"`` (serve as-is).  Non-finite model
+        *outputs* are always a batch failure (breaker event +
+        fallback/error).
     fallback:
         When a batch cannot be served healthily: ``"none"`` fails the
         requests, ``"ha"`` answers with the tenant's registered fallback
         forecaster or the historical-average baseline.
-    update_rollback:
-        Roll model+optimizer back when an online update step raises.
+
+    A failed online update always rolls the model and optimizer back.
     """
 
     max_batch_size: int = 32
     max_delay_ms: float = 5.0
     max_pending: int = 1024
     num_workers: int = 2
-    predict_batch_size: int = 256
     shards: int = 1
     deadline_default_ms: float | None = None
     overload_policy: str = "reject"
@@ -192,13 +187,18 @@ class EngineConfig:
     tenant_burst: float | None = None
     breaker_failures: int | None = 5
     breaker_reset_s: float = 5.0
-    breaker_probes: int = 1
     nan_policy: str = "impute"
-    nonfinite_output: str = "fail"
     fallback: str = "none"
-    update_rollback: bool = True
 
     def __post_init__(self):
+        if self.max_batch_size < 1:
+            raise ConfigurationError(
+                f"max_batch_size must be >= 1, got {self.max_batch_size}"
+            )
+        if self.max_delay_ms < 0:
+            raise ConfigurationError(
+                f"max_delay_ms must be >= 0, got {self.max_delay_ms}"
+            )
         if self.max_pending < 1:
             raise ConfigurationError(f"max_pending must be >= 1, got {self.max_pending}")
         if self.num_workers < 1:
@@ -230,6 +230,10 @@ class EngineConfig:
             raise ConfigurationError(
                 f"tenant_rate_limit must be positive, got {self.tenant_rate_limit}"
             )
+        if self.tenant_burst is not None and self.tenant_burst < 1:
+            raise ConfigurationError(
+                f"tenant_burst must be >= 1 (or None), got {self.tenant_burst}"
+            )
         if self.breaker_failures is not None and self.breaker_failures < 1:
             raise ConfigurationError(
                 f"breaker_failures must be >= 1 (or None), got {self.breaker_failures}"
@@ -238,18 +242,10 @@ class EngineConfig:
             raise ConfigurationError(
                 f"breaker_reset_s must be positive, got {self.breaker_reset_s}"
             )
-        if self.breaker_probes < 1:
-            raise ConfigurationError(
-                f"breaker_probes must be >= 1, got {self.breaker_probes}"
-            )
         if self.nan_policy not in ("impute", "reject", "propagate"):
             raise ConfigurationError(
                 "nan_policy must be 'impute', 'reject' or 'propagate', "
                 f"got {self.nan_policy!r}"
-            )
-        if self.nonfinite_output not in ("fail", "return"):
-            raise ConfigurationError(
-                f"nonfinite_output must be 'fail' or 'return', got {self.nonfinite_output!r}"
             )
         if self.fallback not in ("none", "ha"):
             raise ConfigurationError(
@@ -532,7 +528,6 @@ class EngineCore:
                 breaker = CircuitBreaker(
                     failure_threshold=self.config.breaker_failures,
                     reset_timeout_s=self.config.breaker_reset_s,
-                    half_open_probes=self.config.breaker_probes,
                 )
                 self._breakers[tenant] = breaker
             return breaker
@@ -619,25 +614,21 @@ class EngineCore:
         afterwards.  A step that succeeded is then published
         (:meth:`publish`) before this returns, so a predict submitted after
         ``update`` returns sees the new weights.  A step that raises
-        publishes nothing and, when ``update_rollback`` is on (default),
-        restores the model and optimizer to their pre-step state
-        bit-for-bit, so a poisoned online batch never reaches serving.
+        publishes nothing and restores the model and optimizer to their
+        pre-step state bit-for-bit, so a poisoned online batch never
+        reaches serving.
         """
         tenant = self._writable(tenant)
         with self._update_lock:
             # Writer-pinned (and latched dirty) before the mutation so a
             # concurrent eviction can't select this entry mid-step.
             with self.pool.updating(tenant) as entry:
-                snapshot = (
-                    entry.forecaster.snapshot_state()
-                    if self.config.update_rollback else None
-                )
+                snapshot = entry.forecaster.snapshot_state()
                 try:
                     step = entry.forecaster.update(inputs, targets, set_name=set_name)
                 except BaseException:
-                    if snapshot is not None:
-                        entry.forecaster.restore_state(snapshot)
-                        self.metrics.record_rollback()
+                    entry.forecaster.restore_state(snapshot)
+                    self.metrics.record_rollback()
                     raise
                 finally:
                     # Forecaster.update leaves the model in train mode; it
@@ -762,8 +753,7 @@ class EngineCore:
         — like non-finite output — it is a breaker event followed by a
         fallback answer or the structured error, never a requeue."""
         tenant = batch.tenant
-        if (error is None and self.config.nonfinite_output == "fail"
-                and not np.isfinite(predictions).all()):
+        if error is None and not np.isfinite(predictions).all():
             self.metrics.record_nonfinite_batch()
             error = ServingError(
                 f"model for tenant {tenant!r} produced non-finite predictions",
@@ -801,9 +791,7 @@ class EngineCore:
         stacked = np.stack([request.window for request in requests])
         try:
             if fallback is not None:
-                predictions = fallback.predict(
-                    stacked, batch_size=self.config.predict_batch_size
-                )
+                predictions = fallback.predict(stacked, batch_size=len(stacked))
             else:
                 ctx = self._fallback_ctx.get(tenant)
                 if ctx is None:
@@ -1124,7 +1112,7 @@ class ServingEngine(EngineCore):
         try:
             with entry.lock.read():
                 predictions = entry.served.predict(
-                    batch.stack(), batch_size=self.config.predict_batch_size
+                    batch.stack(), batch_size=len(batch)
                 )
         except BaseException as exc:  # noqa: BLE001 - resolve, never hang
             self._complete(batch, error=exc)

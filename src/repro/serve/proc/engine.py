@@ -88,7 +88,7 @@ class _ProcWorker:
     """One worker process plus its parent-side channels and bookkeeping."""
 
     __slots__ = (
-        "index", "lock", "process", "pinned_cpu", "requests", "responses",
+        "index", "lock", "process", "requests", "responses",
         "request_event", "response_event", "ready_event",
         "inflight", "dispatcher", "settler",
     )
@@ -97,7 +97,6 @@ class _ProcWorker:
         self.index = index
         self.lock = threading.Lock()
         self.process = None
-        self.pinned_cpu = None
         self.requests = None
         self.responses = None
         self.request_event = None
@@ -148,18 +147,8 @@ class ProcessServingEngine(EngineCore):
     """
 
     def __init__(self, source, config: EngineConfig | None = None, faults=None, *,
-                 sample_windows=None, start_method: str | None = None,
-                 pin_workers: bool | None = None):
+                 sample_windows=None, start_method: str | None = None):
         super().__init__(source, config, faults)
-        if pin_workers is None:
-            pin_workers = os.environ.get("REPRO_PROC_PIN", "").strip().lower() in (
-                "1", "true", "yes", "on"
-            )
-        # Worker CPU pinning stops the scheduler migrating workers between
-        # cores mid-batch (each migration cold-starts the L2 the model plane
-        # was streamed through).  Round-robin over the parent's allowed CPU
-        # set; silently disabled where the platform has no affinity API.
-        self.pin_workers = bool(pin_workers) and hasattr(os, "sched_setaffinity")
         self.start_method = resolve_start_method(start_method)
         self._ctx = multiprocessing.get_context(self.start_method)
         self._batch_seq = itertools.count()
@@ -229,10 +218,7 @@ class ProcessServingEngine(EngineCore):
         self._response_slot_nbytes = ringlib.response_slot_nbytes(
             self.config.max_batch_size, out_nbytes
         )
-        self._serving_spec = {
-            "shards": self.config.shards,
-            "predict_batch_size": self.config.predict_batch_size,
-        }
+        self._serving_spec = {"shards": self.config.shards}
         self.worker_metrics = WorkerMetricsPlane.create(self.config.num_workers)
         for slot in self._workers:
             self._make_channels(slot)
@@ -269,19 +255,6 @@ class ProcessServingEngine(EngineCore):
         )
         process.start()
         slot.process = process
-        slot.pinned_cpu = self._pin_worker(slot)
-
-    def _pin_worker(self, slot: _ProcWorker) -> int | None:
-        """Pin the freshly-spawned worker to one CPU; None when disabled."""
-        if not self.pin_workers:
-            return None
-        try:
-            cpus = sorted(os.sched_getaffinity(0))
-            cpu = cpus[slot.index % len(cpus)]
-            os.sched_setaffinity(slot.process.pid, {cpu})
-            return cpu
-        except OSError:
-            return None
 
     def _wait_ready(self) -> None:
         deadline = time.monotonic() + READY_TIMEOUT_S
@@ -516,10 +489,8 @@ class ProcessServingEngine(EngineCore):
         """The ``workers`` section of ``engine.metrics()``: the cross-process
         merge (batches actually served, padding overhead, weight refreshes,
         worker-side predict latency percentiles, the raw per-worker rows) —
-        the frozen final copy once the segment is gone — plus CPU pinning."""
-        merged = self._final_worker_metrics or self.worker_metrics.merged()
-        merged["pinned_cpus"] = [slot.pinned_cpu for slot in self._workers]
-        return merged
+        the frozen final copy once the segment is gone."""
+        return self._final_worker_metrics or self.worker_metrics.merged()
 
     def _worker_health(self, now: float) -> dict:
         alive = wedged = 0

@@ -117,8 +117,6 @@ def _knobs() -> dict:
     return {
         "dtype": str(get_default_dtype()),
         "spatial_mode": sparse_knobs.get_spatial_mode(),
-        "density_threshold": sparse_knobs.get_density_threshold(),
-        "fused_spmm": sparse_knobs.get_fused_spmm(),
     }
 
 
@@ -347,14 +345,12 @@ class PlaneView:
 
     # -------------------------------------------------------------- #
     def apply_knobs(self) -> None:
-        """Match the publisher's dtype + sparse knobs (fingerprint parity)."""
+        """Match the publisher's dtype + spatial mode (fingerprint parity)."""
         from ...tensor import set_default_dtype
 
         knobs = self.meta["knobs"]
         set_default_dtype(knobs["dtype"])
         sparse_knobs.set_spatial_mode(knobs["spatial_mode"])
-        sparse_knobs.set_density_threshold(knobs["density_threshold"])
-        sparse_knobs.set_fused_spmm(knobs["fused_spmm"])
 
     def build_network(self) -> SensorNetwork:
         meta = self.meta["network"]

@@ -160,8 +160,8 @@ class CircuitBreaker:
     at ``failure_threshold``.  *Open*: :meth:`allow` refuses everything
     (the engine fails fast with :class:`~repro.exceptions.CircuitOpen` or
     routes to a fallback) until ``reset_timeout_s`` passes.  *Half-open*:
-    up to ``half_open_probes`` requests are let through; if they all
-    succeed the breaker closes, a single failure re-opens it.
+    one probe request is let through; its success closes the breaker, its
+    failure re-opens it.
 
     Thread-safe; one fused micro-batch counts as one success/failure
     event, so a tenant flooding the engine cannot trip its breaker faster
@@ -170,8 +170,7 @@ class CircuitBreaker:
 
     CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
 
-    def __init__(self, failure_threshold: int = 5, reset_timeout_s: float = 5.0,
-                 half_open_probes: int = 1):
+    def __init__(self, failure_threshold: int = 5, reset_timeout_s: float = 5.0):
         if failure_threshold < 1:
             raise ConfigurationError(
                 f"failure_threshold must be >= 1, got {failure_threshold}"
@@ -180,19 +179,13 @@ class CircuitBreaker:
             raise ConfigurationError(
                 f"reset_timeout_s must be positive, got {reset_timeout_s}"
             )
-        if half_open_probes < 1:
-            raise ConfigurationError(
-                f"half_open_probes must be >= 1, got {half_open_probes}"
-            )
         self.failure_threshold = int(failure_threshold)
         self.reset_timeout_s = float(reset_timeout_s)
-        self.half_open_probes = int(half_open_probes)
         self._lock = threading.Lock()
         self._state = self.CLOSED
         self._failures = 0
         self._opened_at = 0.0
-        self._probes_out = 0
-        self._probe_successes = 0
+        self._probe_out = False
         self.opened_total = 0
 
     # ------------------------------------------------------------------ #
@@ -217,31 +210,26 @@ class CircuitBreaker:
     def _maybe_half_open(self, now: float) -> None:
         if self._state == self.OPEN and now >= self._opened_at + self.reset_timeout_s:
             self._state = self.HALF_OPEN
-            self._probes_out = 0
-            self._probe_successes = 0
+            self._probe_out = False
 
     def allow(self) -> bool:
-        """May a request proceed right now?  (Half-open admits probes.)"""
+        """May a request proceed right now?  (Half-open admits one probe.)"""
         with self._lock:
             if self._state == self.CLOSED:
                 return True
             self._maybe_half_open(time.monotonic())
             if self._state == self.OPEN:
                 return False
-            if self._probes_out < self.half_open_probes:
-                self._probes_out += 1
-                return True
-            return False
+            if self._probe_out:
+                return False
+            self._probe_out = True
+            return True
 
     def record_success(self) -> None:
         with self._lock:
             if self._state == self.HALF_OPEN:
-                self._probe_successes += 1
-                if self._probe_successes >= self.half_open_probes:
-                    self._state = self.CLOSED
-                    self._failures = 0
-            else:
-                self._failures = 0
+                self._state = self.CLOSED
+            self._failures = 0
 
     def record_failure(self) -> bool:
         """Count one failure; returns True when this one tripped it open."""

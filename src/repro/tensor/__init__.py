@@ -26,7 +26,6 @@ from .trace import (
     program_cache_stats,
     run_compiled,
     scan,
-    set_program_cache_limit,
     set_traced_execution,
     traced_execution,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "declare_const",
     "program_cache_stats",
     "clear_program_cache",
-    "set_program_cache_limit",
     "export_structures",
     "install_structures",
     "forget_model",

@@ -15,8 +15,8 @@ fall back to eager execution transparently on shape misses, unknown ops or
 data-dependent constants.  Training forwards never compile: they run on the
 autograd tape, whose backward frees the graph as it goes.
 
-The cache is keyed like the diffusion-support cache (content + sparse-knob
-state + dtype) and byte-bounded with LRU eviction; same-architecture models
+The cache is keyed like the diffusion-support cache (content + spatial
+mode + dtype) and byte-bounded with LRU eviction; same-architecture models
 (e.g. ``ModelPool`` tenants) share one compiled structure, re-bound to their
 own parameters by name.
 """
@@ -51,7 +51,6 @@ __all__ = [
     "declare_const",
     "program_cache_stats",
     "clear_program_cache",
-    "set_program_cache_limit",
     "export_structures",
     "install_structures",
     "forget_model",
@@ -107,13 +106,6 @@ def traced_execution(enabled: bool):
         set_traced_execution(previous)
 
 
-def set_program_cache_limit(max_bytes: int) -> None:
-    global _LIMIT_BYTES
-    _LIMIT_BYTES = int(max_bytes)
-    with _LOCK:
-        _evict()
-
-
 def program_cache_stats() -> dict:
     """Counters + sizes of the compiled-program cache (mirrors support_cache_stats)."""
     with _LOCK:
@@ -141,7 +133,7 @@ def export_structures() -> list[tuple[tuple, ProgramStructure]]:
     """Snapshot the shareable compiled structures as (fingerprint, structure).
 
     Fingerprints are content-based (architecture signature + graph digests
-    + sparse-knob token), so a structure exported here installs verbatim
+    + spatial-mode/dtype token), so a structure exported here installs verbatim
     into another process serving the same architecture on a graph with
     identical content — see :mod:`repro.tensor.serialize` for the wire
     format and :func:`install_structures` for the receiving side.
@@ -199,16 +191,12 @@ def forget_model(model) -> int:
 
 
 def _knob_token() -> tuple:
-    """Sparse-knob + dtype state; any change invalidates compiled programs."""
+    """Spatial-mode + dtype state; any change invalidates compiled programs."""
     token = (str(_T.get_default_dtype()),)
     try:
         from ..graph import sparse as spk
 
-        token += (
-            spk.get_spatial_mode(),
-            spk.get_density_threshold(),
-            spk.get_fused_spmm(),
-        )
+        token += (spk.get_spatial_mode(),)
     except Exception:
         pass
     return token

@@ -1,13 +1,18 @@
 """Tests for metrics and the evaluation helpers."""
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core.config import TrainingConfig
 from repro.core.evaluation import (
     collect_predictions,
+    evaluate_after_set,
     evaluate_classical,
     evaluate_classical_on_sets,
     evaluate_model,
@@ -171,3 +176,55 @@ class TestEvaluation:
         single = evaluate_classical_on_sets(model, [dataset], target_channel=0)
         double = evaluate_classical_on_sets(model, [dataset, dataset], target_channel=0)
         assert double.mae == pytest.approx(single.mae, rel=1e-9)
+
+
+class TestEvaluateAfterSet:
+    """One helper scores a stream period for the trainer and every strategy."""
+
+    @pytest.fixture(autouse=True)
+    def clock(self, monkeypatch):
+        # Each clock read advances one second: an evaluation takes one second.
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+
+    @pytest.fixture
+    def backbone(self, tiny_scenario, tiny_encoder_config):
+        spec = tiny_scenario.spec
+        return GraphWaveNetBackbone(
+            tiny_scenario.network, in_channels=spec.num_channels,
+            input_steps=spec.input_steps, output_steps=spec.output_steps,
+            encoder_config=tiny_encoder_config, rng=0,
+        )
+
+    @pytest.mark.parametrize("protocol, splits", [("cumulative", [0, 1, 2]),
+                                                  ("current", [2])])
+    @pytest.mark.parametrize("cap", [16, None])
+    def test_scores_protocol_splits_per_scored_window(
+        self, backbone, tiny_scenario, protocol, splits, cap
+    ):
+        training = TrainingConfig(eval_max_windows=cap, eval_protocol=protocol)
+        metrics, per_window = evaluate_after_set(backbone, tiny_scenario, 2, training)
+        tests = [tiny_scenario.sets[index].test for index in splits]
+        scored = sum(min(len(test), cap or len(test)) for test in tests)
+        assert metrics.num_samples == scored
+        assert per_window == pytest.approx(1.0 / scored)
+        reference = evaluate_model_on_sets(
+            backbone, tests, batch_size=training.eval_batch_size,
+            scaler=tiny_scenario.scaler,
+            target_channel=tiny_scenario.spec.target_channel, max_windows_per_set=cap,
+        )
+        assert metrics.as_dict() == reference.as_dict()
+
+    def test_classical_model_scored_by_classical_path(self, tiny_scenario):
+        model = HistoricalAverageForecaster()
+        channel = tiny_scenario.spec.target_channel
+        model.fit(tiny_scenario.sets[0].train.series[..., channel])
+        training = TrainingConfig(eval_max_windows=16)
+        metrics, per_window = evaluate_after_set(model, tiny_scenario, 1, training)
+        tests = [s.test for s in tiny_scenario.sets[:2]]
+        reference = evaluate_classical_on_sets(
+            model, tests, target_channel=channel, scaler=tiny_scenario.scaler,
+            scaler_channel=channel, max_windows_per_set=16,
+        )
+        assert metrics.as_dict() == reference.as_dict()
+        assert per_window == pytest.approx(1.0 / 32)

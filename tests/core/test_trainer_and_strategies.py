@@ -1,5 +1,8 @@
 """Tests for the continual trainer and the baseline training strategies."""
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -173,6 +176,23 @@ class TestStrategies:
         )
         assert len(result.sets) == len(tiny_scenario.sets)
         assert all(np.isfinite(entry.metrics.mae) for entry in result.sets)
+
+    def test_classical_refit_times_per_scored_window(
+        self, tiny_scenario, tiny_training_config, monkeypatch
+    ):
+        # Each clock read advances one second, so every evaluation takes one
+        # second and the per-window figure is 1 / windows actually scored.
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+        result = ClassicalRefitStrategy(tiny_training_config).run(
+            tiny_scenario, ARIMAForecaster(order_p=4)
+        )
+        cap = tiny_training_config.eval_max_windows
+        assert all(len(s.test) > cap for s in tiny_scenario.sets)
+        for index, entry in enumerate(result.sets):
+            scored = cap * (index + 1)  # cumulative protocol
+            assert entry.metrics.num_samples == scored
+            assert entry.inference_seconds_per_window == pytest.approx(1.0 / scored)
 
     def test_results_helpers(self):
         result = ContinualResult(method="m", dataset="d")

@@ -158,14 +158,6 @@ class TestSupports:
         with gs.spatial_mode("dense"):
             assert graph.fused_conv_supports(2) is None
 
-    def test_fused_respects_kill_switch(self, graph):
-        with gs.spatial_mode("sparse"):
-            try:
-                gs.set_fused_spmm(False)
-                assert graph.fused_conv_supports(2) is None
-            finally:
-                gs.set_fused_spmm(True)
-
     def test_clear_support_cache_drops_graph_caches(self, graph):
         with gs.spatial_mode("sparse"):
             first = graph.supports(2)

@@ -102,19 +102,16 @@ class TestDensify:
         assert isinstance(dense_support, np.ndarray)
         assert sp.issparse(sparse_support)
 
-    def test_threshold_is_configurable(self):
-        previous = gs.get_density_threshold()
-        try:
-            gs.set_density_threshold(1.0)
-            assert sp.issparse(gs.as_support(np.ones((4, 4))))
-            gs.set_density_threshold(0.0)
-            assert isinstance(gs.as_support(np.eye(50)), np.ndarray)
-        finally:
-            gs.set_density_threshold(previous)
+    def test_threshold_is_one_tenth(self):
+        assert gs.get_density_threshold() == 0.1
+        at_threshold = np.zeros((10, 10))
+        at_threshold[0] = 1.0  # density exactly 0.1: stays CSR
+        with gs.spatial_mode("auto"):
+            assert sp.issparse(gs.as_support(at_threshold))
+            at_threshold[1, 0] = 1.0
+            assert isinstance(gs.as_support(at_threshold), np.ndarray)
 
-    def test_invalid_threshold_and_mode(self):
-        with pytest.raises(ValueError):
-            gs.set_density_threshold(1.5)
+    def test_invalid_mode(self):
         with pytest.raises(ValueError):
             gs.set_spatial_mode("bogus")
 
@@ -301,14 +298,6 @@ class TestFuseSupports:
 
     def test_single_member_declines(self, adjacency):
         assert gs.fuse_supports((sp.csr_array(adjacency),)) is None
-
-    def test_kill_switch(self, adjacency):
-        members = self._members(adjacency)
-        try:
-            gs.set_fused_spmm(False)
-            assert gs.fuse_supports(members) is None
-        finally:
-            gs.set_fused_spmm(True)
 
 
 class TestDeltaCounters:

@@ -132,6 +132,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             EngineConfig(max_pending=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_batch_size", 0), ("max_delay_ms", -1.0), ("tenant_burst", 0.5),
+    ])
+    def test_config_rejects_bad_batching_and_burst(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            EngineConfig(tenant_rate_limit=5, **{field: value})
+
 
 class TestBackpressure:
     def test_queue_full_beyond_max_pending(self, forecaster, raw_windows, gate):

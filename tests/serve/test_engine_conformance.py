@@ -441,7 +441,7 @@ class TestMetricsAccessor:
         assert engine.stats()["metrics"]["completed"] == 1
         if harness.engine_class is ProcessServingEngine:
             assert called["workers"]["requests"] >= 1
-            assert snapshot["workers"]["pinned_cpus"] == [None, None]
+            assert snapshot["workers"]["requests"] >= 1
         else:
             assert "workers" not in called
 

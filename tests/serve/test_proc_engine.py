@@ -214,42 +214,3 @@ class TestMetricsAndHealth:
         # After close the final merged counters stay readable.
         final = eng.metrics()
         assert final["workers"]["requests"] >= len(windows)
-
-
-class TestWorkerPinning:
-    def test_pinned_cpus_recorded_and_within_affinity(self, tenant_fixture):
-        if not hasattr(os, "sched_setaffinity"):
-            pytest.skip("platform has no CPU affinity API")
-        pool, windows, _ = tenant_fixture
-        allowed = os.sched_getaffinity(0)
-        with ProcessServingEngine(
-            pool, fast_config(), sample_windows=windows[:1], pin_workers=True
-        ) as eng:
-            assert eng.pin_workers is True
-            got = eng.predict(windows[0], tenant="tenant-0", timeout=120)
-            assert got is not None
-            pinned = eng.metrics()["workers"]["pinned_cpus"]
-            assert len(pinned) == eng.config.num_workers
-            assert all(cpu in allowed for cpu in pinned)
-            # Round-robin over the allowed set: distinct while cores remain.
-            expected = sorted(allowed)
-            assert pinned == [
-                expected[i % len(expected)] for i in range(len(pinned))
-            ]
-
-    def test_pinning_off_by_default(self, engine):
-        assert engine.pin_workers is False
-        assert engine.metrics()["workers"]["pinned_cpus"] == [
-            None
-        ] * engine.config.num_workers
-
-    def test_env_var_enables_pinning(self, tenant_fixture, monkeypatch):
-        if not hasattr(os, "sched_setaffinity"):
-            pytest.skip("platform has no CPU affinity API")
-        monkeypatch.setenv("REPRO_PROC_PIN", "1")
-        pool, windows, _ = tenant_fixture
-        with ProcessServingEngine(
-            pool, fast_config(num_workers=1), sample_windows=windows[:1]
-        ) as eng:
-            assert eng.pin_workers is True
-            assert eng.metrics()["workers"]["pinned_cpus"][0] is not None

@@ -317,6 +317,65 @@ class TestStructureSharing:
         assert stats["structure_hits"] == 0
 
 
+class TestEviction:
+    """The byte-bounded LRU over compiled entries (``trace._LIMIT_BYTES``)."""
+
+    @staticmethod
+    def _warm(model, x):
+        """Capture, then replay once: the entry then holds one arena."""
+        model.predict(x)
+        return model.predict(x)
+
+    @staticmethod
+    def _status_by_batch(model):
+        return {key[1][0]: entry.status for key, entry in trace._MODEL_CACHE[model].items()}
+
+    def test_coldest_entry_goes_first_and_recaptures_bit_identical(
+        self, small_network, monkeypatch
+    ):
+        model = _build("stgcn", small_network)
+        xs = {batch: _inputs(small_network, batch=batch, seed=batch) for batch in (2, 3, 4)}
+        eager = {batch: _eager_predict(model, x) for batch, x in xs.items()}
+        self._warm(model, xs[3])
+        bytes3 = program_cache_stats()["bytes"]
+        self._warm(model, xs[4])
+        bytes4 = program_cache_stats()["bytes"] - bytes3
+        monkeypatch.setattr(trace, "_LIMIT_BYTES", bytes3 + bytes4)
+        assert np.array_equal(model.predict(xs[3]), eager[3])  # 4 is now coldest
+        assert np.array_equal(self._warm(model, xs[2]), eager[2])
+        stats = program_cache_stats()
+        assert stats["evictions"] == 1 and stats["entries"] == 2
+        assert stats["bytes"] <= stats["limit_bytes"]
+        assert self._status_by_batch(model) == {2: "ready", 3: "ready", 4: "empty"}
+
+        # Without a shared structure to rebind, the evicted shape recaptures;
+        # its fresh arena then pushes out the next coldest entry (3).
+        trace._STRUCTURES.clear()
+        captures = stats["captures"]
+        assert np.array_equal(model.predict(xs[4]), eager[4])
+        assert program_cache_stats()["captures"] == captures + 1
+        assert np.array_equal(model.predict(xs[4]), eager[4])
+        stats = program_cache_stats()
+        assert stats["evictions"] == 2
+        assert self._status_by_batch(model) == {2: "ready", 3: "empty", 4: "ready"}
+
+    def test_newest_entry_is_kept_over_the_limit(self, small_network, monkeypatch):
+        monkeypatch.setattr(trace, "_LIMIT_BYTES", 0)
+        model = _build("stgcn", small_network)
+        x2, x3 = _inputs(small_network, batch=2), _inputs(small_network, batch=3)
+        eager2, eager3 = _eager_predict(model, x2), _eager_predict(model, x3)
+        assert np.array_equal(self._warm(model, x2), eager2)
+        stats = program_cache_stats()
+        assert stats["entries"] == 1 and stats["evictions"] == 0 and stats["bytes"] > 0
+        assert np.array_equal(self._warm(model, x3), eager3)
+        stats = program_cache_stats()
+        assert stats["entries"] == 1 and stats["evictions"] == 1
+        assert self._status_by_batch(model) == {2: "empty", 3: "ready"}
+        replays = stats["replays"]
+        assert np.array_equal(model.predict(x3), eager3)
+        assert program_cache_stats()["replays"] == replays + 1
+
+
 # The exact-shape planner the byte pool replaced, copied verbatim: the
 # reference the pool's size is held to.
 def _plan_slot_reuse(structure):
