@@ -10,7 +10,7 @@ metric shards) and :mod:`~repro.serve.proc.worker` (the worker process).
 
 from .engine import ProcessServingEngine, resolve_start_method
 from .metrics import WorkerMetricsPlane, WorkerMetricsShard
-from .plane import ModelPlane, PlaneView, bucket_sizes, pad_to_bucket
+from .plane import ModelPlane, PlaneView
 from .ring import SpscRing
 
 __all__ = [
@@ -18,8 +18,6 @@ __all__ = [
     "resolve_start_method",
     "ModelPlane",
     "PlaneView",
-    "bucket_sizes",
-    "pad_to_bucket",
     "SpscRing",
     "WorkerMetricsPlane",
     "WorkerMetricsShard",

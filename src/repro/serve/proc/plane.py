@@ -34,6 +34,7 @@ from ...graph import sparse as sparse_knobs
 from ...graph.sensor_network import SensorNetwork
 from ...models.registry import model_name_of
 from ...tensor import (
+    batch_bucket,
     export_structures,
     get_default_dtype,
     install_structures,
@@ -42,43 +43,10 @@ from ...tensor.serialize import dump_structures, load_structures
 from ..tenancy import build_replica
 from . import shm as shmlib
 
-__all__ = ["ModelPlane", "PlaneView", "bucket_sizes", "pad_to_bucket"]
+__all__ = ["ModelPlane", "PlaneView"]
 
 _CTRL_NBYTES = shmlib.ALIGN
 _SEQ, _ACTIVE, _GENERATION = 0, 1, 2
-
-
-def bucket_sizes(max_batch_size: int) -> tuple[int, ...]:
-    """Power-of-two batch buckets up to (and including) ``max_batch_size``.
-
-    Compiled programs are keyed on the input shape, so workers pad every
-    micro-batch up to the next bucket — a handful of pre-captured shapes
-    serve any batch size without per-size re-capture.
-    """
-    sizes = []
-    b = 1
-    while b < max_batch_size:
-        sizes.append(b)
-        b *= 2
-    sizes.append(int(max_batch_size))
-    return tuple(sizes)
-
-
-def pad_to_bucket(windows: np.ndarray, buckets) -> tuple[np.ndarray, int]:
-    """Pad a batch up to its bucket by repeating the last window.
-
-    Per-window outputs are batch-content independent (every model op is
-    per-sample), so filler rows change nothing about the first ``count``
-    predictions; returns ``(padded, filler_count)``.
-    """
-    count = windows.shape[0]
-    target = next((b for b in buckets if b >= count), count)
-    if target == count:
-        return windows, 0
-    padded = np.empty((target,) + windows.shape[1:], dtype=windows.dtype)
-    padded[:count] = windows
-    padded[count:] = windows[count - 1]
-    return padded, target - count
 
 
 def _pack_params(model) -> tuple[list, int]:
@@ -138,8 +106,8 @@ class ModelPlane:
     def publish(cls, pool, sample_windows=None, max_batch_size: int = 32) -> "ModelPlane":
         """Build and publish the plane for every resident tenant of ``pool``.
 
-        Warms the compiled predict path at every bucket size first (one
-        capture per architecture x bucket, shared across tenants), probes
+        Warms compiled predict at every batch bucket up to ``max_batch_size``
+        (one capture per architecture x bucket, shared across tenants), probes
         the output geometry, then freezes everything into shared memory.
         """
         tenants = list(pool.resident)
@@ -170,7 +138,7 @@ class ModelPlane:
                     f"sample windows have shape {sample.shape[1:]}, "
                     f"models expect {window_shape}"
                 )
-        buckets = bucket_sizes(max_batch_size)
+        buckets = tuple(sorted({batch_bucket(n) for n in range(1, max_batch_size + 1)}))
 
         # Warm the compiled cache at every bucket shape so the export below
         # carries a replayable program for everything workers will see.

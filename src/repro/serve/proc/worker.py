@@ -4,8 +4,8 @@
 worker.  It attaches the published :class:`~repro.serve.proc.plane.PlaneView`
 (zero-copy weights + CSR supports + compiled predict programs), rebuilds a
 per-tenant forecaster, then loops: pop a micro-batch from its request ring,
-pad it up to a compiled bucket size, replay the captured program, and push
-the predictions into the response ring — raw bytes both ways, no pickling.
+replay the captured program of its batch bucket, and push the predictions
+into the response ring — raw bytes both ways, no pickling.
 
 Weight freshness is pull-based and torn-proof.  Each batch first compares
 the tenant's seqlock ``generation`` with the one bound at startup; on the
@@ -30,11 +30,11 @@ import time
 
 import numpy as np
 
-from ...tensor import forget_model
+from ...tensor import batch_bucket, forget_model
 from ..sharding import ShardedForecaster
 from . import ring as ringlib
 from .metrics import WorkerMetricsPlane
-from .plane import PlaneView, pad_to_bucket
+from .plane import PlaneView
 
 __all__ = ["worker_main"]
 
@@ -94,7 +94,6 @@ def worker_main(
     window_shape = tuple(meta["window_shape"])
     window_dtype = np.dtype(meta["window_dtype"])
     out_dtype = np.dtype(meta["out_dtype"])
-    buckets = tuple(meta["buckets"])
     parent = multiprocessing.parent_process()
 
     network = plane.build_network()
@@ -148,12 +147,9 @@ def worker_main(
                 shard.bump("refreshes")
 
             count = windows.shape[0]
-            padded, filler = pad_to_bucket(windows, buckets)
             started = time.perf_counter()
             try:
-                predictions = state["served"].predict(
-                    padded, batch_size=padded.shape[0]
-                )
+                predictions = state["served"].predict(windows, batch_size=count)
                 if (
                     state["mode"] == "shared"
                     and plane.generation(tenant) - state["generation"] >= 2
@@ -163,10 +159,8 @@ def worker_main(
                     # and redo — cheap, and only ever on an update burst.
                     _bind_private(plane, state, tenant)
                     shard.bump("refreshes")
-                    predictions = state["served"].predict(
-                        padded, batch_size=padded.shape[0]
-                    )
-                predictions = np.asarray(predictions, dtype=out_dtype)[:count]
+                    predictions = state["served"].predict(windows, batch_size=count)
+                predictions = np.asarray(predictions, dtype=out_dtype)
                 error = None
             except Exception as exc:  # noqa: BLE001 - forwarded to the parent
                 predictions = None
@@ -187,7 +181,7 @@ def worker_main(
             shard.bump("heartbeat")
             shard.bump("batches")
             shard.bump("requests", count)
-            shard.bump("padded_windows", filler)
+            shard.bump("padded_windows", batch_bucket(count) - count)
             if error is not None:
                 shard.bump("errors")
             shard.record_latency(elapsed)

@@ -17,6 +17,7 @@ from . import functional, partition
 from .grad_check import check_gradients, numerical_gradient
 from .partition import HaloExchange, PartitionContext, partition_scope
 from .trace import (
+    batch_bucket,
     clear_program_cache,
     declare_const,
     export_structures,
@@ -72,6 +73,7 @@ __all__ = [
     "get_traced_execution",
     "traced_execution",
     "run_compiled",
+    "batch_bucket",
     "scan",
     "declare_const",
     "program_cache_stats",

@@ -235,15 +235,21 @@ class ProgramInstance:
     def run_forward(self, input_array: np.ndarray) -> np.ndarray:
         """Replay the program on ``input_array``; returns the out slot.
 
-        Runs with gradient recording off, as the captured forward did: the
-        matmul kernel picks its gemm from the grad mode, so a replay from a
-        grad-enabled caller would otherwise differ from eager in the last
-        bits.
+        A shorter ``input_array`` (a batch bucket's first rows) has its last
+        row repeated into the rest of the INPUT slot.  Runs with gradient
+        recording off, as the captured forward did: the matmul kernel picks
+        its gemm from the grad mode, so a replay from a grad-enabled caller
+        would otherwise differ from eager in the last bits.
         """
         previous = _GRAD_MODE.enabled
         _GRAD_MODE.enabled = False
         try:
-            np.copyto(self.env[self.structure.input_slot], input_array)
+            target = self.env[self.structure.input_slot]
+            if input_array.shape == target.shape:
+                np.copyto(target, input_array)
+            else:
+                np.copyto(target[: len(input_array)], input_array)
+                np.copyto(target[len(input_array):], input_array[-1])
             for kernel in self.forward_kernels:
                 kernel()
         finally:

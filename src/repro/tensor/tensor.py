@@ -69,16 +69,20 @@ MATMUL_BLOCK_ROWS = 256
 # one canonical geometry — exactly MATMUL_BLOCK_ROWS rows (tail zero-padded)
 # by at most MATMUL_BLOCK_COLS output columns — which pins the kernel and
 # makes a row's bits a function of (row, operand) only, so any partition of
-# the node rows reproduces the unsharded bits.  The envelope in which that
-# holds (and its one measured hole) is pinned by the property tests in
-# tests/tensor/test_partition_kernels.py.  Row-slice invariance is a property
-# of this 2-D-``b`` panel alone: a batched ``b`` (the dense spatial mix
-# ``(N, N) @ (B, T, N, C)``) and every training product are plain BLAS calls
-# (row-blocked above MATMUL_BLOCK_ROWS), whose exactness rests on all callers
-# issuing the *same* call — ``PartitionContext._dense_mix`` multiplies the
-# whole gathered operand and slices afterwards — and on numpy running one
-# gemm per leading matrix of ``b`` whatever the batch size.
-MATMUL_BLOCK_COLS = 256
+# the node rows, or any padding of the batch (a compiled forward's batch
+# bucket), reproduces the unpadded, unsharded bits.  The column block is 192,
+# not 256: on OpenBLAS 0.3.31 (Haswell kernels) a 256-row f64 gemm whose
+# block is 193-255 columns wide computes a row's last columns differently
+# depending on the row's position in the block.  The property tests in
+# tests/tensor/test_partition_kernels.py pin the envelope.  Row-slice
+# invariance is a property of this 2-D-``b`` panel alone: a batched ``b``
+# (the dense spatial mix ``(N, N) @ (B, T, N, C)``) and every training
+# product are plain BLAS calls (row-blocked above MATMUL_BLOCK_ROWS), whose
+# exactness rests on all callers issuing the *same* call —
+# ``PartitionContext._dense_mix`` multiplies the whole gathered operand and
+# slices afterwards — and on numpy running one gemm per leading matrix of
+# ``b`` whatever the batch size.
+MATMUL_BLOCK_COLS = 192
 
 
 def _matmul_canonical(a: np.ndarray, b: np.ndarray, out: np.ndarray | None):

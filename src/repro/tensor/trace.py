@@ -12,7 +12,8 @@ plain Python loop (:func:`scan`), so their cell records once per time step.
 Subsequent calls replay the program through arena-bound kernels (see
 :mod:`repro.tensor.program`) — bit-identical to the untraced forward — and
 fall back to eager execution transparently on shape misses, unknown ops or
-data-dependent constants.  Training forwards never compile: they run on the
+data-dependent constants.  A call replays its batch bucket's program
+(:func:`batch_bucket`).  Training forwards never compile: they run on the
 autograd tape, whose backward frees the graph as it goes.
 
 The cache is keyed like the diffusion-support cache (content + spatial
@@ -27,6 +28,8 @@ import contextlib
 import threading
 import weakref
 from collections import OrderedDict
+
+import numpy as np
 
 from . import tensor as _T
 from .program import (
@@ -47,6 +50,7 @@ __all__ = [
     "get_traced_execution",
     "traced_execution",
     "run_compiled",
+    "batch_bucket",
     "scan",
     "declare_const",
     "program_cache_stats",
@@ -484,12 +488,18 @@ def _capture(model, fn, x):
     return out, structure
 
 
-def _replay(instance: ProgramInstance, x: Tensor) -> Tensor:
+def _replay(instance: ProgramInstance, x: Tensor, rows: int | None) -> Tensor:
     out_buffer = instance.run_forward(x.data)
     _STATS["replays"] += 1
-    out = Tensor(out_buffer.copy(), dtype=out_buffer.dtype)
+    out = Tensor(out_buffer[:rows].copy(), dtype=out_buffer.dtype)
     instance.busy = False
     return out
+
+
+def batch_bucket(rows: int) -> int:
+    """The batch size a compiled forward of ``rows`` rows runs at: the next
+    power of two, so at most log2(max batch) + 1 programs serve every size."""
+    return 1 << (rows - 1).bit_length() if rows > 1 else rows
 
 
 def run_compiled(model, fn, x, *, graph=None, kind="forward"):
@@ -502,6 +512,15 @@ def run_compiled(model, fn, x, *, graph=None, kind="forward"):
     ``no_grad`` forward such as RMIR scoring — runs ``fn(x)`` on the
     autograd tape.  Training call sites still route through here
     with their ``kind``, so every model forward has one named seam.
+
+    A compiled call runs at its batch bucket: axis 0 of ``x`` is padded to
+    :func:`batch_bucket` rows by repeating the last row (on a replay,
+    straight into the program's INPUT slot), and only the first ``len(x)``
+    output rows come back.  That is exact when ``fn`` maps rows
+    independently, batch axis first, as every model forward does: the
+    canonical row-panel gemm makes a row's bits a function of the row and
+    the operand, the dense spatial mix runs one gemm per leading matrix, and
+    spmm works row by row (``tests/tensor/test_batch_buckets.py``).
 
     A compiled call is transparent: eager on the first call per key
     (capturing), on shape/dtype misses, on untraceable graphs, while another
@@ -522,9 +541,12 @@ def run_compiled(model, fn, x, *, graph=None, kind="forward"):
     from .partition import active_context as _partition_active
 
     pctx = _partition_active()
+    rows = len(x) if x.ndim else 0
+    bucket = batch_bucket(rows)
+    padded = bucket > rows
     key = (
         kind,
-        x.shape,
+        (bucket,) + x.shape[1:] if padded else x.shape,
         str(x.dtype),
         id(graph) if graph is not None else None,
         pctx.trace_token if pctx is not None else None,
@@ -562,13 +584,18 @@ def run_compiled(model, fn, x, *, graph=None, kind="forward"):
         # shard blocking in a halo gather inside its program would otherwise
         # deadlock every other shard against the cache lock.
         try:
-            return _replay(instance, x)
+            return _replay(instance, x, rows if padded else None)
         except Exception:
             instance.busy = False
             raise
 
-    # Capture outside the lock: it runs the full eager forward.
-    out, structure = _capture(model, fn, x)
+    # Capture outside the lock: it runs the full eager forward at the bucket.
+    if padded:
+        grown = Tensor(x.data[np.minimum(np.arange(bucket), rows - 1)], dtype=x.dtype)
+        out, structure = _capture(model, fn, grown)
+        out = Tensor(out.data[:rows], dtype=out.dtype)
+    else:
+        out, structure = _capture(model, fn, x)
     with _LOCK:
         if structure is None:
             entry.status = "untraceable"

@@ -1,11 +1,10 @@
-"""Shared model plane: publish/attach, seqlock weight lane, bucket padding."""
+"""Shared model plane: publish/attach, seqlock weight lane, warmed buckets."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.serve import ModelPlane, PlaneView, build_synthetic_tenants
-from repro.serve.proc import bucket_sizes, pad_to_bucket
 
 
 @pytest.fixture(scope="module")
@@ -25,22 +24,15 @@ def plane(tenant_fixture):
 
 
 class TestBuckets:
-    def test_bucket_sizes_are_powers_of_two_up_to_max(self):
-        assert bucket_sizes(32) == (1, 2, 4, 8, 16, 32)
-        assert bucket_sizes(1) == (1,)
-        assert bucket_sizes(5) == (1, 2, 4, 5)
-
-    def test_pad_to_bucket_repeats_last_window(self):
-        windows = np.arange(3 * 2 * 2, dtype=np.float64).reshape(3, 2, 2)
-        padded, filler = pad_to_bucket(windows, (1, 2, 4))
-        assert padded.shape[0] == 4 and filler == 1
-        assert np.array_equal(padded[:3], windows)
-        assert np.array_equal(padded[3], windows[2])
-
-    def test_pad_to_bucket_exact_fit_is_zero_copy(self):
-        windows = np.zeros((2, 3, 3))
-        padded, filler = pad_to_bucket(windows, (1, 2, 4))
-        assert padded is windows and filler == 0
+    def test_publish_warms_the_buckets_of_the_shared_rule(self, tenant_fixture, plane):
+        pool, windows, _ = tenant_fixture
+        assert plane.spec["meta"]["buckets"] == (1, 2, 4)
+        # A non-power-of-two limit pads full batches up to the next bucket.
+        wider = ModelPlane.publish(pool, sample_windows=windows[:1], max_batch_size=5)
+        try:
+            assert wider.spec["meta"]["buckets"] == (1, 2, 4, 8)
+        finally:
+            wider.close()
 
 
 class TestPublishAttach:

@@ -96,11 +96,9 @@ class TestCanonicalMatmul:
 # Measured on OpenBLAS 0.3.31 (Haswell kernels): a 256-row f64 gemm whose
 # output-column block is 193-255 wide and not a multiple of 8 computes a
 # row's last few columns differently depending on the row's position inside
-# the block (inner >= 16), so partition parity is NOT guaranteed there; every
-# other width up to MATMUL_BLOCK_COLS, and every f32 width, is position
-# independent.  The strategies below stay inside that envelope (model widths
-# in this repo are <= 64); the hole predates the row-panel kernel.
-F64_EXACT_COLS = 192
+# the block (inner >= 16).  MATMUL_BLOCK_COLS is therefore 192, so no block
+# the kernel issues falls in that hole, and the strategies below sample every
+# block width up to it at both precisions, plus products that span blocks.
 
 
 def _blas_build() -> str:
@@ -143,10 +141,9 @@ def _gemm_cases(draw):
     lead = tuple(draw(st.lists(st.integers(1, 4), max_size=3)))
     rows = draw(st.integers(1, 70) | st.sampled_from([255, 256, 257, 300, 600]))
     inner = draw(st.integers(1, 40) | st.sampled_from([64, 128, 300]))
-    exact_cols = MATMUL_BLOCK_COLS if dtype == np.float32 else F64_EXACT_COLS
     cols = draw(
         st.integers(1, 40)
-        | st.integers(1, exact_cols)
+        | st.integers(1, MATMUL_BLOCK_COLS)
         | st.sampled_from([MATMUL_BLOCK_COLS, MATMUL_BLOCK_COLS + 1, 300])
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

@@ -334,45 +334,45 @@ class TestEviction:
         self, small_network, monkeypatch
     ):
         model = _build("stgcn", small_network)
-        xs = {batch: _inputs(small_network, batch=batch, seed=batch) for batch in (2, 3, 4)}
+        xs = {batch: _inputs(small_network, batch=batch, seed=batch) for batch in (2, 4, 8)}
         eager = {batch: _eager_predict(model, x) for batch, x in xs.items()}
-        self._warm(model, xs[3])
-        bytes3 = program_cache_stats()["bytes"]
         self._warm(model, xs[4])
-        bytes4 = program_cache_stats()["bytes"] - bytes3
-        monkeypatch.setattr(trace, "_LIMIT_BYTES", bytes3 + bytes4)
-        assert np.array_equal(model.predict(xs[3]), eager[3])  # 4 is now coldest
+        bytes4 = program_cache_stats()["bytes"]
+        self._warm(model, xs[8])
+        bytes8 = program_cache_stats()["bytes"] - bytes4
+        monkeypatch.setattr(trace, "_LIMIT_BYTES", bytes4 + bytes8)
+        assert np.array_equal(model.predict(xs[4]), eager[4])  # 8 is now coldest
         assert np.array_equal(self._warm(model, xs[2]), eager[2])
         stats = program_cache_stats()
         assert stats["evictions"] == 1 and stats["entries"] == 2
         assert stats["bytes"] <= stats["limit_bytes"]
-        assert self._status_by_batch(model) == {2: "ready", 3: "ready", 4: "empty"}
+        assert self._status_by_batch(model) == {2: "ready", 4: "ready", 8: "empty"}
 
         # Without a shared structure to rebind, the evicted shape recaptures;
-        # its fresh arena then pushes out the next coldest entry (3).
+        # its fresh arena then pushes out the next coldest entry (4).
         trace._STRUCTURES.clear()
         captures = stats["captures"]
-        assert np.array_equal(model.predict(xs[4]), eager[4])
+        assert np.array_equal(model.predict(xs[8]), eager[8])
         assert program_cache_stats()["captures"] == captures + 1
-        assert np.array_equal(model.predict(xs[4]), eager[4])
+        assert np.array_equal(model.predict(xs[8]), eager[8])
         stats = program_cache_stats()
         assert stats["evictions"] == 2
-        assert self._status_by_batch(model) == {2: "ready", 3: "empty", 4: "ready"}
+        assert self._status_by_batch(model) == {2: "ready", 4: "empty", 8: "ready"}
 
     def test_newest_entry_is_kept_over_the_limit(self, small_network, monkeypatch):
         monkeypatch.setattr(trace, "_LIMIT_BYTES", 0)
         model = _build("stgcn", small_network)
-        x2, x3 = _inputs(small_network, batch=2), _inputs(small_network, batch=3)
-        eager2, eager3 = _eager_predict(model, x2), _eager_predict(model, x3)
+        x2, x4 = _inputs(small_network, batch=2), _inputs(small_network, batch=4)
+        eager2, eager4 = _eager_predict(model, x2), _eager_predict(model, x4)
         assert np.array_equal(self._warm(model, x2), eager2)
         stats = program_cache_stats()
         assert stats["entries"] == 1 and stats["evictions"] == 0 and stats["bytes"] > 0
-        assert np.array_equal(self._warm(model, x3), eager3)
+        assert np.array_equal(self._warm(model, x4), eager4)
         stats = program_cache_stats()
         assert stats["entries"] == 1 and stats["evictions"] == 1
-        assert self._status_by_batch(model) == {2: "empty", 3: "ready"}
+        assert self._status_by_batch(model) == {2: "empty", 4: "ready"}
         replays = stats["replays"]
-        assert np.array_equal(model.predict(x3), eager3)
+        assert np.array_equal(model.predict(x4), eager4)
         assert program_cache_stats()["replays"] == replays + 1
 
 
