@@ -12,8 +12,8 @@ export PYTHONPATH := src:$(PYTHONPATH)
 # Tier-1 gate: full unit suite, ~10-second smokes of the Fig. 7 efficiency
 # benchmark, the traced-vs-eager hot path, the spatial kernel, the serving
 # engine and the fault-storm resilience harness (catch hot-path and serving
-# regressions that unit tests miss; each records its JSON trajectory per
-# PR), plus the runnable examples (quickstart, online forecasting, serving
+# regressions that unit tests miss; each prints its record and writes no
+# tracked file), plus the runnable examples (quickstart, online forecasting, serving
 # demo, compiled execution, resilience demo) as end-to-end smokes of the
 # public API surface, and the repo benchmark (benchmarks/e2e) at 1/10 size
 # with its correctness checks.  It starts by printing the src/ line count.

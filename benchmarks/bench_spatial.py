@@ -3,14 +3,13 @@
 Sweeps node counts and graph densities, timing a full
 ``DiffusionGraphConv`` forward + backward (the spatial-mixing hot path of
 every model in the zoo) with supports forced dense versus the auto
-sparse/dense kernel.  Three further sections:
+sparse/dense kernel.  Two further sections:
 
 * **fused** — the fused multi-support ``spmm_multi`` (one CSR traversal for
   all S supports) against the per-support ``spmm`` loop;
 * **augmented** — the URCL augmented-supports path (augmentation apply +
   support construction + forward + backward per step) under the dense
-  fallback versus the CSR ``GraphDelta`` path;
-* the content-keyed support cache on the adjacency-override path.
+  fallback versus the CSR ``GraphDelta`` path.
 
 Everything records to ``benchmarks/results/BENCH_spatial.json`` so the
 perf trajectory is tracked per PR.  Correctness is asserted inline: dense
@@ -88,9 +87,9 @@ def bench_config(num_nodes: int, graph_density: float, batch: int, steps: int,
     with graph_sparse.spatial_mode("auto"):
         conv_auto = DiffusionGraphConv(channels, channels, adjacency=adjacency, rng=seed)
         auto_seconds, auto_out = time_forward_backward(conv_auto, x_data, reps)
+        auto_supports = conv_auto.graph.conv_supports(2)
         support_modes = [
-            "csr" if graph_sparse.sp.issparse(s) else "dense"
-            for s in conv_auto._static_supports
+            "csr" if graph_sparse.sp.issparse(s) else "dense" for s in auto_supports
         ]
 
     max_abs_diff = float(np.max(np.abs(dense_out - auto_out)))
@@ -104,7 +103,7 @@ def bench_config(num_nodes: int, graph_density: float, batch: int, steps: int,
     return {
         "num_nodes": num_nodes,
         "graph_density": graph_density,
-        "support_densities": [round(graph_sparse.density(s), 4) for s in conv_auto._static_supports],
+        "support_densities": [round(graph_sparse.density(s), 4) for s in auto_supports],
         "support_modes": support_modes,
         "dense_seconds": dense_seconds,
         "auto_seconds": auto_seconds,
@@ -153,63 +152,6 @@ def bench_fused(num_nodes: int, graph_density: float, batch: int, steps: int,
         "fused_seconds": timings["fused"],
         "speedup": timings["loop"] / timings["fused"],
         "max_abs_diff": max_abs_diff,
-    }
-
-
-def bench_threaded(num_nodes: int, graph_density: float, batch: int, steps: int,
-                   channels: int, reps: int, seed: int) -> dict:
-    """Chunked multithreaded CSR spmm vs single-threaded (bit-identical).
-
-    The worker count comes from :func:`os.cpu_count`; on a single-core box
-    the section still runs (threads=2) to exercise the chunked kernel, but
-    only parity — never a speedup — is asserted.
-    """
-    import os
-
-    from repro.tensor import get_spmm_threads, set_spmm_threads, spmm
-
-    rng = np.random.default_rng(seed)
-    adjacency = make_adjacency(num_nodes, graph_density, rng)
-    x_data = rng.normal(size=(batch, steps, num_nodes, channels))
-    threads = max(2, os.cpu_count() or 1)
-
-    with graph_sparse.spatial_mode("sparse"):
-        graph = Graph(adjacency, name="bench-threaded")
-        support = graph.conv_supports(2)[0]
-    x = Tensor(x_data)
-
-    def run(label):
-        timings = []
-        out = None
-        for _ in range(reps + 1):  # first iteration is warmup
-            start = time.perf_counter()
-            out = spmm(support, x).data
-            timings.append(time.perf_counter() - start)
-        return float(np.median(timings[1:])), out
-
-    previous = get_spmm_threads()
-    try:
-        set_spmm_threads(1)
-        single_seconds, single_out = run("single")
-        set_spmm_threads(threads, min_nnz=1)
-        threaded_seconds, threaded_out = run("threaded")
-    finally:
-        set_spmm_threads(previous, min_nnz=200_000)
-
-    if not np.array_equal(single_out, threaded_out):
-        raise AssertionError(
-            f"threaded spmm diverged from single-threaded at N={num_nodes} "
-            f"d={graph_density}"
-        )
-    return {
-        "num_nodes": num_nodes,
-        "graph_density": graph_density,
-        "threads": threads,
-        "cpu_cores": os.cpu_count() or 1,
-        "single_seconds": single_seconds,
-        "threaded_seconds": threaded_seconds,
-        "speedup": single_seconds / threaded_seconds,
-        "bit_identical": True,
     }
 
 
@@ -269,33 +211,6 @@ def bench_augmented(num_nodes: int, graph_density: float, batch: int, steps: int
     }
 
 
-def bench_support_cache(num_nodes: int, seed: int) -> dict:
-    """Cost of supports_for on a repeated adjacency override: miss vs hit."""
-    rng = np.random.default_rng(seed)
-    adjacency = make_adjacency(num_nodes, 0.05, rng)
-    conv = DiffusionGraphConv(4, 4, adjacency=adjacency, rng=seed)
-    override = adjacency.copy()  # URCL passes network.adjacency.copy() per period
-
-    graph_sparse.clear_support_cache()
-    start = time.perf_counter()
-    conv.supports_for(override)
-    miss_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for _ in range(10):
-        conv.supports_for(override.copy())  # fresh array, same content
-    hit_seconds = (time.perf_counter() - start) / 10
-
-    stats = graph_sparse.support_cache_stats()
-    return {
-        "num_nodes": num_nodes,
-        "miss_seconds": miss_seconds,
-        "hit_seconds": hit_seconds,
-        "speedup": miss_seconds / hit_seconds if hit_seconds > 0 else float("inf"),
-        "cache": stats,
-    }
-
-
 def main(argv=None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", default="bench", choices=sorted(SWEEPS))
@@ -325,15 +240,10 @@ def main(argv=None) -> dict:
         bench_fused(n, d, batch, steps, channels, reps, args.seed)
         for n, d in sparse_configs
     ]
-    record["threaded"] = [
-        bench_threaded(n, d, batch, steps, channels, reps, args.seed)
-        for n, d in sparse_configs
-    ]
     record["augmented"] = [
         bench_augmented(n, d, batch, steps, channels, reps, args.seed)
         for n, d in sparse_configs
     ]
-    record["support_cache"] = bench_support_cache(max(node_counts), args.seed)
 
     headers = ["N", "density", "modes", "dense s", "auto s", "speedup", "max|diff|"]
     rows = [
@@ -359,16 +269,6 @@ def main(argv=None) -> dict:
         ["N", "density", "loop s", "fused s", "speedup", "max|diff|"],
         fused_rows, title="Fused multi-support spmm — per-support loop vs one traversal",
     ))
-    threaded_rows = [
-        [c["num_nodes"], c["graph_density"], c["threads"], c["single_seconds"],
-         c["threaded_seconds"], c["speedup"]]
-        for c in record["threaded"]
-    ]
-    print(format_table(
-        ["N", "density", "threads", "1-thread s", "threaded s", "speedup"],
-        threaded_rows,
-        title="Chunked multithreaded spmm — bit-identical to single-threaded",
-    ))
     augmented_rows = [
         [c["num_nodes"], c["graph_density"], c["dense_seconds"], c["delta_seconds"],
          c["speedup"], c["max_abs_diff"]]
@@ -378,12 +278,6 @@ def main(argv=None) -> dict:
         ["N", "density", "dense s", "delta s", "speedup", "max|diff|"],
         augmented_rows, title="Augmented-supports path — dense fallback vs CSR delta",
     ))
-    cache = record["support_cache"]
-    print(
-        f"support cache (N={cache['num_nodes']}): miss {cache['miss_seconds']*1e3:.1f} ms, "
-        f"hit {cache['hit_seconds']*1e3:.2f} ms ({cache['speedup']:.0f}x)"
-    )
-
     sparse_wins = [
         c["speedup"] for c in record["configs"]
         if c["num_nodes"] >= 500 and "csr" in c["support_modes"]

@@ -6,8 +6,9 @@ trade-off is controlled by the ``REPRO_BENCH_SCALE`` environment variable
 (``smoke`` | ``bench`` | ``paper``; default ``bench``) so the same harness
 can be used for a quick check or an overnight full-scale run.
 
-Each benchmark prints the regenerated rows/series and also writes them to
-``benchmarks/results/<experiment>.txt`` so they survive output capturing.
+Each benchmark prints the regenerated rows/series and, above smoke scale,
+also writes them to ``benchmarks/results/<experiment>.txt`` so they survive
+output capturing.
 """
 
 from __future__ import annotations
@@ -31,10 +32,13 @@ def bench_seed() -> int:
 
 
 def record_result(name: str, result: dict) -> None:
-    """Print the regenerated table/figure and persist it to disk."""
+    """Print the regenerated table/figure and, above smoke scale, persist it."""
     formatted = result.get("formatted", "")
-    print(f"\n===== {name} (scale={result.get('scale', bench_scale())}) =====")
+    scale = result.get("scale", bench_scale())
+    print(f"\n===== {name} (scale={scale}) =====")
     print(formatted)
+    if scale == "smoke":
+        return
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     with open(RESULTS_DIR / f"{name}.txt", "w", encoding="utf-8") as handle:
         handle.write(formatted + "\n")

@@ -4,7 +4,9 @@ Each record the legacy benchmark scripts (hot path, serving, spatial,
 resilience) append carries the environment block of the repo benchmark
 (:func:`e2e.environment.environment_block`: cores, BLAS build and threads,
 library versions, commit, ``repro`` knobs), so an entry is compared only
-with entries taken on the same set-up.
+with entries taken on the same set-up.  A smoke-scale record is printed
+and never written: smokes check that a script runs, and their numbers do not
+belong in the trajectory.
 """
 
 from __future__ import annotations
@@ -19,10 +21,18 @@ from repro.utils.serialization import save_json
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def append_record(name: str, record: dict) -> Path:
-    """Stamp ``record`` with the environment and append it to ``BENCH_<name>.json``."""
+def append_record(name: str, record: dict) -> Path | None:
+    """Stamp ``record`` with the environment and append it to ``BENCH_<name>.json``.
+
+    A record whose ``scale`` is ``"smoke"`` is printed instead; nothing is
+    written and ``None`` is returned.
+    """
     path = RESULTS_DIR / f"BENCH_{name}.json"
     record["environment"] = environment_block()
+    if record.get("scale") == "smoke":
+        print(json.dumps(record, indent=2, default=str))
+        print(f"smoke scale: not recorded to {path}")
+        return None
     history = []
     if path.exists():
         try:

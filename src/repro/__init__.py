@@ -61,8 +61,8 @@ Sparse spatial engine
 Spatial mixing runs on a sparse-native kernel: diffusion supports are built
 as ``scipy.sparse`` CSR matrices (:mod:`repro.graph.sparse`), multiplied
 against activations through the differentiable :func:`repro.tensor.spmm`
-op, and memoised in a content-keyed cache so repeated adjacencies never
-rebuild the power series.  Supports auto-densify above a density
+op, and cached on the :class:`repro.graph.Graph` they were built from, so a
+graph never rebuilds its power series.  Supports auto-densify above a density
 (nnz/size) of 0.1 because dense BLAS wins on small or dense graphs;
 ``repro.graph.sparse.set_spatial_mode`` can force either path.  See ``benchmarks/bench_spatial.py`` for the measured
 crossover.

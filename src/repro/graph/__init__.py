@@ -1,11 +1,11 @@
 """Sensor-network substrate: graph structures, adjacency algebra, generators.
 
-The first-class CSR-backed :class:`Graph` (adjacency + metadata + cached
-diffusion supports/transposes) and its :class:`GraphDelta` perturbations
-live in :mod:`repro.graph.graph`.  Dense adjacency algebra lives in
-:mod:`repro.graph.adjacency`; the CSR-native counterpart with auto-densify,
-the content-keyed support cache, cached transposes and the fused
-multi-support stacks lives in :mod:`repro.graph.sparse`.
+The first-class CSR-backed :class:`Graph` (adjacency + metadata + the one
+cache of its diffusion supports, their transposes and fused stacks) and its
+:class:`GraphDelta` perturbations live in :mod:`repro.graph.graph`.  Dense
+adjacency algebra lives in :mod:`repro.graph.adjacency`; the CSR-native
+counterpart with auto-densify, the transpose and fused-stack builders and
+the support LRU's counters live in :mod:`repro.graph.sparse`.
 """
 
 from . import sparse
@@ -20,7 +20,6 @@ from .adjacency import (
 )
 from .graph import Graph, GraphDelta
 from .sparse import (
-    cached_diffusion_supports,
     clear_support_cache,
     fuse_supports,
     set_spatial_mode,
@@ -42,7 +41,6 @@ __all__ = [
     "Graph",
     "GraphDelta",
     "sparse",
-    "cached_diffusion_supports",
     "clear_support_cache",
     "fuse_supports",
     "set_spatial_mode",

@@ -7,7 +7,9 @@ derived spatial state — diffusion supports, their CSR transposes (for the
 ``spmm`` backward) and the fused multi-support stacks — is built lazily and
 cached per instance, keyed by every global knob that shapes it (order,
 direction, library dtype, spatial mode) so a knob change transparently
-invalidates.
+invalidates.  The graph is the only owner of that state: nothing else in
+the library caches supports, and code that edits :attr:`Graph.csr` in place
+must call :func:`repro.graph.sparse.clear_support_cache` afterwards.
 
 :class:`GraphDelta` describes a structural perturbation — drop edges by
 mask, isolate nodes, add/reweight edges — without materialising anything
@@ -22,6 +24,7 @@ path never allocates an ``(N, N)`` array.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +97,30 @@ class GraphDelta:
         return True
 
 
+class _SupportSet:
+    """Diffusion supports of one knob key plus everything derived from them.
+
+    ``conv`` drops the leading identity; ``transposes`` aligns with it (CSR
+    members only); ``fused`` is its stacked form for the fused spmm
+    (``None`` unless every member is CSR).  ``nbytes`` is what the shared
+    support LRU charges for the set.
+    """
+
+    __slots__ = ("supports", "conv", "transposes", "fused", "nbytes")
+
+    def __init__(self, supports: tuple):
+        self.supports = supports
+        self.conv = supports[1:]
+        self.transposes = tuple(
+            spk.transpose_csr(m) if sp.issparse(m) else None for m in self.conv
+        )
+        self.fused = spk.fuse_supports(self.conv)
+        members = supports + tuple(t for t in self.transposes if t is not None)
+        if self.fused is not None:
+            members += (self.fused.stacked, self.fused.transpose)
+        self.nbytes = sum(spk._support_nbytes(m) for m in members)
+
+
 class Graph:
     """CSR-backed adjacency + node metadata + cached diffusion supports.
 
@@ -126,9 +153,8 @@ class Graph:
         self._edge_keys: np.ndarray | None = None
         self._hops: np.ndarray | None = None
         self._bfs_csr = None
+        self._digest: str | None = None
         self._supports: dict = {}
-        self._conv_supports: dict = {}
-        self._transposes: dict = {}
         spk._register_graph(self)
 
     # ------------------------------------------------------------------ #
@@ -263,105 +289,70 @@ class Graph:
     # ------------------------------------------------------------------ #
     # Diffusion supports (lazily cached, invalidation-aware)
     # ------------------------------------------------------------------ #
-    def _support_key(self, order: int, directed: bool) -> tuple:
-        return (
-            int(order),
-            bool(directed),
-            np.dtype(get_default_dtype()).str,
-            spk.get_spatial_mode(),
-        )
+    def _support_set(self, order: int, directed: bool | None) -> "_SupportSet":
+        """The derived state of one ``(order, directed, dtype, mode)`` key.
 
-    def _support_entry_nbytes(self, key) -> int:
-        total = 0
-        for store in (self._supports, self._transposes):
-            members = store.get(key)
-            if members:
-                total += sum(
-                    spk._support_nbytes(m) for m in members if m is not None
-                )
-        # conv_supports is a slice of supports — no bytes of its own.
-        return total
+        Built once and reused on every later call.  Under
+        ``spatial_mode("dense")`` construction runs the dense seed algebra
+        (the explicit fallback); otherwise it stays CSR-native.  Each set
+        registers once with the shared byte-bounded LRU in
+        :mod:`repro.graph.sparse`, so the coldest sets (on any live graph)
+        are dropped once the combined footprint crosses the budget.
+        """
+        directed = self.directed if directed is None else bool(directed)
+        mode = spk.get_spatial_mode()
+        key = (int(order), directed, np.dtype(get_default_dtype()).str, mode)
+        entry = self._supports.get(key)
+        if entry is not None:
+            spk._graph_support_touch(self, key)
+            return entry
+        source = self.to_dense() if mode == "dense" else self._csr
+        entry = _SupportSet(tuple(spk.diffusion_supports(source, order, directed=directed)))
+        self._supports[key] = entry
+        spk._record_graph_support_build()
+        spk._graph_support_store(self, key, entry.nbytes)
+        return entry
 
     def _drop_support_entry(self, key) -> None:
         """Eviction callback from the shared byte-bounded support LRU."""
         self._supports.pop(key, None)
-        self._conv_supports.pop(key, None)
-        self._transposes.pop(key, None)
 
     def supports(self, order: int, directed: bool | None = None) -> tuple:
-        """``[I, P, ..]`` diffusion supports, stored per the spatial mode.
-
-        Built once per ``(order, directed, dtype, mode)`` and
-        reused on every later call — the per-instance analogue of the global
-        content-keyed cache, with no hashing at all.  Under
-        ``spatial_mode("dense")`` construction runs the dense seed algebra
-        (the explicit fallback); otherwise it stays CSR-native.  Every stored
-        set also registers with the shared byte-bounded LRU in
-        :mod:`repro.graph.sparse`, so the coldest sets are dropped — instead
-        of accumulating one per knob combination forever — once the combined
-        footprint crosses the budget.
-        """
-        directed = self.directed if directed is None else bool(directed)
-        key = self._support_key(order, directed)
-        cached = self._supports.get(key)
-        if cached is None:
-            source = self.to_dense() if spk.get_spatial_mode() == "dense" else self._csr
-            cached = tuple(spk.diffusion_supports(source, order, directed=directed))
-            self._supports[key] = cached
-            spk._record_graph_support_build()
-            spk._graph_support_store(self, key, self._support_entry_nbytes(key))
-        else:
-            spk._graph_support_touch(self, key)
-        return cached
+        """``[I, P, ..]`` diffusion supports, stored per the spatial mode."""
+        return self._support_set(order, directed).supports
 
     def conv_supports(self, order: int, directed: bool | None = None) -> tuple:
-        """Supports without the leading identity (residual paths supply it).
-
-        The slice is memoised so repeated calls return the *same* tuple
-        object — downstream identity-keyed caches (fused stacks, transposes)
-        depend on that stability.
-        """
-        directed = self.directed if directed is None else bool(directed)
-        key = self._support_key(order, directed)
-        cached = self._conv_supports.get(key)
-        if cached is None:
-            cached = self.supports(order, directed)[1:]
-            self._conv_supports[key] = cached
-        else:
-            spk._graph_support_touch(self, key)
-        return cached
+        """Supports without the leading identity (residual paths supply it)."""
+        return self._support_set(order, directed).conv
 
     def support_transposes(self, order: int, directed: bool | None = None) -> tuple:
-        """Cached CSR transposes aligned with :meth:`conv_supports`.
-
-        Dense supports map to ``None`` (the dense matmul backward needs no
-        transpose support).  Used by ``spmm`` so its backward stops
-        re-deriving the transposed matrix every training step.
-        """
-        directed = self.directed if directed is None else bool(directed)
-        key = self._support_key(order, directed)
-        cached = self._transposes.get(key)
-        if cached is None:
-            cached = tuple(
-                spk.transpose_csr(member) if sp.issparse(member) else None
-                for member in self.conv_supports(order, directed)
-            )
-            self._transposes[key] = cached
-            # Transposes grow the entry: re-register at the new footprint.
-            spk._graph_support_store(self, key, self._support_entry_nbytes(key))
-        return cached
+        """CSR transposes aligned with :meth:`conv_supports` (the ``spmm``
+        backward); dense supports map to ``None``."""
+        return self._support_set(order, directed).transposes
 
     def fused_conv_supports(self, order: int, directed: bool | None = None):
         """Fused stack of :meth:`conv_supports` (``None`` unless all CSR)."""
-        directed = self.directed if directed is None else bool(directed)
-        return spk.fuse_supports(self.conv_supports(order, directed))
+        return self._support_set(order, directed).fused
+
+    @property
+    def digest(self) -> str:
+        """SHA-1 of the canonical CSR triplet (memoised).
+
+        The content token compiled programs are shared under: two graphs
+        with identical adjacency content share one digest.
+        """
+        if self._digest is None:
+            sha = hashlib.sha1()
+            for part in (self._csr.indptr, self._csr.indices, self._csr.data):
+                sha.update(np.ascontiguousarray(part).tobytes())
+            self._digest = sha.hexdigest()
+        return self._digest
 
     def clear_caches(self) -> None:
-        """Drop all derived state (supports, transposes, dense copy, hops)."""
+        """Drop all derived state (supports, digest, dense copy, hops)."""
         spk._graph_support_forget(self)
         self._supports.clear()
-        self._conv_supports.clear()
-        self._transposes.clear()
+        self._digest = None
         self._dense = None
         self._edge_keys = None
         self._hops = None

@@ -1,4 +1,4 @@
-"""Sparse (CSR) diffusion-support construction with a content-keyed cache.
+"""Sparse (CSR) diffusion-support construction.
 
 Real sensor graphs (METR-LA-style distance graphs) are typically >95%
 sparse, yet the seed implementation stored every diffusion support as a
@@ -18,16 +18,16 @@ Two global knobs control the behaviour:
   supports are built at the configured precision so a float32 run never
   silently upcasts to float64.
 
-:func:`cached_diffusion_supports` adds a content-keyed LRU cache on top:
-callers that pass a *copy* of the same adjacency every period (the URCL
-augmentation pipeline does exactly that) hit the cache instead of
-recomputing the full power series.
+The builders here cache nothing.  Every support set, its CSR transposes
+and its fused stack live on the :class:`repro.graph.Graph` they were built
+from; this module keeps only the byte-bounded LRU those per-graph sets
+register with, the partition cache of the sharded forward, and the
+counters :func:`support_cache_stats` reports.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import threading
 import weakref
 from collections import OrderedDict
@@ -55,7 +55,6 @@ __all__ = [
     "backward_transition",
     "power_series",
     "diffusion_supports",
-    "cached_diffusion_supports",
     "transpose_csr",
     "FusedSupports",
     "fuse_supports",
@@ -290,171 +289,18 @@ def diffusion_supports(adjacency, order: int, directed: bool = False) -> list:
     return supports
 
 
-# ---------------------------------------------------------------------- #
-# Content-keyed support cache
-# ---------------------------------------------------------------------- #
-_CACHE_MAX_ENTRIES = 64
-
-# Random graph augmentations produce a fresh content key every step, so the
-# cache is also bounded by bytes: stale support sets for large graphs are
-# evicted long before the entry cap (dense N=2000 supports are ~32 MB each).
-_CACHE_MAX_BYTES = 256 * 1024 * 1024
-
-_support_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-_cache_bytes = 0
-_cache_hits = 0
-_cache_misses = 0
-
-
 def _support_nbytes(support) -> int:
     if sp.issparse(support):
         return int(support.data.nbytes + support.indices.nbytes + support.indptr.nbytes)
     return int(support.nbytes)
 
 
-# Identity fast path: repeated lookups of the *same array object* skip the
-# SHA-1 over ~N^2 bytes.  Entries are keyed by id() and validated through a
-# weak reference (a dead array's id can be recycled by a new allocation) plus
-# the shape/dtype, which in-place content mutation cannot change undetected
-# for the caller patterns this serves (steady-state training loops reusing a
-# prebuilt adjacency).  Callers that DO mutate an adjacency in place must
-# call :func:`clear_support_cache` afterwards.
-_IDENTITY_MAX_ENTRIES = 128
-
-_identity_digests: "OrderedDict[int, tuple]" = OrderedDict()
-_identity_hits = 0
-
-
-def _content_digest(adjacency) -> str:
-    """SHA-1 of the adjacency content (CSR triplet for sparse inputs)."""
-    if sp.issparse(adjacency):
-        csr = adjacency.tocsr()
-        digest = hashlib.sha1()
-        digest.update(np.ascontiguousarray(csr.indptr).tobytes())
-        digest.update(np.ascontiguousarray(csr.indices).tobytes())
-        digest.update(np.ascontiguousarray(csr.data).tobytes())
-        return digest.hexdigest()
-    array = np.ascontiguousarray(np.asarray(adjacency))
-    return hashlib.sha1(array.tobytes()).hexdigest()
-
-
-def _cached_digest(adjacency) -> str:
-    """Content digest with an ``id()``-keyed fast path for reused objects."""
-    global _identity_hits
-    token = id(adjacency)
-    shape = tuple(adjacency.shape)
-    dtype = np.dtype(adjacency.dtype).str
-    entry = _identity_digests.get(token)
-    if entry is not None:
-        ref, cached_shape, cached_dtype, digest = entry
-        if ref() is adjacency and cached_shape == shape and cached_dtype == dtype:
-            _identity_hits += 1
-            _identity_digests.move_to_end(token)
-            return digest
-        # Stale slot: the id was recycled or the array changed layout.
-        _identity_digests.pop(token, None)
-    digest = _content_digest(adjacency)
-    try:
-        ref = weakref.ref(adjacency, lambda _, token=token: _identity_digests.pop(token, None))
-    except TypeError:
-        # Some array-likes (e.g. plain lists coerced upstream) refuse weak
-        # references; they simply never take the fast path.
-        return digest
-    _identity_digests[token] = (ref, shape, dtype, digest)
-    while len(_identity_digests) > _IDENTITY_MAX_ENTRIES:
-        _identity_digests.popitem(last=False)
-    return digest
-
-
-def _content_key(adjacency, order: int, directed: bool) -> tuple:
-    """Hash the adjacency *content* plus every knob that shapes the supports."""
-    return (
-        _cached_digest(adjacency),
-        tuple(adjacency.shape),
-        int(order),
-        bool(directed),
-        np.dtype(get_default_dtype()).str,
-        _SPATIAL_MODE,
-    )
-
-
-def cached_diffusion_supports(adjacency, order: int, directed: bool = False) -> tuple:
-    """Diffusion supports memoised by adjacency *content*.
-
-    Two arrays with equal bytes map to the same prebuilt supports, so
-    callers that defensively ``copy()`` the adjacency per call (URCL's
-    augmentation pipeline) stop paying the full power-series rebuild.
-    Returns an immutable tuple; callers must not modify the entries.
-
-    Repeated lookups of the *same object* (matching ``id()``, unchanged
-    shape/dtype) skip even the content hash, which means in-place mutation
-    of a previously looked-up adjacency is NOT detected — mutate-and-reuse
-    callers must call :func:`clear_support_cache` after editing edge
-    weights in place (or pass a fresh array, which re-keys by content).
-    """
-    global _cache_hits, _cache_misses, _cache_bytes
-    key = _content_key(adjacency, order, directed)
-    cached = _support_cache.get(key)
-    if cached is not None:
-        _cache_hits += 1
-        _support_cache.move_to_end(key)
-        return cached
-    _cache_misses += 1
-    supports = tuple(diffusion_supports(adjacency, order, directed=directed))
-    _support_cache[key] = supports
-    _cache_bytes += sum(_support_nbytes(s) for s in supports)
-    while _support_cache and (
-        len(_support_cache) > _CACHE_MAX_ENTRIES or _cache_bytes > _CACHE_MAX_BYTES
-    ):
-        _, evicted = _support_cache.popitem(last=False)
-        _cache_bytes -= sum(_support_nbytes(s) for s in evicted)
-    return supports
-
-
 # ---------------------------------------------------------------------- #
-# Cached CSR transposes (spmm backward) and fused multi-support stacks
+# CSR transposes (spmm backward) and fused multi-support stacks
 # ---------------------------------------------------------------------- #
-# Both caches are keyed by object identity and hold a strong reference to the
-# keyed object, so an id can never be recycled while its entry is alive.
-# Augmented graphs retire their supports every step, so both caches are also
-# byte-bounded: stale entries for large graphs evict long before the entry
-# cap.
-_TRANSPOSE_MAX_ENTRIES = 256
-_TRANSPOSE_MAX_BYTES = 128 * 1024 * 1024
-
-_transpose_cache: "OrderedDict[int, tuple]" = OrderedDict()
-_transpose_bytes = 0
-
-
 def transpose_csr(matrix):
-    """Return ``matrix.T`` as CSR, cached per support object.
-
-    The ``spmm`` backward multiplies by the transposed support; deriving the
-    transpose per step means a CSC->CSR conversion on every backward pass.
-    Supports are long-lived (built once per graph and reused every step), so
-    the transpose is computed once here and handed to ``spmm``/``spmm_multi``
-    on every subsequent call.
-    """
-    global _transpose_bytes
-    key = id(matrix)
-    entry = _transpose_cache.get(key)
-    if entry is not None and entry[0] is matrix:
-        _transpose_cache.move_to_end(key)
-        return entry[1]
-    transposed = sp.csr_array(matrix.T.tocsr())
-    # The keyed matrix is strongly referenced (that is what keeps the id
-    # valid), so it counts toward the budget too — otherwise retired
-    # supports of augmented graphs would stay pinned invisibly.
-    nbytes = _support_nbytes(matrix) + _support_nbytes(transposed)
-    _transpose_cache[key] = (matrix, transposed, nbytes)
-    _transpose_bytes += nbytes
-    while _transpose_cache and (
-        len(_transpose_cache) > _TRANSPOSE_MAX_ENTRIES
-        or _transpose_bytes > _TRANSPOSE_MAX_BYTES
-    ):
-        _, evicted = _transpose_cache.popitem(last=False)
-        _transpose_bytes -= evicted[2]
-    return transposed
+    """Return ``matrix.T`` as CSR (the operand of the ``spmm`` backward)."""
+    return sp.csr_array(matrix.T.tocsr())
 
 
 class FusedSupports:
@@ -473,54 +319,16 @@ class FusedSupports:
         self.count = count
 
 
-_FUSE_MAX_ENTRIES = 64
-_FUSE_MAX_BYTES = 256 * 1024 * 1024
-
-_fuse_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-_fuse_bytes = 0
-
-
-def _fused_nbytes(fused) -> int:
-    if fused is None:
-        return 0
-    return _support_nbytes(fused.stacked) + _support_nbytes(fused.transpose)
-
-
-def fuse_supports(supports, skip_first: bool = False):
+def fuse_supports(supports):
     """Stack an all-CSR support set for the fused spmm (``None`` otherwise).
 
-    ``supports`` must be a stable (cached/long-lived) sequence: results are
-    memoised by its identity.  ``skip_first=True`` fuses ``supports[1:]``
-    (callers that treat the leading identity support implicitly).  Returns a
-    :class:`FusedSupports` or ``None`` when fewer than two supports remain
-    or any member is stored dense.
+    Returns a :class:`FusedSupports`, or ``None`` when there are fewer than
+    two supports or any member is stored dense.
     """
-    global _fuse_bytes
-    key = (id(supports), bool(skip_first))
-    entry = _fuse_cache.get(key)
-    if entry is not None and entry[0] is supports:
-        _fuse_cache.move_to_end(key)
-        return entry[1]
-    members = list(supports[1:] if skip_first else supports)
-    if len(members) < 2 or not all(sp.issparse(member) for member in members):
-        fused = None
-    else:
-        stacked = sp.csr_array(sp.vstack(members, format="csr"))
-        transpose = sp.csr_array(stacked.T.tocsr())
-        fused = FusedSupports(stacked, transpose, len(members))
-    # Budget the strongly-referenced keyed supports as well as the fused
-    # arrays: a ``None`` result still pins the whole support set (possibly
-    # dense members for auto-mode augmented graphs), which the byte cap
-    # must see or retired sets linger until the entry cap.
-    nbytes = _fused_nbytes(fused) + sum(_support_nbytes(s) for s in supports)
-    _fuse_cache[key] = (supports, fused, nbytes)
-    _fuse_bytes += nbytes
-    while _fuse_cache and (
-        len(_fuse_cache) > _FUSE_MAX_ENTRIES or _fuse_bytes > _FUSE_MAX_BYTES
-    ):
-        _, evicted = _fuse_cache.popitem(last=False)
-        _fuse_bytes -= evicted[2]
-    return fused
+    if len(supports) < 2 or not all(sp.issparse(member) for member in supports):
+        return None
+    stacked = sp.csr_array(sp.vstack(list(supports), format="csr"))
+    return FusedSupports(stacked, transpose_csr(stacked), len(supports))
 
 
 # ---------------------------------------------------------------------- #
@@ -616,8 +424,7 @@ def _partition_stacked(stacked, plan, count: int) -> PartitionedSupport:
 
 
 # Keyed by ``(id(support-or-fused), plan.token)`` with a strong reference to
-# the keyed object (ids cannot recycle while the entry lives), mirroring the
-# transpose cache.  One build serves all K shard threads: the first thread to
+# the keyed object (ids cannot recycle while the entry lives).  One build serves all K shard threads: the first thread to
 # miss builds under the lock, its peers then hit.
 _PARTITION_MAX_ENTRIES = 128
 _PARTITION_MAX_BYTES = 256 * 1024 * 1024
@@ -674,9 +481,9 @@ _delta_hits = 0
 _dense_fallbacks = 0
 _graph_support_builds = 0
 
-# Every live Graph registers here so clear_support_cache() can also drop the
-# per-instance support/transpose caches (satisfying "one switch empties all
-# derived spatial state", e.g. after in-place adjacency edits).
+# Every live Graph registers here so clear_support_cache() can drop the
+# support sets of every graph (one switch empties all derived spatial
+# state, e.g. after in-place adjacency edits).
 _graph_registry: "weakref.WeakSet" = weakref.WeakSet()
 
 
@@ -687,12 +494,11 @@ def _register_graph(graph) -> None:
 # ---------------------------------------------------------------------- #
 # Byte-bounded LRU over the per-Graph support caches
 # ---------------------------------------------------------------------- #
-# Each Graph keeps its own key -> supports dicts for hash-free lookups, but
+# Each Graph keeps its own key -> support-set dict for hash-free lookups, but
 # every stored set also registers here under ``(id(graph), key)``; when the
 # combined footprint crosses the budget the coldest set — on *any* live
-# graph — is dropped from its owner, exactly like the content-keyed digest
-# cache evicts.  Long-lived graphs under dtype/mode sweeps no
-# longer accumulate one support set per knob combination forever.
+# graph — is dropped from its owner.  Long-lived graphs under dtype/mode
+# sweeps no longer accumulate one support set per knob combination forever.
 _GRAPH_SUPPORT_MAX_ENTRIES = 256
 _GRAPH_SUPPORT_MAX_BYTES = 256 * 1024 * 1024
 
@@ -708,7 +514,7 @@ def _graph_support_touch(graph, key) -> None:
 
 
 def _graph_support_store(graph, key, nbytes: int) -> None:
-    """(Re-)register one per-graph support set and evict past the budget."""
+    """Register one per-graph support set and evict past the budget."""
     global _graph_support_bytes
     token = (id(graph), key)
     previous = _graph_support_lru.pop(token, None)
@@ -772,18 +578,12 @@ def _record_graph_support_build() -> None:
 def clear_support_cache() -> None:
     """Empty every derived-support cache and reset all counters.
 
-    Drops the content-keyed cache, the identity fast path, the cached CSR
-    transposes, the fused stacks, and the per-:class:`repro.graph.Graph`
-    support/transpose caches of every live graph.
+    Drops the support sets of every live :class:`repro.graph.Graph` and the
+    partition cache.  Call it after editing a graph's CSR in place.
     """
-    global _cache_hits, _cache_misses, _cache_bytes, _identity_hits
-    global _delta_hits, _dense_fallbacks, _transpose_bytes, _fuse_bytes
+    global _delta_hits, _dense_fallbacks
     global _graph_support_builds, _graph_support_bytes, _graph_support_evictions
     global _partition_bytes, _partition_hits, _partition_misses
-    _support_cache.clear()
-    _identity_digests.clear()
-    _transpose_cache.clear()
-    _fuse_cache.clear()
     with _partition_lock:
         _partition_cache.clear()
         _partition_bytes = 0
@@ -792,12 +592,6 @@ def clear_support_cache() -> None:
     for graph in list(_graph_registry):
         graph.clear_caches()
     _graph_support_lru.clear()
-    _cache_bytes = 0
-    _transpose_bytes = 0
-    _fuse_bytes = 0
-    _cache_hits = 0
-    _cache_misses = 0
-    _identity_hits = 0
     _delta_hits = 0
     _dense_fallbacks = 0
     _graph_support_builds = 0
@@ -806,21 +600,15 @@ def clear_support_cache() -> None:
 
 
 def support_cache_stats() -> dict:
-    """Cache counters: content hits/misses, entries, bytes, identity hits.
+    """Support-set, delta and partition counters.
 
-    ``identity_hits`` counts lookups that skipped the content SHA-1 because
-    the exact same adjacency object (unchanged shape/dtype) was seen again.
-    ``delta_hits`` counts augmentation deltas applied CSR-natively (no dense
-    ``(N, N)`` materialisation); ``dense_fallbacks`` counts deltas that went
-    through the dense path (``spatial_mode("dense")``).
+    ``graph_support_*`` describe the per-:class:`repro.graph.Graph` support
+    sets and their shared LRU.  ``delta_hits`` counts augmentation deltas
+    applied CSR-natively (no dense ``(N, N)`` materialisation);
+    ``dense_fallbacks`` counts deltas that went through the dense path
+    (``spatial_mode("dense")``).
     """
     return {
-        "hits": _cache_hits,
-        "misses": _cache_misses,
-        "entries": len(_support_cache),
-        "bytes": _cache_bytes,
-        "identity_hits": _identity_hits,
-        "identity_entries": len(_identity_digests),
         "delta_hits": _delta_hits,
         "dense_fallbacks": _dense_fallbacks,
         "graph_support_builds": _graph_support_builds,
@@ -828,8 +616,6 @@ def support_cache_stats() -> dict:
         "graph_support_bytes": _graph_support_bytes,
         "graph_support_limit_bytes": _GRAPH_SUPPORT_MAX_BYTES,
         "graph_support_evictions": _graph_support_evictions,
-        "transpose_entries": len(_transpose_cache),
-        "fused_entries": len(_fuse_cache),
         "partition_hits": _partition_hits,
         "partition_misses": _partition_misses,
         "partition_entries": len(_partition_cache),

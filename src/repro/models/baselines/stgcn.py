@@ -53,7 +53,7 @@ class ChebGraphConv(Module):
         else:
             laplacian = np.eye(size, dtype=normalized.dtype) - normalized
         self._chebyshev = self._chebyshev_basis(as_support(laplacian), order)
-        self._cheb_tuple = tuple(self._chebyshev)
+        self._fused = fuse_supports(self._chebyshev)
         self._cheb_transposes = tuple(
             transpose_csr(member) if sp.issparse(member) else None
             for member in self._chebyshev
@@ -76,10 +76,9 @@ class ChebGraphConv(Module):
     def forward(self, x: Tensor) -> Tensor:
         x = x if isinstance(x, Tensor) else Tensor(x)
         # T_0 mixes with the identity, i.e. passes x through unchanged.
-        fused = fuse_supports(self._cheb_tuple)
-        if fused is not None:
+        if self._fused is not None:
             # All basis members CSR: one traversal mixes T_1..T_{K-1} at once.
-            mixed = [x, F.spatial_mix_multi(fused, x)]
+            mixed = [x, F.spatial_mix_multi(self._fused, x)]
         else:
             mixed = [x] + [
                 F.spatial_mix(member, x, transpose=transpose)

@@ -13,10 +13,8 @@ Two spatial mixing mechanisms are combined, exactly as in GraphWaveNet:
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse as sp
 
 from ..graph.graph import Graph
-from ..graph.sparse import cached_diffusion_supports, fuse_supports, transpose_csr
 from ..tensor import Tensor, concatenate
 from ..tensor import functional as F
 from ..utils.random import get_rng
@@ -55,11 +53,10 @@ class DiffusionGraphConv(Module):
     in_channels, out_channels:
         Feature sizes.
     adjacency:
-        Pre-defined sensor graph: a first-class :class:`repro.graph.Graph`
-        (preferred — supports, their transposes and the fused stack are
-        cached on the graph and shared across layers) or a dense adjacency
-        array.  ``None`` when the graph is unknown, in which case only the
-        adaptive matrix is used.
+        Pre-defined sensor graph: a :class:`repro.graph.Graph` (its cached
+        supports, transposes and fused stack are shared across layers) or an
+        adjacency array, wrapped once into a ``Graph``.  ``None`` when the
+        graph is unknown, in which case only the adaptive matrix is used.
     diffusion_order:
         ``K`` in Eq. 21.
     adaptive:
@@ -85,18 +82,13 @@ class DiffusionGraphConv(Module):
         self.diffusion_order = diffusion_order
         self.adaptive = adaptive
         self.directed = directed
-        self.graph = adjacency if isinstance(adjacency, Graph) else None
-        if self.graph is not None:
-            self._static_supports = list(
-                self.graph.conv_supports(diffusion_order, directed)
-            )
-        else:
-            self._static_supports = self._build_supports(adjacency)
-        self._static_tuple = tuple(self._static_supports)
-        self._static_transposes = tuple(
-            transpose_csr(s) if sp.issparse(s) else None for s in self._static_supports
+        if adjacency is not None and not isinstance(adjacency, Graph):
+            adjacency = Graph(adjacency)
+        self.graph = adjacency
+        num_supports = 0 if adjacency is None else len(
+            adjacency.conv_supports(diffusion_order, directed)
         )
-        num_supports = len(self._static_supports) + (1 if adaptive is not None else 0)
+        num_supports += 1 if adaptive is not None else 0
         if num_supports == 0:
             raise ValueError("DiffusionGraphConv needs a graph or an adaptive adjacency")
         self.weight = Parameter(
@@ -104,68 +96,33 @@ class DiffusionGraphConv(Module):
         )
         self.bias = Parameter(init.zeros((out_channels,)))
 
-    def _build_supports(self, adjacency: np.ndarray | None) -> list:
-        if adjacency is None:
-            return []
-        supports = cached_diffusion_supports(
-            adjacency, self.diffusion_order, directed=self.directed
-        )
-        # Drop the identity support: the residual connection plays that role.
-        return list(supports[1:])
-
-    def supports_for(self, adjacency) -> list:
-        """Return diffusion supports for an (optionally overridden) adjacency.
-
-        A :class:`Graph` override serves its own per-instance support cache
-        (the delta path); dense overrides go through the content-keyed
-        support cache, so the power series is only rebuilt when the
-        adjacency *values* actually change (augmented graph views repeat
-        heavily across training steps).
-        """
-        if adjacency is None:
-            return self._static_supports
-        if isinstance(adjacency, Graph):
-            return list(adjacency.conv_supports(self.diffusion_order, self.directed))
-        return self._build_supports(adjacency)
-
-    def _resolve(self, adjacency) -> tuple:
-        """``(supports, fused, transposes)`` for the given override."""
-        if adjacency is None:
-            if self.graph is not None:
-                # Mode/dtype switches invalidate the graph's cached supports,
-                # so resolve through it rather than the init-time snapshot.
-                return self._resolve(self.graph)
-            fused = fuse_supports(self._static_tuple)
-            return self._static_supports, fused, self._static_transposes
-        if isinstance(adjacency, Graph):
-            supports = adjacency.conv_supports(self.diffusion_order, self.directed)
-            fused = adjacency.fused_conv_supports(self.diffusion_order, self.directed)
-            transposes = adjacency.support_transposes(self.diffusion_order, self.directed)
-            return supports, fused, transposes
-        full = cached_diffusion_supports(
-            adjacency, self.diffusion_order, directed=self.directed
-        )
-        fused = fuse_supports(full, skip_first=True)
-        supports = full[1:]
-        transposes = tuple(
-            transpose_csr(s) if sp.issparse(s) else None for s in supports
-        )
-        return supports, fused, transposes
-
     def forward(self, x: Tensor, adjacency=None) -> Tensor:
         x = x if isinstance(x, Tensor) else Tensor(x)
         if x.ndim != 4:
             raise ValueError(f"DiffusionGraphConv expects 4-d input, got {x.shape}")
-        supports, fused, transposes = self._resolve(adjacency)
-        if fused is not None:
-            # One CSR traversal mixes all S supports at once; the result is
-            # already the channel-axis concatenation of the per-support mixes.
-            mixed = [F.spatial_mix_multi(fused, x)]
-        else:
-            mixed = [
-                F.spatial_mix(support, x, transpose=transpose)
-                for support, transpose in zip(supports, transposes)
-            ]
+        if adjacency is not None and not isinstance(adjacency, Graph):
+            raise TypeError(
+                "DiffusionGraphConv adjacency override must be a repro.graph.Graph "
+                f"or None, got {type(adjacency).__name__}"
+            )
+        graph = self.graph if adjacency is None else adjacency
+        mixed = []
+        if graph is not None:
+            # Resolved per call: mode/dtype switches select another support set.
+            order, directed = self.diffusion_order, self.directed
+            fused = graph.fused_conv_supports(order, directed)
+            if fused is not None:
+                # One CSR traversal mixes all S supports at once; the result is
+                # already the channel-axis concatenation of the per-support mixes.
+                mixed.append(F.spatial_mix_multi(fused, x))
+            else:
+                mixed.extend(
+                    F.spatial_mix(support, x, transpose=transpose)
+                    for support, transpose in zip(
+                        graph.conv_supports(order, directed),
+                        graph.support_transposes(order, directed),
+                    )
+                )
         if self.adaptive is not None:
             mixed.append(F.spatial_mix(self.adaptive(), x))
         # Fused per-support weights: concatenating the S mixed features along

@@ -166,8 +166,7 @@ class STEncoder(Module):
         """Encode ``(batch, time, nodes, channels)`` into ``(batch, nodes, latent_dim)``.
 
         ``adjacency`` optionally overrides the sensor graph for this call
-        (augmented graph views) — either a :class:`repro.graph.Graph`
-        (preferred; the delta path) or a dense adjacency array.
+        (augmented graph views): a :class:`repro.graph.Graph` or ``None``.
         """
         x = x if isinstance(x, Tensor) else Tensor(x)
         if x.ndim != 4:

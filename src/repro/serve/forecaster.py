@@ -32,7 +32,6 @@ from ..data.scalers import IdentityScaler, Scaler
 from ..data.streaming import StreamingScenario
 from ..exceptions import ConfigurationError, ShapeError
 from ..nn.optim import Adam, Optimizer, clip_grad_norm
-from ..tensor import traced_execution
 from ..utils.checkpoint import Checkpoint
 
 __all__ = ["Forecaster", "impute_missing"]
@@ -198,8 +197,7 @@ class Forecaster:
             )
         return windows, single
 
-    def predict(self, windows: np.ndarray, batch_size: int = 64, graph=None,
-                traced: bool | None = None) -> np.ndarray:
+    def predict(self, windows: np.ndarray, batch_size: int = 64, graph=None) -> np.ndarray:
         """Forecast from raw, un-scaled observation windows.
 
         ``windows`` is a single ``(input_steps, nodes, channels)`` window or
@@ -215,14 +213,7 @@ class Forecaster:
         closures reflected as dropped edges) without touching the fitted
         model: diffusion supports are pulled from the override and cached
         on it for subsequent calls.
-
-        ``traced`` overrides compiled (tape-replay) execution for this call
-        only: ``True``/``False`` force it on/off, ``None`` (default) keeps
-        the global :func:`repro.tensor.set_traced_execution` setting.
         """
-        if traced is not None:
-            with traced_execution(traced):
-                return self.predict(windows, batch_size=batch_size, graph=graph)
         windows, single = self._coerce_windows(windows)
         if windows.shape[0] == 0:
             raise ShapeError("predict received an empty batch of windows")
@@ -291,7 +282,7 @@ class Forecaster:
     # ------------------------------------------------------------------ #
     def update(
         self, inputs: np.ndarray, targets: np.ndarray, set_name: str = "online",
-        graph=None, traced: bool | None = None,
+        graph=None,
     ) -> StepOutput:
         """One continual training step on newly arrived raw data.
 
@@ -304,13 +295,8 @@ class Forecaster:
         retrieval.
 
         ``graph`` optionally runs the whole step (prediction and
-        contrastive branches) on an updated :class:`repro.graph.Graph`;
-        ``traced`` overrides compiled execution for this step only (see
-        :meth:`predict`).
+        contrastive branches) on an updated :class:`repro.graph.Graph`.
         """
-        if traced is not None:
-            with traced_execution(traced):
-                return self.update(inputs, targets, set_name=set_name, graph=graph)
         if not hasattr(self.model, "training_step"):
             raise ConfigurationError(
                 f"{type(self.model).__name__} does not support online updates; "

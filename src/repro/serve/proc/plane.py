@@ -36,6 +36,7 @@ from ...models.registry import model_name_of
 from ...tensor import (
     batch_bucket,
     export_structures,
+    forget_model,
     get_default_dtype,
     install_structures,
 )
@@ -108,7 +109,9 @@ class ModelPlane:
 
         Warms compiled predict at every batch bucket up to ``max_batch_size``
         (one capture per architecture x bucket, shared across tenants), probes
-        the output geometry, then freezes everything into shared memory.
+        the output geometry, then freezes everything into shared memory.  The
+        replay instances the warm-up built are dropped again: the parent
+        exports their structures and never replays them.
         """
         tenants = list(pool.resident)
         if not tenants:
@@ -154,6 +157,10 @@ class ModelPlane:
         out_dtype = probe.dtype.str
 
         blob, table = dump_structures(export_structures())
+        # Workers serve; the parent keeps the structures, not the instances.
+        for tenant in tenants:
+            for module in pool.forecaster(tenant).model.modules():
+                forget_model(module)
 
         arrays = {"network/adjacency": network.adjacency}
         if network.coordinates is not None:

@@ -43,7 +43,6 @@ from .tensor import (
     minimum,
     no_grad,
     set_default_dtype,
-    set_spmm_threads,
     spmm,
     spmm_multi,
     stack,
@@ -85,7 +84,6 @@ __all__ = [
     "HaloExchange",
     "PartitionContext",
     "partition_scope",
-    "set_spmm_threads",
     "get_spmm_threads",
     "track_activations",
     "MATMUL_BLOCK_ROWS",

@@ -41,7 +41,6 @@ __all__ = [
     "minimum",
     "spmm",
     "spmm_multi",
-    "set_spmm_threads",
     "get_spmm_threads",
     "track_activations",
     "MATMUL_BLOCK_ROWS",
@@ -133,97 +132,9 @@ def _matmul_execute(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None)
     return out
 
 
-# ---------------------------------------------------------------------- #
-# Threaded CSR kernels
-# ---------------------------------------------------------------------- #
-_SPMM_THREADS = 1
-_SPMM_THREAD_MIN_NNZ = 200_000
-_SPMM_POOL = None
-_SPMM_POOL_LOCK = threading.Lock()
-
-
-def set_spmm_threads(threads: int, min_nnz: int | None = None) -> int:
-    """Set the worker count for chunked CSR products (1 disables).
-
-    With ``threads > 1``, ``spmm``/``spmm_multi`` forward products whose
-    matrix carries at least ``min_nnz`` stored entries are split into
-    contiguous row chunks dispatched to a shared thread pool.  Row chunks of
-    a CSR product are computed row-independently, so the result is
-    bit-identical to the single-threaded product.  Returns the previous
-    thread count.
-    """
-    global _SPMM_THREADS, _SPMM_THREAD_MIN_NNZ, _SPMM_POOL
-    threads = int(threads)
-    if threads < 1:
-        raise ValueError(f"spmm threads must be >= 1, got {threads}")
-    with _SPMM_POOL_LOCK:
-        previous = _SPMM_THREADS
-        _SPMM_THREADS = threads
-        if min_nnz is not None:
-            _SPMM_THREAD_MIN_NNZ = int(min_nnz)
-        if _SPMM_POOL is not None:
-            _SPMM_POOL.shutdown(wait=False)
-            _SPMM_POOL = None
-    return previous
-
-
 def get_spmm_threads() -> int:
-    return _SPMM_THREADS
-
-
-def _spmm_pool():
-    global _SPMM_POOL
-    pool = _SPMM_POOL
-    if pool is None:
-        with _SPMM_POOL_LOCK:
-            if _SPMM_POOL is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                _SPMM_POOL = ThreadPoolExecutor(
-                    max_workers=_SPMM_THREADS, thread_name_prefix="repro-spmm"
-                )
-            pool = _SPMM_POOL
-    return pool
-
-
-def _spmm_product(matrix, flat: np.ndarray) -> np.ndarray:
-    """``matrix @ flat`` with optional row-chunked threading (bit-identical)."""
-    threads = _SPMM_THREADS
-    if (
-        threads <= 1
-        or getattr(matrix, "format", None) != "csr"
-        or matrix.nnz < _SPMM_THREAD_MIN_NNZ
-        or flat.ndim != 2
-        or matrix.shape[0] < 2 * threads
-    ):
-        return matrix @ flat
-    rows = matrix.shape[0]
-    out = np.empty(
-        (rows, flat.shape[1]), dtype=np.result_type(matrix.dtype, flat.dtype)
-    )
-    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-    bounds = np.linspace(0, rows, threads + 1).round().astype(int)
-
-    def run_chunk(start: int, stop: int) -> None:
-        base = indptr[start]
-        block = _sparse.csr_array(
-            (
-                data[base : indptr[stop]],
-                indices[base : indptr[stop]],
-                indptr[start : stop + 1] - base,
-            ),
-            shape=(stop - start, matrix.shape[1]),
-        )
-        out[start:stop] = block @ flat
-
-    futures = [
-        _spmm_pool().submit(run_chunk, int(start), int(stop))
-        for start, stop in zip(bounds[:-1], bounds[1:])
-        if stop > start
-    ]
-    for future in futures:
-        future.result()
-    return out
+    """Worker count of the CSR products: always 1 (spmm is single-threaded)."""
+    return 1
 
 
 # ---------------------------------------------------------------------- #
@@ -866,11 +777,11 @@ def _spmm_leading(matrix, array: np.ndarray, out: np.ndarray | None = None) -> n
     if array.ndim == 1:
         product = matrix @ array
     elif array.ndim == 2:
-        product = _spmm_product(matrix, array)
+        product = matrix @ array
     else:
         moved = np.moveaxis(array, -2, 0)  # (N, ..., C), a view
         flat = moved.reshape(moved.shape[0], -1)  # copies iff non-contiguous
-        product = _spmm_product(matrix, flat)
+        product = matrix @ flat
         # Rectangular matrices (partitioned row blocks) change the node extent.
         product = np.moveaxis(product.reshape((matrix.shape[0],) + moved.shape[1:]), 0, -2)
     if out is None:
@@ -886,9 +797,9 @@ def spmm(matrix, x, transpose=None) -> Tensor:
     (no gradient is computed for it); ``x`` is a tensor whose second-to-last
     axis has size ``N`` — leading axes are batched.  The backward pass
     multiplies by the transposed matrix; callers that apply the same support
-    every step should pass a precomputed CSR ``transpose``
-    (:func:`repro.graph.sparse.transpose_csr` caches one per support) so the
-    backward stops re-deriving it.
+    every step should pass a precomputed CSR ``transpose`` (a
+    :class:`repro.graph.Graph` keeps one per support) so the backward stops
+    re-deriving it.
     """
     if not _sparse.issparse(matrix):
         raise TypeError(f"spmm expects a scipy.sparse matrix, got {type(matrix).__name__}")
@@ -1329,7 +1240,7 @@ def _spmm_multi(x, out=None, *, stacked, count, rows, transpose=None):
     moved = np.moveaxis(x, -2, 0)  # (N, ..., C), a view
     lead = moved.shape[1:]
     flat = moved.reshape(stacked.shape[1], -1)  # (N, L); copies iff non-contiguous
-    product = _spmm_product(stacked, flat)  # (S*rows, L): the single fused traversal
+    product = stacked @ flat  # (S*rows, L): the single fused traversal
     # (S, rows, ..., C) -> (..., rows, S, C), written straight into the
     # (..., rows, S*C) result.
     blocks = np.moveaxis(product.reshape(count, rows, *lead), (0, 1), (-2, -3))

@@ -416,17 +416,7 @@ def _graph_digest(graph):
     """Content token for a graph — shared structures bake its supports as consts."""
     if graph is None:
         return None
-    source = getattr(graph, "csr", None)
-    if source is None:
-        source = getattr(graph, "adjacency", None)
-    if source is None:
-        return ("id", id(graph))
-    try:
-        from ..graph import sparse as _sparse
-
-        return _sparse._cached_digest(source)
-    except Exception:
-        return ("id", id(graph))
+    return getattr(graph, "digest", ("id", id(graph)))
 
 
 def _fingerprint(model, key, graph):

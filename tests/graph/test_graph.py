@@ -164,6 +164,146 @@ class TestSupports:
             gs.clear_support_cache()
             assert graph.supports(2) is not first
 
+    def test_retired_augmented_graphs_are_collectable(self, graph):
+        # The graph is the only owner of its derived state: once an
+        # augmented graph is dropped, nothing keeps its supports alive.
+        import gc
+        import weakref
+
+        refs = []
+        with gs.spatial_mode("sparse"):
+            for seed in range(10):
+                keep = np.random.default_rng(seed).random(graph.nnz) < 0.7
+                augmented = graph.apply_delta(GraphDelta(edge_keep=keep))
+                fused = augmented.fused_conv_supports(2)
+                transposes = augmented.support_transposes(2)
+                assert fused is not None and all(t is not None for t in transposes)
+                members = augmented.supports(2) + transposes
+                refs.extend(weakref.ref(m) for m in members)
+                refs.extend([weakref.ref(fused.stacked), weakref.ref(fused.transpose)])
+                del augmented, fused, transposes, members
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+
+class TestSupportEntry:
+    """One entry per knob key holds supports, transposes and the fused stack."""
+
+    def test_transposes_memoised_per_graph(self, dense_adjacency, graph):
+        with gs.spatial_mode("sparse"):
+            first = graph.support_transposes(2)
+            assert graph.support_transposes(2) is first
+            twin = Graph(dense_adjacency.copy()).support_transposes(2)
+        assert twin is not first
+        for a, b in zip(first, twin):
+            np.testing.assert_array_equal(a.toarray(), b.toarray())
+
+    def test_fused_stack_memoised_per_graph(self, dense_adjacency, graph):
+        with gs.spatial_mode("sparse"):
+            first = graph.fused_conv_supports(2)
+            assert graph.fused_conv_supports(2) is first
+            twin = Graph(dense_adjacency.copy()).fused_conv_supports(2)
+        assert twin is not first
+        np.testing.assert_array_equal(first.stacked.toarray(), twin.stacked.toarray())
+
+    def test_one_build_serves_every_accessor(self, graph):
+        with gs.spatial_mode("sparse"):
+            graph.supports(2)
+            graph.conv_supports(2)
+            graph.support_transposes(2)
+            graph.fused_conv_supports(2)
+        stats = gs.support_cache_stats()
+        assert stats["graph_support_builds"] == 1
+        assert stats["graph_support_entries"] == 1
+
+    def test_entry_bytes_cover_transposes_and_fused(self, graph):
+        def nbytes(m):
+            return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+
+        with gs.spatial_mode("sparse"):
+            supports = graph.supports(2)
+            transposes = graph.support_transposes(2)
+            fused = graph.fused_conv_supports(2)
+        expected = sum(nbytes(m) for m in supports + transposes)
+        expected += nbytes(fused.stacked) + nbytes(fused.transpose)
+        assert gs.support_cache_stats()["graph_support_bytes"] == expected
+
+    def test_key_includes_order_directed_dtype_and_mode(self, graph):
+        graph.supports(2)
+        graph.supports(3)
+        graph.supports(2, directed=True)
+        with gs.spatial_mode("dense"):
+            graph.supports(2)
+        with default_dtype("float32"):
+            f32 = graph.supports(2)
+        stats = gs.support_cache_stats()
+        assert stats["graph_support_builds"] == 5
+        assert stats["graph_support_entries"] == 5
+        assert all(np.dtype(s.dtype) == np.float32 for s in f32)
+
+    def test_clear_support_cache_rebuilds_transposes_and_fused(self, graph):
+        with gs.spatial_mode("sparse"):
+            transposes = graph.support_transposes(2)
+            fused = graph.fused_conv_supports(2)
+            gs.clear_support_cache()
+            stats = gs.support_cache_stats()
+            assert stats["graph_support_entries"] == 0
+            assert stats["graph_support_bytes"] == 0
+            assert graph.support_transposes(2) is not transposes
+            assert graph.fused_conv_supports(2) is not fused
+
+    def test_eviction_drops_the_whole_entry(self, graph):
+        with gs.spatial_mode("sparse"):
+            fused = graph.fused_conv_supports(2)
+            transposes = graph.support_transposes(2)
+            gs.set_graph_support_limit(1)
+            try:
+                assert not graph._supports
+                assert gs.support_cache_stats()["graph_support_evictions"] == 1
+            finally:
+                gs.set_graph_support_limit(256 * 1024 * 1024)
+            assert graph.fused_conv_supports(2) is not fused
+            assert graph.support_transposes(2) is not transposes
+
+
+class TestDigest:
+    def test_digest_of_fixed_graph(self):
+        # The SHA-1 of the canonical CSR (indptr, indices, data) bytes that
+        # compiled-structure fingerprints carry across processes.
+        adjacency = np.array(
+            [[0.0, 1.5, 0.0, 0.25], [0.5, 0.0, 2.0, 0.0],
+             [0.0, 0.0, 0.0, 1.0], [3.0, 0.0, 0.0, 0.0]]
+        )
+        graph = Graph(adjacency)
+        assert graph.digest == "ba665f46983b58c63537b1e9ab23d966ba2c464a"
+        assert graph.digest is graph.digest
+
+    def test_equal_content_shares_a_digest(self, dense_adjacency, graph):
+        assert Graph(dense_adjacency.copy(), name="other").digest == graph.digest
+        changed = dense_adjacency.copy()
+        changed[0, 1] += 0.5
+        assert Graph(changed).digest != graph.digest
+
+    def test_sparse_and_dense_inputs_share_a_digest(self, dense_adjacency, graph):
+        assert Graph(sp.csr_array(dense_adjacency)).digest == graph.digest
+        assert Graph(sp.coo_array(dense_adjacency)).digest == graph.digest
+
+    def test_metadata_does_not_enter_the_digest(self, dense_adjacency, graph):
+        coordinates = np.zeros((graph.num_nodes, 2))
+        other = Graph(dense_adjacency, coordinates=coordinates, directed=True)
+        assert other.digest == graph.digest
+        assert graph.copy().digest == graph.digest
+
+    def test_delta_changes_the_digest(self, graph):
+        keep = np.ones(graph.nnz, dtype=bool)
+        keep[0] = False
+        assert graph.apply_delta(GraphDelta(edge_keep=keep)).digest != graph.digest
+
+    def test_digest_survives_clear_support_cache(self, graph):
+        before = graph.digest
+        gs.clear_support_cache()
+        assert graph.digest == before
+
 
 class TestDelta:
     def _both_modes(self, graph, delta):

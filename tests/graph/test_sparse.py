@@ -1,4 +1,4 @@
-"""Tests for the CSR support builder, auto-densify, and the support cache."""
+"""Tests for the CSR support builder, auto-densify, transposes and fused stacks."""
 
 import numpy as np
 import pytest
@@ -130,51 +130,6 @@ class TestDensify:
         assert powers[1] is not transition
 
 
-class TestSupportCache:
-    def test_same_content_hits(self, adjacency):
-        first = gs.cached_diffusion_supports(adjacency, 2)
-        second = gs.cached_diffusion_supports(adjacency.copy(), 2)
-        assert first is second
-        stats = gs.support_cache_stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-
-    def test_different_content_misses(self, adjacency):
-        gs.cached_diffusion_supports(adjacency, 2)
-        other = adjacency.copy()
-        other[0, 1] += 0.5
-        gs.cached_diffusion_supports(other, 2)
-        assert gs.support_cache_stats()["misses"] == 2
-
-    def test_key_includes_order_directed_and_dtype(self, adjacency):
-        gs.cached_diffusion_supports(adjacency, 2)
-        gs.cached_diffusion_supports(adjacency, 3)
-        gs.cached_diffusion_supports(adjacency, 2, directed=True)
-        with default_dtype("float32"):
-            supports = gs.cached_diffusion_supports(adjacency, 2)
-        assert gs.support_cache_stats()["misses"] == 4
-        assert all(_dense(s).dtype == np.float32 for s in supports)
-
-    def test_eviction_is_bounded(self, rng):
-        for index in range(gs._CACHE_MAX_ENTRIES + 5):
-            gs.cached_diffusion_supports(np.full((3, 3), float(index)), 1)
-        assert gs.support_cache_stats()["entries"] == gs._CACHE_MAX_ENTRIES
-
-    def test_eviction_is_bounded_by_bytes(self, rng, monkeypatch):
-        # Random augmentations miss on every step; the byte budget must evict
-        # stale support sets long before the entry cap.
-        monkeypatch.setattr(gs, "_CACHE_MAX_BYTES", 64 * 64 * 8 * 4)
-        for index in range(10):
-            gs.cached_diffusion_supports(np.full((64, 64), float(index + 1)), 1)
-        stats = gs.support_cache_stats()
-        assert stats["entries"] < 10
-        assert stats["bytes"] <= 64 * 64 * 8 * 4
-
-    def test_sparse_input_content_key(self, adjacency):
-        first = gs.cached_diffusion_supports(sp.csr_array(adjacency), 2)
-        second = gs.cached_diffusion_supports(sp.csr_array(adjacency.copy()), 2)
-        assert first is second
-
-
 class TestDtypeRegression:
     def test_supports_follow_default_dtype(self, adjacency):
         with default_dtype("float32"):
@@ -184,79 +139,23 @@ class TestDtypeRegression:
         assert all(_dense(s).dtype == np.float32 for s in sparse_supports)
 
 
-class TestIdentityFastPath:
-    """id()-keyed digest cache: reused array objects skip the content SHA-1."""
+class TestTransposeCsr:
+    def test_transpose_matches_dense(self, adjacency):
+        transposed = gs.transpose_csr(sp.csr_array(adjacency))
+        assert sp.issparse(transposed) and transposed.format == "csr"
+        np.testing.assert_allclose(transposed.toarray(), adjacency.T, atol=1e-14)
 
-    def test_same_object_takes_identity_path(self, adjacency):
-        gs.cached_diffusion_supports(adjacency, 2)
-        first = gs.cached_diffusion_supports(adjacency, 2)
-        second = gs.cached_diffusion_supports(adjacency, 2)
-        assert first is second
-        stats = gs.support_cache_stats()
-        assert stats["identity_hits"] == 2
-        assert stats["hits"] == 2 and stats["misses"] == 1
-
-    def test_copy_still_hits_by_content(self, adjacency):
-        first = gs.cached_diffusion_supports(adjacency, 2)
-        second = gs.cached_diffusion_supports(adjacency.copy(), 2)
-        assert first is second
-        assert gs.support_cache_stats()["identity_hits"] == 0
-
-    def test_identity_path_respects_order_and_dtype_knobs(self, adjacency):
-        gs.cached_diffusion_supports(adjacency, 2)
-        deeper = gs.cached_diffusion_supports(adjacency, 3)
-        shallow = gs.cached_diffusion_supports(adjacency, 2)
-        # Same object, different order: digest is reused but the support sets
-        # stay distinct.
-        assert len(deeper) != len(shallow) or deeper is not shallow
-        with default_dtype("float32"):
-            f32 = gs.cached_diffusion_supports(adjacency, 2)
-        assert all(_dense(s).dtype == np.float32 for s in f32)
-
-    def test_sparse_inputs_take_identity_path(self, adjacency):
-        csr = sp.csr_array(adjacency)
-        gs.cached_diffusion_supports(csr, 2)
-        gs.cached_diffusion_supports(csr, 2)
-        assert gs.support_cache_stats()["identity_hits"] == 1
-
-    def test_dead_arrays_are_evicted(self, rng):
+    def test_builds_fresh_and_keeps_no_reference(self, adjacency):
         import gc
+        import weakref
 
-        array = rng.random((6, 6))
-        gs.cached_diffusion_supports(array, 1)
-        assert gs.support_cache_stats()["identity_entries"] == 1
-        del array
-        gc.collect()
-        assert gs.support_cache_stats()["identity_entries"] == 0
-
-    def test_identity_entries_are_bounded(self, rng):
-        keep = [rng.random((3, 3)) for _ in range(gs._IDENTITY_MAX_ENTRIES + 7)]
-        for array in keep:
-            gs.cached_diffusion_supports(array, 1)
-        assert gs.support_cache_stats()["identity_entries"] <= gs._IDENTITY_MAX_ENTRIES
-
-    def test_clear_support_cache_resets_identity_state(self, adjacency):
-        gs.cached_diffusion_supports(adjacency, 2)
-        gs.cached_diffusion_supports(adjacency, 2)
-        gs.clear_support_cache()
-        stats = gs.support_cache_stats()
-        assert stats["identity_hits"] == 0 and stats["identity_entries"] == 0
-
-
-class TestTransposeCache:
-    def test_transpose_is_cached_per_object(self, adjacency):
         support = sp.csr_array(adjacency)
         first = gs.transpose_csr(support)
-        assert gs.transpose_csr(support) is first
-        np.testing.assert_allclose(first.toarray(), adjacency.T, atol=1e-14)
-        assert gs.transpose_csr(sp.csr_array(adjacency)) is not first
-
-    def test_cleared_with_support_cache(self, adjacency):
-        support = sp.csr_array(adjacency)
-        gs.transpose_csr(support)
-        assert gs.support_cache_stats()["transpose_entries"] == 1
-        gs.clear_support_cache()
-        assert gs.support_cache_stats()["transpose_entries"] == 0
+        assert gs.transpose_csr(support) is not first
+        ref = weakref.ref(first)
+        del first
+        gc.collect()
+        assert ref() is None
 
 
 class TestFuseSupports:
@@ -278,19 +177,17 @@ class TestFuseSupports:
             fused.transpose.toarray(), fused.stacked.toarray().T, atol=1e-14
         )
 
-    def test_memoised_by_identity(self, adjacency):
-        members = self._members(adjacency)
-        assert gs.fuse_supports(members) is gs.fuse_supports(members)
+    def test_builds_fresh_and_keeps_no_reference(self, adjacency):
+        import gc
+        import weakref
 
-    def test_skip_first(self, adjacency):
         members = self._members(adjacency)
-        fused = gs.fuse_supports(members, skip_first=True)
-        assert fused.count == 2
-        np.testing.assert_allclose(
-            fused.stacked.toarray(),
-            np.vstack([m.toarray() for m in members[1:]]),
-            atol=1e-14,
-        )
+        first = gs.fuse_supports(members)
+        assert gs.fuse_supports(members) is not first
+        refs = [weakref.ref(first.stacked), weakref.ref(first.transpose)]
+        del first
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
     def test_mixed_storage_declines(self, adjacency):
         members = (sp.csr_array(adjacency), adjacency.copy())
@@ -301,6 +198,12 @@ class TestFuseSupports:
 
 
 class TestDeltaCounters:
+    def test_stats_keep_the_counters_benchmarks_read(self):
+        stats = gs.support_cache_stats()
+        for key in ("graph_support_builds", "delta_hits", "dense_fallbacks",
+                    "graph_support_evictions"):
+            assert stats[key] == 0
+
     def test_stats_expose_delta_counters(self):
         stats = gs.support_cache_stats()
         assert stats["delta_hits"] == 0 and stats["dense_fallbacks"] == 0

@@ -61,6 +61,23 @@ class TestComponents:
         x = Tensor(rng.normal(size=(2, 4, small_network.num_nodes, 3)))
         assert conv(x).shape == (2, 4, small_network.num_nodes, 5)
 
+    def test_cheb_conv_builds_fused_stack_once(self, small_network, rng, monkeypatch):
+        from repro.graph import sparse as gs
+        from repro.models.baselines import stgcn
+
+        with gs.spatial_mode("sparse"):
+            conv = ChebGraphConv(3, 5, small_network.adjacency, order=3, rng=0)
+        assert conv._fused is not None and conv._fused.count == 2
+
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("forward rebuilt a Chebyshev stack")
+
+        monkeypatch.setattr(stgcn, "fuse_supports", no_rebuild)
+        monkeypatch.setattr(stgcn, "transpose_csr", no_rebuild)
+        x = Tensor(rng.normal(size=(2, 4, small_network.num_nodes, 3)))
+        first = conv(x).data
+        np.testing.assert_array_equal(conv(x).data, first)
+
     def test_cheb_conv_invalid_order(self, small_network):
         with pytest.raises(ValueError):
             ChebGraphConv(3, 5, small_network.adjacency, order=0)

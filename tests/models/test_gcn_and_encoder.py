@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graph import Graph
 from repro.models.gcn import AdaptiveAdjacency, DiffusionGraphConv
 from repro.models.stdecoder import STDecoder
 from repro.models.stencoder import STEncoder, STEncoderConfig
@@ -49,8 +50,43 @@ class TestDiffusionGraphConv:
         conv = DiffusionGraphConv(2, 2, adjacency=small_network.adjacency, rng=0)
         x = Tensor(rng.normal(size=(1, 4, small_network.num_nodes, 2)))
         default = conv(x).data
-        override = conv(x, adjacency=np.zeros_like(small_network.adjacency)).data
+        override = conv(x, adjacency=Graph(np.zeros_like(small_network.adjacency))).data
         assert not np.allclose(default, override)
+
+    def test_array_override_is_rejected(self, small_network, rng):
+        conv = DiffusionGraphConv(2, 2, adjacency=small_network.graph, rng=0)
+        x = Tensor(rng.normal(size=(1, 4, small_network.num_nodes, 2)))
+        with pytest.raises(TypeError, match="repro.graph.Graph"):
+            conv(x, adjacency=small_network.adjacency)
+
+    def test_sparse_matrix_override_is_rejected(self, small_network, rng):
+        conv = DiffusionGraphConv(2, 2, adjacency=small_network.graph, rng=0)
+        x = Tensor(rng.normal(size=(1, 4, small_network.num_nodes, 2)))
+        with pytest.raises(TypeError, match="repro.graph.Graph"):
+            conv(x, adjacency=small_network.graph.csr)
+
+    def test_array_is_wrapped_into_a_graph(self, small_network, rng):
+        # An array-built layer takes the same route as a Graph-built one, so
+        # the two agree bit for bit.
+        from_array = DiffusionGraphConv(2, 3, adjacency=small_network.adjacency, rng=0)
+        from_graph = DiffusionGraphConv(
+            2, 3, adjacency=Graph(small_network.adjacency), rng=0
+        )
+        assert isinstance(from_array.graph, Graph)
+        x = Tensor(rng.normal(size=(2, 4, small_network.num_nodes, 2)))
+        np.testing.assert_array_equal(from_array(x).data, from_graph(x).data)
+
+    def test_graph_override_builds_supports_once(self, small_network, rng):
+        from repro.graph import sparse as gs
+
+        conv = DiffusionGraphConv(2, 2, adjacency=small_network.graph, rng=0)
+        override = Graph(np.zeros_like(small_network.adjacency))
+        x = Tensor(rng.normal(size=(1, 4, small_network.num_nodes, 2)))
+        before = gs.support_cache_stats()["graph_support_builds"]
+        first = conv(x, adjacency=override).data
+        second = conv(x, adjacency=override).data
+        assert gs.support_cache_stats()["graph_support_builds"] == before + 1
+        np.testing.assert_array_equal(first, second)
 
     def test_spatial_mixing_uses_neighbours(self, rng):
         # Two disconnected components: perturbing component A must not change
@@ -108,7 +144,7 @@ class TestSTEncoder:
         encoder.eval()
         x = Tensor(rng.normal(size=(1, 12, small_network.num_nodes, 2)))
         default = encoder(x).data
-        perturbed = encoder(x, adjacency=np.zeros_like(small_network.adjacency)).data
+        perturbed = encoder(x, adjacency=Graph(np.zeros_like(small_network.adjacency))).data
         assert not np.allclose(default, perturbed)
 
     def test_backward_reaches_all_parameters(self, small_network, tiny_encoder_config, rng):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.serve import ModelPlane, PlaneView, build_synthetic_tenants
+from repro.tensor import program_cache_stats
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +34,24 @@ class TestBuckets:
             assert wider.spec["meta"]["buckets"] == (1, 2, 4, 8)
         finally:
             wider.close()
+
+
+class TestWarmUp:
+    def test_publish_keeps_no_program_instances(self):
+        # The parent warms compiled predict only to export the structures;
+        # the replay instances it built must not stay resident.
+        pool, windows, _ = build_synthetic_tenants(
+            num_tenants=2, num_nodes=10, num_days=4, seed=1, request_windows=6,
+        )
+        before = program_cache_stats()
+        plane = ModelPlane.publish(pool, sample_windows=windows[:1], max_batch_size=4)
+        try:
+            after = program_cache_stats()
+            assert plane.spec["meta"]["num_struct_arrays"] > 0
+            assert after["structures"] >= before["structures"]
+            assert (after["entries"], after["bytes"]) == (before["entries"], before["bytes"])
+        finally:
+            plane.close()
 
 
 class TestPublishAttach:

@@ -1,12 +1,11 @@
 """Kernel-level invariants behind memory-sharded inference.
 
-Three properties the partition path builds on:
+Two properties the partition path builds on:
 
 * the canonical fixed-geometry matmul makes a row's bits a function of
   (row, operand) only — any row partition reproduces the unsharded bits;
 * rectangular ``spmm_multi`` row blocks equal the row slice of the square
-  product;
-* threaded CSR kernels are exactly bit-identical to single-threaded ones.
+  product.
 """
 
 import tracemalloc
@@ -22,7 +21,6 @@ from repro.tensor import (
     Tensor,
     get_spmm_threads,
     no_grad,
-    set_spmm_threads,
     spmm,
     spmm_multi,
     track_activations,
@@ -299,42 +297,27 @@ class TestRectangularSpmmMulti:
         assert part.shape == (3, len(rows), 10)
         assert np.array_equal(part, full[:, rows, :])
 
+    def test_stacked_blocks_equal_single_spmm(self):
+        rng = np.random.default_rng(6)
+        matrix = sp.random_array((500, 500), density=0.05, rng=rng).tocsr()
+        x = Tensor(rng.normal(size=(2, 500, 4)))
+        baseline = spmm(matrix, x).data
+        multi = spmm_multi(sp.vstack([matrix, matrix], format="csr"), x, 2).data
+        assert np.array_equal(multi[..., :4], baseline)
+        assert np.array_equal(multi[..., 4:], baseline)
+
+    def test_spmm_runs_on_one_thread(self):
+        import repro.tensor as tensor
+
+        assert get_spmm_threads() == 1
+        assert not hasattr(tensor, "set_spmm_threads")
+
     def test_shape_validation(self):
         rng = np.random.default_rng(5)
         _, stacked = self._stacked(rng, count=2, n=6)
         x = Tensor(rng.normal(size=(6, 2)))
         with pytest.raises(ValueError):
             spmm_multi(stacked, x, 2, rows=5)
-
-
-class TestThreadedSpmm:
-    def test_threaded_bit_identical(self):
-        rng = np.random.default_rng(6)
-        matrix = sp.random_array((500, 500), density=0.05, rng=rng).tocsr()
-        x = Tensor(rng.normal(size=(2, 500, 4)))
-        baseline = spmm(matrix, x).data
-        previous = get_spmm_threads()
-        try:
-            set_spmm_threads(4, min_nnz=1)
-            threaded = spmm(matrix, x).data
-            stacked = sp.vstack([matrix, matrix], format="csr")
-            multi = spmm_multi(stacked, x, 2).data
-        finally:
-            set_spmm_threads(previous, min_nnz=200_000)
-        assert np.array_equal(threaded, baseline)
-        assert np.array_equal(multi[..., :4], baseline)
-        assert np.array_equal(multi[..., 4:], baseline)
-
-    def test_knob_roundtrip(self):
-        previous = get_spmm_threads()
-        try:
-            returned = set_spmm_threads(2, min_nnz=123)
-            assert returned == previous
-            assert get_spmm_threads() == 2
-            with pytest.raises(ValueError):
-                set_spmm_threads(0)
-        finally:
-            set_spmm_threads(previous, min_nnz=200_000)
 
 
 class TestActivationTracking:
